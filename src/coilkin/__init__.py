@@ -25,6 +25,7 @@ from .geometry import RobotGeometry
 from .kinematics import (
     ArcState,
     TendonSet,
+    arc_kernel,
     attachment_points,
     fk_point,
     fk_tip,

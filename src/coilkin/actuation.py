@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ServoRangeError
 from .geometry import RobotGeometry
 from .kinematics import TendonSet
@@ -55,6 +57,16 @@ def max_payout(geom: RobotGeometry) -> float:
     return geom.servo_range / 360.0 * math.pi * geom.pulley_diameter
 
 
+def pulley_angle(shortening_mm, geom: RobotGeometry):
+    """Pulley winding in degrees for a tendon shortening in mm; broadcasts."""
+    return shortening_mm * (360.0 / (math.pi * geom.pulley_diameter))
+
+
+def beyond_servo_range(angle_deg, geom: RobotGeometry):
+    """The servo bound: True where a pulley angle exceeds the range; broadcasts."""
+    return angle_deg > geom.servo_range + 1e-9
+
+
 def tendon_to_servo(target: TendonSet, home: TendonSet, geom: RobotGeometry) -> ServoCommand:
     """Map tendon lengths to pulley angles relative to the home lengths.
 
@@ -62,7 +74,6 @@ def tendon_to_servo(target: TendonSet, home: TendonSet, geom: RobotGeometry) -> 
     tendons longer than home clamp to 0 degrees with a slack flag. Raises
     ServoRangeError when a required angle exceeds the servo range.
     """
-    deg_per_mm = 360.0 / (math.pi * geom.pulley_diameter)
     angles = []
     slack = []
     for q_home, q_target in zip(home.as_tuple(), target.as_tuple()):
@@ -71,8 +82,8 @@ def tendon_to_servo(target: TendonSet, home: TendonSet, geom: RobotGeometry) -> 
             angles.append(0.0)
             slack.append(delta < 0.0)
             continue
-        angle = delta * deg_per_mm
-        if angle > geom.servo_range + 1e-9:
+        angle = pulley_angle(delta, geom)
+        if beyond_servo_range(angle, geom):
             raise ServoRangeError(
                 f"tendon needs {delta:.3f} mm of shortening ({angle:.2f} deg), "
                 f"servo range is {geom.servo_range} deg"
@@ -89,21 +100,28 @@ def servo_to_tendon(command: ServoCommand, home: TendonSet, geom: RobotGeometry)
     return TendonSet(*qs)
 
 
+def step_count(start, stop, max_step_mm: float):
+    """Steps that move no tendon more than max_step_mm from start to stop:
+    ceil(largest |stop - start| / max_step_mm), at least 1. The four lengths
+    sit in the last axis; leading axes broadcast over a batch."""
+    if max_step_mm <= 0.0:
+        raise ValueError(f"max_step_mm must be > 0, got {max_step_mm}")
+    biggest = np.abs(np.subtract(stop, start)).max(axis=-1)
+    return np.maximum(np.ceil(biggest / max_step_mm), 1.0).astype(int)
+
+
 def interpolate(start: TendonSet, stop: TendonSet, max_step_mm: float = 2.0) -> TendonTrajectory:
     """March every tendon toward its target at up to max_step_mm per step.
 
     Steps run at full size with the remainder in the final step; the step
-    count is set by the tendon with the largest change and the last
-    waypoint is exactly `stop`. Equal endpoints give a single waypoint.
+    count comes from step_count and the last waypoint is exactly `stop`.
+    Equal endpoints give a single waypoint.
     """
-    if max_step_mm <= 0.0:
-        raise ValueError(f"max_step_mm must be > 0, got {max_step_mm}")
     a = start.as_tuple()
-    deltas = [b - v for v, b in zip(a, stop.as_tuple())]
-    biggest = max(abs(d) for d in deltas)
-    if biggest == 0.0:
+    n = int(step_count(a, stop.as_tuple(), max_step_mm))
+    if a == stop.as_tuple():
         return TendonTrajectory((start,))
-    n = math.ceil(biggest / max_step_mm)
+    deltas = [b - v for v, b in zip(a, stop.as_tuple())]
     points = [start]
     for k in range(1, n):
         vals = [

@@ -14,18 +14,7 @@ import sys
 from dataclasses import replace
 
 from .actuation import max_payout
-from .errors import (
-    ArmTooLowError,
-    CoilkinError,
-    ConfigError,
-    DegenerateTargetError,
-    EmptyCloudError,
-    EmptyWorkspaceError,
-    InvalidStateError,
-    SceneError,
-    ServoRangeError,
-    UnreachableTargetError,
-)
+from .errors import CoilkinError, ConfigError, SceneError
 from .geometry import RobotGeometry
 from .kinematics import ArcState, fk_point, fk_tip, ik, tendon_lengths
 from .perception import reconstruct, to_feature
@@ -300,26 +289,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SceneError) as exc:
+    except CoilkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        UnreachableTargetError,
-        DegenerateTargetError,
-        InvalidStateError,
-        ServoRangeError,
-        ArmTooLowError,
-        EmptyWorkspaceError,
-        EmptyCloudError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except CoilkinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

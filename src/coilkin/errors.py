@@ -1,20 +1,27 @@
 """Exception hierarchy shared by all coilkin modules.
 
-The CLI maps these onto exit codes: configuration problems exit 2,
-unreachable or infeasible requests exit 3, I/O failures exit 4.
+Each class carries the CLI exit code it maps to: configuration and scene
+problems exit 2, unreachable or infeasible requests exit 3. I/O failures
+(OSError) exit 4.
 """
 
 
 class CoilkinError(Exception):
     """Base class for all coilkin errors."""
 
+    exit_code = 3
+
 
 class ConfigError(CoilkinError):
     """Bad geometry document or run configuration."""
 
+    exit_code = 2
+
 
 class SceneError(CoilkinError):
     """Malformed or inconsistent scene description."""
+
+    exit_code = 2
 
 
 class InvalidStateError(CoilkinError):

@@ -5,10 +5,15 @@ about the base z axis, theta is the bend angle subtended at the arc center,
 r the arc radius and s = r*theta the backbone length. Frame D sits at the
 spring bottom, C at the arc center, U at the spring top, E at the tip.
 All lengths are millimeters, all angles radians.
+
+U, the tip tangent, E and the tendon lengths come from arc_kernel, which
+broadcasts over arrays; the scalar functions validate one ArcState and
+wrap it. fk_transform and attachment_points are the r-based test oracle.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,9 +27,13 @@ HALF_PI = 0.5 * math.pi
 # the bend-plane equations divide by the radial offset and blow up there.
 PLANAR_EPS = 1e-6
 ORIGIN_EPS = 1e-9
+# Tendon i is an arc only where cos(alpha - phi_i) exceeds this, a chord
+# otherwise (ties included); the margin keeps rounding off the boundary.
+TIE_EPS = 1e-9
+ANCHOR_ANGLES = np.arange(4) * HALF_PI  # phi_i of tendons 1..4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcState:
     """One constant-curvature configuration.
 
@@ -73,10 +82,13 @@ class TendonSet:
         return (self.q1, self.q2, self.q3, self.q4)
 
 
-def _check_state(state: ArcState, geom: RobotGeometry):
+def _check_state(state: ArcState, geom: RobotGeometry | None = None):
+    """Reject non-finite or out-of-range states; the length bounds need geom."""
+    if not all(map(math.isfinite, (state.alpha, state.theta, state.s))):
+        raise InvalidStateError(f"arc state must be finite, got {state}")
     if not 0.0 <= state.theta <= HALF_PI:
         raise InvalidStateError(f"bend angle {state.theta} outside [0, pi/2]")
-    if not geom.s_min <= state.s <= geom.s_max:
+    if geom is not None and not geom.s_min <= state.s <= geom.s_max:
         raise InvalidStateError(
             f"backbone length {state.s} outside [{geom.s_min}, {geom.s_max}]"
         )
@@ -87,6 +99,77 @@ def _check_state(state: ArcState, geom: RobotGeometry):
             raise InvalidStateError(
                 f"inconsistent arc: s={state.s} but r*theta={state.r * state.theta}"
             )
+
+
+class ArcKinematics(NamedTuple):
+    """Kernel outputs; leading axes follow the broadcast (alpha, theta, s)."""
+
+    u: np.ndarray  # (..., 3) spring-top center in Frame D
+    tangent: np.ndarray  # (..., 3) unit backbone tangent at U
+    e: np.ndarray  # (..., 3) U + l * tangent
+    q: np.ndarray  # (..., 4) tendon lengths 1..4
+
+
+def _takes_arc(cos_offset):
+    """Tie rule: tendon i is an arc only where cos(alpha - phi_i) > TIE_EPS."""
+    return cos_offset > TIE_EPS
+
+
+def arc_kernel(alpha, theta, s, d: float, l: float) -> ArcKinematics:
+    """U, tip tangent, E = U + l * tangent and tendon lengths in closed form.
+
+    alpha, theta and s broadcast; d is the anchor radius. With h = theta/2
+    and k = s*sin(h)/h (the D-U chord), U = k*(sin h cos a, sin h sin a,
+    cos h). With c_i = cos(alpha - phi_i) and a_i = s - d*theta*c_i, tendon
+    i measures arc = hypot(a_i, d*theta*sin(alpha - phi_i)), which is
+    sqrt(s^2 + (d theta)^2 - 2 s d theta c_i), or chord = |a_i|*sin(h)/h.
+    Nothing divides by theta: theta = 0 gives U = (0, 0, s) and q_i = s.
+    """
+    alpha, theta, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, theta, s)))
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    half = 0.5 * theta
+    sinc_half = np.sinc(half / math.pi)
+    k = s * sinc_half
+    lean = k * np.sin(half)
+    u = np.stack([lean * ca, lean * sa, k * np.cos(half)], axis=-1)
+    u += 0.0  # turns the -0.0 of a straight backbone at cos(alpha) < 0 into 0.0
+    tangent = np.stack([ca * np.sin(theta), sa * np.sin(theta), np.cos(theta)], axis=-1)
+    dt = d * theta
+    q = np.empty(u.shape[:-1] + (4,))
+    # One tendon at a time keeps the temporaries at the size of one input.
+    for i, phi in enumerate(ANCHOR_ANGLES):
+        cos_off = np.cos(alpha - phi)
+        a = s - dt * cos_off
+        arc = np.hypot(a, dt * np.sin(alpha - phi))
+        q[..., i] = np.where(_takes_arc(cos_off), arc, np.abs(a) * sinc_half)
+    return ArcKinematics(u, tangent, u + l * tangent, q)
+
+
+def _evaluate(state: ArcState, geom: RobotGeometry) -> ArcKinematics:
+    _check_state(state, geom)
+    return arc_kernel(state.alpha, state.theta, state.s, geom.d, geom.l)
+
+
+def fk_point(state: ArcState, geom: RobotGeometry) -> np.ndarray:
+    """Spring-top center U in Frame D."""
+    return _evaluate(state, geom).u
+
+
+def fk_tip(state: ArcState, geom: RobotGeometry) -> np.ndarray:
+    """Tip position E = U + l * (tip tangent) in Frame D."""
+    return _evaluate(state, geom).e
+
+
+def tip_tangent(state: ArcState) -> np.ndarray:
+    """Unit tangent of the backbone at the spring top (z column of the transform)."""
+    _check_state(state)
+    return arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
+
+
+def tendon_lengths(state: ArcState, geom: RobotGeometry) -> TendonSet:
+    """Tendon lengths: an arc where the anchor faces the bend
+    (cos(alpha - phi_i) > TIE_EPS), a straight chord otherwise."""
+    return TendonSet(*_evaluate(state, geom).q.tolist())
 
 
 def rot_z(angle: float) -> np.ndarray:
@@ -124,7 +207,8 @@ def fk_transform(state: ArcState, geom: RobotGeometry) -> np.ndarray:
     """Frame D -> Frame U homogeneous transform of a valid arc state.
 
     theta = 0 degenerates to a pure translation of s along z, the limit of
-    the arc expressions with r*theta held at s.
+    the arc expressions with r*theta held at s. Only the tests call it, as
+    the r-based oracle for arc_kernel.
     """
     _check_state(state, geom)
     if state.straight:
@@ -140,32 +224,6 @@ def fk_transform(state: ArcState, geom: RobotGeometry) -> np.ndarray:
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-
-
-def fk_point(state: ArcState, geom: RobotGeometry) -> np.ndarray:
-    """Spring-top center U in Frame D (the transform's translation column)."""
-    _check_state(state, geom)
-    if state.straight:
-        return np.array([0.0, 0.0, state.s])
-    ca, sa = math.cos(state.alpha), math.sin(state.alpha)
-    ct, st = math.cos(state.theta), math.sin(state.theta)
-    r = state.r
-    return np.array([r * ca * (1.0 - ct), r * sa * (1.0 - ct), r * st])
-
-
-def fk_tip(state: ArcState, geom: RobotGeometry) -> np.ndarray:
-    """Tip position E = U + l * (tip tangent) in Frame D."""
-    _check_state(state, geom)
-    u = fk_point(state, geom)
-    return u + geom.l * tip_tangent(state)
-
-
-def tip_tangent(state: ArcState) -> np.ndarray:
-    """Unit tangent of the backbone at the spring top (z column of the transform)."""
-    if state.straight:
-        return np.array([0.0, 0.0, 1.0])
-    st, ct = math.sin(state.theta), math.cos(state.theta)
-    return np.array([math.cos(state.alpha) * st, math.sin(state.alpha) * st, ct])
 
 
 def ik(target_u, geom: RobotGeometry) -> ArcState:
@@ -214,48 +272,13 @@ def attachment_points(state: ArcState, geom: RobotGeometry):
     """Lower (base holder) and upper (top holder) tendon anchors in Frame D.
 
     The four lower anchors sit on the axes at radius d; the upper ones are
-    the same points carried through the D->U transform.
+    the same points carried through the D->U transform (a test oracle).
     """
-    _check_state(state, geom)
     d = geom.d
-    lower = [
-        np.array([d, 0.0, 0.0]),
-        np.array([0.0, d, 0.0]),
-        np.array([-d, 0.0, 0.0]),
-        np.array([0.0, -d, 0.0]),
-    ]
+    lower = [np.array(p) for p in ((d, 0.0, 0.0), (0.0, d, 0.0), (-d, 0.0, 0.0), (0.0, -d, 0.0))]
     t = fk_transform(state, geom)
     upper = [t[:3, :3] @ p + t[:3, 3] for p in lower]
     return lower, upper
-
-
-def tendon_lengths(state: ArcState, geom: RobotGeometry) -> TendonSet:
-    """Tendon lengths under the inner-arc / outer-chord approximation.
-
-    A tendon whose lower anchor lies strictly closer to the arc center C
-    than sqrt(r^2 + d^2) wraps as a circular arc of that anchor radius;
-    all others, ties included, run as straight chords between anchors.
-    theta = 0 degenerates to four tendons equal to the backbone length.
-    """
-    _check_state(state, geom)
-    if state.straight:
-        return TendonSet(state.s, state.s, state.s, state.s)
-    lower, upper = attachment_points(state, geom)
-    r, d = state.r, geom.d
-    cx = r * math.cos(state.alpha)
-    cy = r * math.sin(state.alpha)
-    # Compare squared distances so the boundary tie resolves exactly.
-    split_sq = r * r + d * d
-    qs = []
-    for pl, ph in zip(lower, upper):
-        dx, dy = pl[0] - cx, pl[1] - cy
-        dist_sq = dx * dx + dy * dy
-        if dist_sq < split_sq:
-            qs.append(math.sqrt(dist_sq) * state.theta)
-        else:
-            diff = ph - pl
-            qs.append(float(math.sqrt(diff[0] ** 2 + diff[1] ** 2 + diff[2] ** 2)))
-    return TendonSet(*qs)
 
 
 _DIRECTIONS = {

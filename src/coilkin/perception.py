@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCloudError
+from .ply import write_points
 from .simulator import ContactCloud
 
 FEATURE_NX = 20
@@ -42,20 +43,9 @@ class HeightMap:
 
     def write_ply(self, path):
         """ASCII PLY of the contacted cells."""
-        pts = [
-            (self.origin[0] + i * self.cell_mm, self.origin[1] + j * self.cell_mm, h)
-            for (i, j), h in np.ndenumerate(self.heights)
-            if not math.isnan(h)
-        ]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                "ply\nformat ascii 1.0\n"
-                f"element vertex {len(pts)}\n"
-                "property float x\nproperty float y\nproperty float z\n"
-                "end_header\n"
-            )
-            for x, y, z in pts:
-                fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+        i, j = np.nonzero(self.contact_mask)
+        x, y = self.origin[0] + i * self.cell_mm, self.origin[1] + j * self.cell_mm
+        write_points(list(zip(x.tolist(), y.tolist(), self.heights[i, j].tolist())), path)
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,10 @@ class Cube:
             raise SceneError("cube edge must be > 0")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def contains(self, p) -> bool:
+    def contains(self, p):
+        """Closed-cube test of one point, or of each row of an (N, 3) array."""
         half = self.edge_mm / 2.0
-        return all(abs(float(p[k]) - self.center[k]) <= half for k in range(3))
+        return np.all(np.abs(np.asarray(p, dtype=float) - self.center) <= half, axis=-1)
 
 
 @dataclass(frozen=True)

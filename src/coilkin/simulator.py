@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actuation import interpolate
-from .errors import ArmTooLowError, SceneError
+from .actuation import step_count
+from .errors import ArmTooLowError, ConfigError, SceneError
 from .geometry import RobotGeometry
-from .kinematics import TWO_PI, ArcState, fk_point, ik, tendon_lengths, tip_tangent
+from .kinematics import TWO_PI, ArcState, arc_kernel, ik, tendon_lengths
 from .scenes import HeightField, Tube
 
 LOG_HEADER = "step_index,arm_x,arm_y,arm_z,alpha,s,contact,cx,cy,cz"
@@ -71,20 +71,6 @@ class MissionLog:
             fh.write(self.to_csv())
 
 
-def probe_world_point(arm, point) -> tuple:
-    """Map a Frame D point to world coordinates for a downward-mounted robot."""
-    return (
-        float(arm[0] + point[0]),
-        float(arm[1] - point[1]),
-        float(arm[2] - point[2]),
-    )
-
-
-def bristle_tip(state: ArcState, geom: RobotGeometry) -> np.ndarray:
-    """Bristle tip in Frame D: probe_offset past the spring top along the tangent."""
-    return fk_point(state, geom) + geom.probe_offset * tip_tangent(state)
-
-
 def probe_vertical(scene: HeightField, arm, geom: RobotGeometry, quantum: float = 0.5) -> ProbeEvent:
     """Straight downward probe from minimum extension.
 
@@ -125,6 +111,13 @@ class ScanConfig:
     origin: tuple = (0.0, 0.0)
     arm_z: float | None = None
     quantum: float = 0.5
+
+    def __post_init__(self):
+        values = (self.width, self.height, self.step_mm, *self.origin, self.quantum)
+        values += () if self.arm_z is None else (self.arm_z,)
+        valid = all(map(math.isfinite, values)) and min(self.step_mm, self.quantum) > 0.0
+        if not valid or min(self.width, self.height) < 0.0:
+            raise ConfigError(f"scan needs finite values, step and quantum > 0, size >= 0: {self}")
 
 
 def surface_scan(
@@ -173,13 +166,6 @@ class ExploreConfig:
     max_step_mm: float = 2.0
 
 
-def _tube_touch(scene: Tube, tip, axis_xy) -> bool:
-    radial = math.hypot(tip[0] - axis_xy[0], tip[1] - axis_xy[1])
-    if radial >= scene.inner_radius_mm:
-        return True
-    return scene.obstacle is not None and scene.obstacle.contains(tip)
-
-
 def radial_scan(
     scene: Tube,
     geom: RobotGeometry,
@@ -192,40 +178,45 @@ def radial_scan(
     For each azimuth the backbone compresses to cfg.compressed_s, then
     follows the tendon-interpolated path toward the target point
     (radial*cos(a), radial*sin(a), target_z); waypoint states sweep
-    (theta, s) linearly at the tendon trajectory's step fractions. The
-    bristle tip is checked against the wall and the obstacle at every
-    waypoint; contact stops that azimuth and the backbone re-compresses.
+    (theta, s) linearly at the fractions step/n of the n tendon steps
+    (actuation.step_count). The bristle tip is checked against the wall
+    and the obstacle at every waypoint; the first contact stops that
+    azimuth and the backbone re-compresses. The goal tendon sets of the
+    ring are one kernel call and all its waypoints another.
 
     Returns (events, any_contact).
     """
     log = log if log is not None else MissionLog()
     arm = tuple(float(v) for v in arm)
-    axis_xy = (arm[0], arm[1])
-    compressed = ArcState.from_arc(0.0, 0.0, cfg.compressed_s)
-    q_compressed = tendon_lengths(compressed, geom)
+    q_compressed = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), geom)
+    alphas = [TWO_PI * k / cfg.n_directions for k in range(cfg.n_directions)]
+    goals = [
+        ik((cfg.target_radial * math.cos(a), cfg.target_radial * math.sin(a), cfg.target_z), geom)
+        for a in alphas
+    ]
+    goal_alpha, goal_theta, goal_s = np.reshape([(g.alpha, g.theta, g.s) for g in goals], (-1, 3)).T
+    goal_q = arc_kernel(goal_alpha, goal_theta, goal_s, geom.d, geom.l).q
+    steps = step_count(q_compressed.as_tuple(), goal_q, cfg.max_step_mm)
+    # The waypoints of all azimuths back to back: azimuth k owns the rows
+    # starts[k] .. starts[k] + steps[k], at fractions t = step / steps[k].
+    per_azimuth = steps + 1
+    starts = np.cumsum(per_azimuth) - per_azimuth
+    rows = np.repeat(np.arange(cfg.n_directions), per_azimuth)
+    t = (np.arange(rows.size) - starts[rows]) / steps[rows]
+    s = cfg.compressed_s + t * (goal_s[rows] - cfg.compressed_s)
+    bristle = arc_kernel(np.take(alphas, rows), t * goal_theta[rows], s, geom.d, geom.probe_offset)
+    tips = np.add(arm, bristle.e * (1.0, -1.0, -1.0))  # world = arm + (x, -y, -z)
+    touch = np.hypot(tips[:, 0] - arm[0], tips[:, 1] - arm[1]) >= scene.inner_radius_mm
+    if scene.obstacle is not None:
+        touch |= scene.obstacle.contains(tips)
     events = []
-    for k in range(cfg.n_directions):
-        alpha = TWO_PI * k / cfg.n_directions
-        target = (
-            cfg.target_radial * math.cos(alpha),
-            cfg.target_radial * math.sin(alpha),
-            cfg.target_z,
-        )
-        goal = ik(target, geom)
-        trajectory = interpolate(q_compressed, tendon_lengths(goal, geom), cfg.max_step_mm)
-        n = trajectory.step_count
-        event = None
-        for step in range(n + 1):
-            t = step / n
-            state = ArcState.from_arc(
-                alpha, t * goal.theta, cfg.compressed_s + t * (goal.s - cfg.compressed_s)
-            )
-            tip = probe_world_point(arm, bristle_tip(state, geom))
-            if _tube_touch(scene, tip, axis_xy):
-                event = ProbeEvent(arm, alpha, state.s, True, tip)
-                break
-        if event is None:
-            event = ProbeEvent(arm, alpha, goal.s, False)
+    for k, alpha in enumerate(alphas):
+        hits = np.flatnonzero(touch[starts[k] : starts[k] + per_azimuth[k]])
+        if hits.size:
+            i = starts[k] + hits[0]
+            event = ProbeEvent(arm, alpha, float(s[i]), True, tuple(tips[i].tolist()))
+        else:
+            event = ProbeEvent(arm, alpha, goals[k].s, False)
         events.append(event)
         log.add(arm, alpha, event.extension_mm, event.contact, event.contact_point)
     return events, any(e.contact for e in events)

@@ -5,14 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuation import tendon_to_servo
-from .errors import EmptyWorkspaceError, ServoRangeError
+from .actuation import beyond_servo_range, pulley_angle
+from .errors import EmptyWorkspaceError
 from .geometry import RobotGeometry
-from .kinematics import HALF_PI, TWO_PI, ArcState, TendonSet, fk_point, fk_tip, tendon_lengths
+from .kinematics import HALF_PI, TWO_PI, ArcState, arc_kernel
+from .ply import write_points
 
 REASON_OK = "ok"
-REASON_S = "s-out-of-bounds"
-REASON_THETA = "theta-out-of-bounds"
 REASON_SERVO = "servo-out-of-range"
 
 # 5 degree steps in both angles and 5 mm in length, the granularity the
@@ -20,7 +19,7 @@ REASON_SERVO = "servo-out-of-range"
 DEFAULT_GRID = (72, 19, 11)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkspaceSample:
     state: ArcState
     u: np.ndarray
@@ -29,25 +28,14 @@ class WorkspaceSample:
     reason: str
 
 
-def _classify(state: ArcState, home: TendonSet, geom: RobotGeometry) -> str:
-    if not geom.s_min <= state.s <= geom.s_max:
-        return REASON_S
-    if not 0.0 <= state.theta <= HALF_PI:
-        return REASON_THETA
-    try:
-        tendon_to_servo(tendon_lengths(state, geom), home, geom)
-    except ServoRangeError:
-        return REASON_SERVO
-    return REASON_OK
-
-
 def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> list:
     """Evaluate FK over the (alpha, theta, s) grid in deterministic order.
 
     alpha spans [0, 2*pi) without its endpoint, theta [0, pi/2] and s
     [s_min, s_max] inclusive; alpha is the outer loop, s the inner one.
     Each sample carries the spring-top and tip positions plus a
-    feasibility verdict that includes the servo travel check.
+    feasibility verdict: the shortening from the s_max home lengths must
+    fit the servo travel (grid states always satisfy the other bounds).
     """
     n_alpha, n_theta, n_s = grid
     if min(grid) < 1:
@@ -55,23 +43,16 @@ def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> list:
     alphas = [TWO_PI * k / n_alpha for k in range(n_alpha)]
     thetas = np.linspace(0.0, HALF_PI, n_theta)
     lengths = np.linspace(geom.s_min, geom.s_max, n_s)
-    home = TendonSet(geom.s_max, geom.s_max, geom.s_max, geom.s_max)
-    samples = []
-    for alpha in alphas:
-        for theta in thetas:
-            for s in lengths:
-                state = ArcState.from_arc(alpha, float(theta), float(s))
-                reason = _classify(state, home, geom)
-                samples.append(
-                    WorkspaceSample(
-                        state=state,
-                        u=fk_point(state, geom),
-                        e=fk_tip(state, geom),
-                        feasible=reason == REASON_OK,
-                        reason=reason,
-                    )
-                )
-    return samples
+    alpha, theta, s = (a.ravel() for a in np.meshgrid(alphas, thetas, lengths, indexing="ij"))
+    kin = arc_kernel(alpha, theta, s, geom.d, geom.l)
+    shortening = (geom.s_max - kin.q).max(axis=-1)
+    feasible = ~beyond_servo_range(pulley_angle(shortening, geom), geom)
+    return [
+        WorkspaceSample(ArcState.from_arc(a, t, l), u, e, ok, REASON_OK if ok else REASON_SERVO)
+        for a, t, l, u, e, ok in zip(
+            alpha.tolist(), theta.tolist(), s.tolist(), kin.u, kin.e, feasible.tolist()
+        )
+    ]
 
 
 def workspace_extents(samples) -> dict:
@@ -102,13 +83,4 @@ def write_csv(samples, path):
 
 def write_ply(samples, path):
     """ASCII PLY point cloud of the feasible spring-top positions."""
-    pts = [s.u for s in samples if s.feasible]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "ply\nformat ascii 1.0\n"
-            f"element vertex {len(pts)}\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "end_header\n"
-        )
-        for p in pts:
-            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
+    write_points([s.u for s in samples if s.feasible], path)

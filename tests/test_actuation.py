@@ -16,6 +16,7 @@ from coilkin import (
     servo_to_tendon,
     tendon_to_servo,
 )
+from coilkin.actuation import beyond_servo_range, pulley_angle, step_count
 
 GEOM = RobotGeometry()
 HOME = TendonSet(70.0, 70.0, 70.0, 70.0)
@@ -138,3 +139,31 @@ class TestInterpolate:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             interpolate(HOME, HOME, 0.0)
+
+
+class TestSharedRules:
+    @given(tendon_sets, tendon_sets, st.floats(0.1, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_step_count_matches_interpolate(self, start, stop, step):
+        expected = interpolate(start, stop, step).step_count
+        assert step_count(start.as_tuple(), stop.as_tuple(), step) == expected
+
+    def test_step_count_batches(self):
+        stops = [(70.0, 70.0, 70.0, 70.0), (60.0, 70.0, 70.0, 70.0), (70.0, 70.0, 70.0, 19.5)]
+        assert step_count(HOME.as_tuple(), stops, 2.0).tolist() == [1, 5, 26]
+
+    def test_step_count_rejects_non_positive_step(self):
+        with pytest.raises(ValueError):
+            step_count(HOME.as_tuple(), HOME.as_tuple(), 0.0)
+
+    @given(tendon_sets, st.floats(0.0, 360.0))
+    @settings(max_examples=300, deadline=None)
+    def test_batched_bound_agrees_with_tendon_to_servo(self, target, servo_range):
+        geom = replace(GEOM, servo_range=servo_range)
+        shortening = max(h - q for h, q in zip(HOME.as_tuple(), target.as_tuple()))
+        try:
+            tendon_to_servo(target, HOME, geom)
+            raised = False
+        except ServoRangeError:
+            raised = True
+        assert bool(beyond_servo_range(pulley_angle(shortening, geom), geom)) == raised

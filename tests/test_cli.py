@@ -82,6 +82,51 @@ class TestKinematicsCommands:
         assert proc.returncode == 3  # 50 mm exceeds the shortened s_max
 
 
+    def test_tie_does_not_flip_on_rounding(self):
+        base = run_cli("tendons", "--alpha", 0, "--theta", 90, "--s", 70)
+        nudged = run_cli("tendons", "--alpha", "1e-11", "--theta", 90, "--s", 70)
+        assert base.returncode == nudged.returncode == 0
+        a, b = json.loads(base.stdout), json.loads(nudged.stdout)
+        for key in ("q1", "q2", "q3", "q4"):
+            assert b[key] == pytest.approx(a[key], abs=1e-9)
+
+    @pytest.mark.parametrize("command", ["fk", "tendons"])
+    @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--theta", "nan"), ("--s", "inf")])
+    def test_non_finite_state_exits_3(self, command, flag, value):
+        argv = {"--alpha": 0, "--theta": 30, "--s": 50}
+        argv[flag] = value
+        proc = run_cli(command, *[x for kv in argv.items() for x in kv])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+
+class TestExitCodes:
+    def test_every_error_class_carries_its_code(self):
+        import coilkin.errors as errors
+
+        classes = [
+            c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.CoilkinError)
+        ]
+        assert len(classes) == 10
+        for cls in classes:
+            assert cls.exit_code == (2 if cls in (errors.ConfigError, errors.SceneError) else 3)
+
+    @pytest.mark.parametrize(
+        "extra", [("--step", 0), ("--quantum", 0), ("--width", -50), ("--step", "nan")]
+    )
+    def test_bad_scan_config_exits_2(self, tmp_path, extra):
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        proc = run_cli("scan", "--scene", scene, "--out", out, *extra)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert not (out / "events.csv").exists()
+
+
 class TestWorkspaceCommand:
     def test_defaults_summary_and_files(self, tmp_path):
         out = tmp_path / "ws"

@@ -67,7 +67,7 @@ def _number(token):
 def assert_same_text(expected: str, actual: str, what: str):
     exp_lines = expected.splitlines()
     act_lines = actual.splitlines()
-    assert len(act_lines) == len(exp_lines), f"{what}: {len(act_lines)} lines, expected {len(exp_lines)}"
+    assert len(act_lines) == len(exp_lines), f"{what}: {len(act_lines)} vs {len(exp_lines)} lines"
     for row, (exp_line, act_line) in enumerate(zip(exp_lines, act_lines)):
         exp_tokens = re.split(r"[,\s=]", exp_line)
         act_tokens = re.split(r"[,\s=]", act_line)

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coilkin import (
@@ -28,7 +28,15 @@ from coilkin import (
     target_from_z_theta,
     tendon_lengths,
 )
-from coilkin.kinematics import fk_transform, rot_y, rot_z, translation
+from coilkin.kinematics import (
+    TIE_EPS,
+    arc_kernel,
+    fk_transform,
+    rot_y,
+    rot_z,
+    tip_tangent,
+    translation,
+)
 
 GEOM = RobotGeometry()
 
@@ -307,6 +315,117 @@ class TestTendonLengths:
     def test_all_positive(self, alpha, theta, s):
         q = tendon_lengths(ArcState.from_arc(alpha, theta, s), GEOM)
         assert all(v > 0.0 for v in q.as_tuple())
+
+
+# Generic bend-plane angles plus the quadrant angles and their 1e-13 rad
+# neighbourhoods, where anchors sit on the arc/chord case boundary.
+near_quadrant_alphas = st.one_of(
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    st.builds(
+        lambda k, eps: k * math.pi / 2 + eps, st.integers(0, 3), st.floats(-1e-13, 1e-13)
+    ),
+)
+
+
+class TestTieRule:
+    def test_margin_is_small(self):
+        assert 0.0 < TIE_EPS <= 1e-9
+
+    @given(alpha=near_quadrant_alphas, theta=st.floats(0.0, math.pi / 2), s=st.floats(20.0, 70.0))
+    @example(alpha=0.0, theta=math.pi / 2, s=70.0)
+    @example(alpha=math.pi / 2, theta=1.0, s=60.0)
+    @example(alpha=math.pi, theta=1.0, s=60.0)
+    @example(alpha=1.5 * math.pi, theta=1.0, s=60.0)
+    @example(alpha=1e-13, theta=1.0, s=60.0)
+    @settings(max_examples=300, deadline=None)
+    def test_quarter_turn_permutes_tendons(self, alpha, theta, s):
+        # Tendon i+1 faces alpha + pi/2 the way tendon i faces alpha.
+        q = tendon_lengths(ArcState.from_arc(alpha, theta, s), GEOM).as_tuple()
+        turned = tendon_lengths(ArcState.from_arc(alpha + math.pi / 2, theta, s), GEOM).as_tuple()
+        assert turned == pytest.approx(q[-1:] + q[:-1], abs=1e-12)
+
+    def test_rounding_of_alpha_does_not_switch_branch(self):
+        # theta = 1 rad, s = 60: arc and chord of tendon 2 differ by 3.66 mm here.
+        at_zero = tendon_lengths(ArcState.from_arc(0.0, 1.0, 60.0), GEOM)
+        nudged = tendon_lengths(ArcState.from_arc(1e-13, 1.0, 60.0), GEOM)
+        assert nudged.as_tuple() == pytest.approx(at_zero.as_tuple(), abs=1e-9)
+
+
+class TestArcKernel:
+    def test_straight_is_exact(self):
+        kin = arc_kernel([0.0, 1.0, 2.5, 4.0], 0.0, 37.5, GEOM.d, GEOM.l)
+        assert np.array_equal(kin.u, np.tile([0.0, 0.0, 37.5], (4, 1)))
+        assert not np.signbit(kin.u).any()
+        assert np.array_equal(kin.e, np.tile([0.0, 0.0, 90.5], (4, 1)))
+        assert np.array_equal(kin.q, np.full((4, 4), 37.5))
+
+    def test_broadcast_shapes(self):
+        kin = arc_kernel(np.linspace(0.0, 6.0, 5), 0.4, 50.0, GEOM.d, GEOM.l)
+        assert kin.u.shape == kin.tangent.shape == kin.e.shape == (5, 3)
+        assert kin.q.shape == (5, 4)
+        grid = arc_kernel(np.zeros((2, 1)), np.array([0.1, 0.2, 0.3]), 50.0, GEOM.d, GEOM.l)
+        assert grid.u.shape == (2, 3, 3)
+        assert grid.q.shape == (2, 3, 4)
+
+    def test_batch_matches_scalar_wrappers(self):
+        rng = np.random.default_rng(11)
+        alpha = rng.uniform(0.0, 2.0 * math.pi, 64)
+        theta = rng.uniform(0.0, math.pi / 2, 64)
+        s = rng.uniform(20.0, 70.0, 64)
+        kin = arc_kernel(alpha, theta, s, GEOM.d, GEOM.l)
+        for i in range(64):
+            state = ArcState.from_arc(alpha[i], theta[i], s[i])
+            assert fk_point(state, GEOM) == pytest.approx(kin.u[i], abs=1e-12)
+            assert fk_tip(state, GEOM) == pytest.approx(kin.e[i], abs=1e-12)
+            assert tip_tangent(state) == pytest.approx(kin.tangent[i], abs=1e-12)
+            assert tendon_lengths(state, GEOM).as_tuple() == pytest.approx(kin.q[i], abs=1e-12)
+
+    @given(
+        alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        theta=st.floats(1e-3, math.pi / 2),
+        s=st.floats(20.0, 70.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frame_chain_oracle(self, alpha, theta, s):
+        state = ArcState.from_arc(alpha, theta, s)
+        kin = arc_kernel(state.alpha, state.theta, state.s, GEOM.d, GEOM.l)
+        t = fk_transform(state, GEOM)
+        assert kin.u == pytest.approx(t[:3, 3], abs=1e-9)
+        assert kin.tangent == pytest.approx(t[:3, 2], abs=1e-12)
+        assert kin.e == pytest.approx(t[:3, 3] + GEOM.l * t[:3, 2], abs=1e-9)
+        # Anchor-point oracle: arc about the arc center, or straight chord.
+        lower, upper = attachment_points(state, GEOM)
+        cx, cy = state.r * math.cos(state.alpha), state.r * math.sin(state.alpha)
+        for i, (pl, ph) in enumerate(zip(lower, upper)):
+            facing = math.cos(state.alpha - i * math.pi / 2)
+            assume(abs(facing - TIE_EPS) > 1e-12)
+            expected = (
+                math.hypot(pl[0] - cx, pl[1] - cy) * state.theta
+                if facing > TIE_EPS
+                else math.dist(pl, ph)
+            )
+            assert kin.q[i] == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "alpha,theta,s",
+        [
+            (math.nan, 0.1, 50.0),
+            (math.inf, 0.1, 50.0),
+            (0.1, math.nan, 50.0),
+            (0.1, 0.1, math.nan),
+            (0.1, 0.0, math.inf),
+        ],
+    )
+    def test_wrappers_reject_non_finite_states(self, alpha, theta, s):
+        state = ArcState.from_arc(alpha, theta, s)
+        for call in (
+            lambda: fk_point(state, GEOM),
+            lambda: fk_tip(state, GEOM),
+            lambda: tendon_lengths(state, GEOM),
+            lambda: tip_tangent(state),
+        ):
+            with pytest.raises(InvalidStateError):
+                call()
 
 
 class TestTargetFromZTheta:

@@ -32,6 +32,8 @@ def test_cube_contains():
     assert cube.contains((0.0, 0.0, -100.0))
     assert cube.contains((20.0, 20.0, -80.0))  # faces count as contact
     assert not cube.contains((20.1, 0.0, -100.0))
+    rows = np.array([(0.0, 0.0, -100.0), (20.1, 0.0, -100.0), (20.0, -20.0, -120.0)])
+    assert cube.contains(rows).tolist() == [True, False, True]
     with pytest.raises(SceneError):
         Cube((0, 0, 0), 0.0)
 

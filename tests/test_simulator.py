@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from coilkin import (
+    ArcState,
     ArmTooLowError,
+    ConfigError,
     Cube,
+    ExploreConfig,
     HeightField,
     MissionLog,
     PressureSynth,
@@ -16,11 +19,16 @@ from coilkin import (
     Tube,
     detect_contact,
     explore_tube,
+    fk_point,
+    ik,
+    interpolate,
     probe_vertical,
     radial_scan,
     surface_scan,
+    tendon_lengths,
 )
 from coilkin.cli import make_offset_tube
+from coilkin.kinematics import tip_tangent
 from coilkin.simulator import LOG_HEADER
 
 GEOM = RobotGeometry()
@@ -151,6 +159,30 @@ class TestSurfaceScan:
         assert len(tall) == 6 * 3
 
 
+class TestScanConfig:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"step_mm": 0.0},
+            {"step_mm": -1.0},
+            {"quantum": 0.0},
+            {"width": -50.0},
+            {"height": -0.5},
+            {"width": math.nan},
+            {"step_mm": math.inf},
+            {"origin": (0.0, math.nan)},
+            {"arm_z": math.inf},
+        ],
+    )
+    def test_rejects_bad_fields(self, fields):
+        with pytest.raises(ConfigError):
+            ScanConfig(**fields)
+
+    def test_zero_extent_is_one_node(self):
+        cloud = surface_scan(FLAT, GEOM, ScanConfig(width=0.0, height=0.0))
+        assert len(cloud.events) == 1
+
+
 class TestRadialScan:
     def test_clear_tube_no_contacts(self):
         events, hit = radial_scan(Tube(174.0), GEOM, (0.0, 0.0, 0.0))
@@ -182,6 +214,46 @@ class TestRadialScan:
         events, hit = radial_scan(Tube(40.0), GEOM, (0.0, 0.0, 0.0))
         assert hit
         assert all(e.contact for e in events)  # every azimuth reaches the wall
+
+
+def reference_ring(scene, geom, arm, cfg=ExploreConfig()):
+    """radial_scan as a per-waypoint loop over the scalar API, stopping at
+    the first waypoint whose bristle tip touches the wall or the obstacle."""
+    q0 = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), GEOM)
+    events = []
+    for k in range(cfg.n_directions):
+        alpha = 2.0 * math.pi * k / cfg.n_directions
+        radial = cfg.target_radial
+        goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), geom)
+        n = interpolate(q0, tendon_lengths(goal, geom), cfg.max_step_mm).step_count
+        event = (alpha, goal.s, False, None)
+        for step in range(n + 1):
+            t = step / n
+            s = cfg.compressed_s + t * (goal.s - cfg.compressed_s)
+            state = ArcState.from_arc(alpha, t * goal.theta, s)
+            d = fk_point(state, geom) + geom.probe_offset * tip_tangent(state)
+            tip = (arm[0] + d[0], arm[1] - d[1], arm[2] - d[2])
+            wall = math.hypot(tip[0] - arm[0], tip[1] - arm[1]) >= scene.inner_radius_mm
+            if wall or (scene.obstacle is not None and scene.obstacle.contains(tip)):
+                event = (alpha, state.s, True, tip)
+                break
+        events.append(event)
+    return events
+
+
+@pytest.mark.parametrize("radius", [40.0, 60.0, 80.0, 174.0])
+@pytest.mark.parametrize("offset", [10.0, 35.0, 55.0, 75.0, 95.0, 130.0])
+def test_batched_ring_matches_waypoint_loop(radius, offset):
+    scene = make_offset_tube(offset, GEOM, inner_radius_mm=radius)
+    for depth in (20.0, 60.0, 100.0):
+        arm = (1.5, -2.0, -depth)
+        events, hit = radial_scan(scene, GEOM, arm)
+        expected = reference_ring(scene, GEOM, arm)
+        assert hit == any(e[2] for e in expected)
+        for event, (alpha, ext, contact, point) in zip(events, expected, strict=True):
+            assert (event.alpha, event.extension_mm, event.contact) == (alpha, ext, contact)
+            if contact:
+                assert event.contact_point == pytest.approx(point, abs=1e-9)
 
 
 class TestExploreTube:

@@ -6,7 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coilkin import EmptyWorkspaceError, RobotGeometry, ik, sample_workspace, workspace_extents
+from coilkin import (
+    EmptyWorkspaceError,
+    RobotGeometry,
+    ServoRangeError,
+    TendonSet,
+    fk_point,
+    fk_tip,
+    ik,
+    sample_workspace,
+    tendon_lengths,
+    tendon_to_servo,
+    workspace_extents,
+)
 from coilkin.workspace import REASON_OK, REASON_SERVO, write_csv, write_ply
 
 GEOM = RobotGeometry()
@@ -122,6 +134,23 @@ def test_csv_and_ply_exports(tmp_path, default_samples):
     assert ply[0] == "ply"
     assert f"element vertex {n_feasible}" in ply
     assert len(ply) == ply.index("end_header") + 1 + n_feasible
+
+
+def test_matches_per_sample_loop():
+    # The scalar API sample by sample, with the servo check of tendon_to_servo.
+    geom = replace(GEOM, d=13.0, servo_range=95.0)
+    home = TendonSet(geom.s_max, geom.s_max, geom.s_max, geom.s_max)
+    samples = sample_workspace(geom, (24, 7, 6))
+    assert sum(not s.feasible for s in samples) > 0
+    for smp in samples:
+        assert smp.u == pytest.approx(fk_point(smp.state, geom), abs=1e-12)
+        assert smp.e == pytest.approx(fk_tip(smp.state, geom), abs=1e-12)
+        try:
+            tendon_to_servo(tendon_lengths(smp.state, geom), home, geom)
+            reason = REASON_OK
+        except ServoRangeError:
+            reason = REASON_SERVO
+        assert (smp.feasible, smp.reason) == (reason == REASON_OK, reason)
 
 
 def test_bad_grid():
