@@ -56,6 +56,7 @@ from .simulator import (
     ScanConfig,
     detect_contact,
     explore_tube,
+    probe_columns,
     probe_vertical,
     radial_scan,
     surface_scan,

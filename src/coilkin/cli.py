@@ -153,7 +153,7 @@ def cmd_scan(args) -> int:
             fh.write(feature.to_csv_row() + "\n")
         outputs += ["heightmap.csv", "heightmap.ply", "features.csv"]
     _write_manifest(out, "scan", args, outputs)
-    print(f"nodes={len(cloud.events)} contacts={cloud.contact_count}")
+    print(f"nodes={len(cloud.contact)} contacts={cloud.contact_count}")
     return 0
 
 
@@ -161,12 +161,10 @@ def _write_pressure(path, cloud, geom, seed):
     """Synthesized pressure trace check per probe: a step on contact events."""
     synth = PressureSynth(seed=seed or 0)
     lines = ["event_index,contact,detected_sample"]
-    for idx, event in enumerate(cloud.events):
-        trace = replace(synth, seed=(seed or 0) + idx).trace(
-            16, contact_at=8 if event.contact else None
-        )
+    for idx, contact in enumerate(cloud.contact.tolist()):
+        trace = replace(synth, seed=(seed or 0) + idx).trace(16, contact_at=8 if contact else None)
         hit = detect_contact(trace, synth.baseline_hpa, geom.contact_threshold)
-        lines.append(f"{idx},{1 if event.contact else 0},{'' if hit is None else hit}")
+        lines.append(f"{idx},{1 if contact else 0},{'' if hit is None else hit}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

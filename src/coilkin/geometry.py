@@ -1,6 +1,7 @@
 """Physical description of the robot and its JSON configuration format."""
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -29,6 +30,9 @@ class RobotGeometry:
     contact_threshold: float = 15.0
 
     def __post_init__(self):
+        bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
+        if bad:
+            raise ConfigError(f"geometry fields must be finite: {bad}")
         if not 0.0 < self.s_min < self.s_max:
             raise ConfigError(
                 f"need 0 < s_min < s_max, got s_min={self.s_min}, s_max={self.s_max}"

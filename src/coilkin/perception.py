@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import repr_column
 from .errors import EmptyCloudError
 from .ply import write_points
 from .simulator import ContactCloud
@@ -32,10 +33,11 @@ class HeightMap:
         return ~np.isnan(self.heights)
 
     def to_csv(self) -> str:
-        lines = [f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r} cell_mm={self.cell_mm!r}"]
-        for row in self.heights:
-            lines.append(",".join("nan" if math.isnan(v) else repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        header = f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r} cell_mm={self.cell_mm!r}"
+        cells = repr_column(self.heights)
+        nx, ny = self.heights.shape
+        rows = (",".join(cells[k * ny : (k + 1) * ny]) for k in range(nx))
+        return "\n".join([header, *rows, ""])
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -45,7 +47,7 @@ class HeightMap:
         """ASCII PLY of the contacted cells."""
         i, j = np.nonzero(self.contact_mask)
         x, y = self.origin[0] + i * self.cell_mm, self.origin[1] + j * self.cell_mm
-        write_points(list(zip(x.tolist(), y.tolist(), self.heights[i, j].tolist())), path)
+        write_points(np.column_stack([x, y, self.heights[i, j]]), path)
 
 
 @dataclass(frozen=True)
@@ -73,22 +75,14 @@ def reconstruct(cloud: ContactCloud) -> HeightMap:
     touched), zeroes the lowest contact height and recenters x-y on the
     box centroid.
     """
-    contacts = []
-    for e in cloud.events:
-        if not e.contact:
-            continue
-        i = round((e.arm[0] - cloud.origin[0]) / cloud.step_mm)
-        j = round((e.arm[1] - cloud.origin[1]) / cloud.step_mm)
-        contacts.append((i, j, e.contact_point[2]))
-    if not contacts:
+    if not cloud.contact.any():
         raise EmptyCloudError("no contact events in cloud")
-    i0 = min(c[0] for c in contacts)
-    i1 = max(c[0] for c in contacts)
-    j0 = min(c[1] for c in contacts)
-    j1 = max(c[1] for c in contacts)
+    arm = cloud.arm[cloud.contact]
+    i = np.round((arm[:, 0] - cloud.origin[0]) / cloud.step_mm).astype(np.intp)
+    j = np.round((arm[:, 1] - cloud.origin[1]) / cloud.step_mm).astype(np.intp)
+    i0, i1, j0, j1 = (int(v) for v in (i.min(), i.max(), j.min(), j.max()))
     heights = np.full((i1 - i0 + 1, j1 - j0 + 1), np.nan)
-    for i, j, z in contacts:
-        heights[i - i0, j - j0] = z
+    heights[i - i0, j - j0] = cloud.contact_z[cloud.contact]
     heights -= np.nanmin(heights)
     origin = (-(i1 - i0) * cloud.step_mm / 2.0, -(j1 - j0) * cloud.step_mm / 2.0)
     return HeightMap(heights, origin, cloud.step_mm)

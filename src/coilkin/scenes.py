@@ -37,18 +37,26 @@ class HeightField:
             raise SceneError("heights must be a non-empty 2-D grid")
         if not np.isfinite(h).all() or (h < 0).any():
             raise SceneError("heights must be finite and >= 0")
-        if self.cell_mm <= 0:
-            raise SceneError("cell_mm must be > 0")
+        origin = (float(self.origin[0]), float(self.origin[1]))
+        if not all(map(math.isfinite, origin)):
+            raise SceneError(f"origin must be finite, got {origin}")
+        if not (math.isfinite(self.cell_mm) and self.cell_mm > 0):
+            raise SceneError(f"cell_mm must be finite and > 0, got {self.cell_mm}")
         object.__setattr__(self, "heights", h)
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        object.__setattr__(self, "origin", origin)
 
-    def height_at(self, x: float, y: float) -> float:
-        i = math.floor((x - self.origin[0]) / self.cell_mm)
-        j = math.floor((y - self.origin[1]) / self.cell_mm)
+    def height_at(self, x, y):
+        """Height of the cell under (x, y); broadcasts over arrays of x and y.
+
+        A scalar call returns a float. Points outside the grid read 0.
+        """
+        i = np.floor((np.asarray(x, dtype=float) - self.origin[0]) / self.cell_mm)
+        j = np.floor((np.asarray(y, dtype=float) - self.origin[1]) / self.cell_mm)
         nx, ny = self.heights.shape
-        if 0 <= i < nx and 0 <= j < ny:
-            return float(self.heights[i, j])
-        return 0.0
+        inside = (0 <= i) & (i < nx) & (0 <= j) & (j < ny)
+        i, j = (np.where(inside, k, 0).astype(np.intp) for k in (i, j))
+        h = np.where(inside, self.heights[i, j], 0.0)
+        return float(h) if h.ndim == 0 else h
 
 
 @dataclass(frozen=True)
@@ -59,9 +67,12 @@ class Cube:
     edge_mm: float
 
     def __post_init__(self):
-        if self.edge_mm <= 0:
-            raise SceneError("cube edge must be > 0")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        center = tuple(float(c) for c in self.center)
+        if not all(map(math.isfinite, center)):
+            raise SceneError(f"cube center must be finite, got {center}")
+        if not (math.isfinite(self.edge_mm) and self.edge_mm > 0):
+            raise SceneError(f"cube edge must be finite and > 0, got {self.edge_mm}")
+        object.__setattr__(self, "center", center)
 
     def contains(self, p):
         """Closed-cube test of one point, or of each row of an (N, 3) array."""
@@ -77,8 +88,10 @@ class Tube:
     obstacle: Cube | None = None
 
     def __post_init__(self):
-        if self.inner_radius_mm <= 0:
-            raise SceneError("tube inner radius must be > 0")
+        if not (math.isfinite(self.inner_radius_mm) and self.inner_radius_mm > 0):
+            raise SceneError(
+                f"tube inner radius must be finite and > 0, got {self.inner_radius_mm}"
+            )
 
 
 def _require_fields(doc: dict, allowed: set, required: set, what: str):

@@ -9,11 +9,12 @@ replay identically.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .actuation import step_count
+from .columns import repr_column
 from .errors import ArmTooLowError, ConfigError, SceneError
 from .geometry import RobotGeometry
 from .kinematics import TWO_PI, ArcState, arc_kernel, ik, tendon_lengths
@@ -33,68 +34,128 @@ class ProbeEvent:
     contact_point: tuple | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactCloud:
-    """Probe results over a scan grid, in world (arm-frame) coordinates."""
+    """Probe results over a scan grid as columns, one row per node in visit
+    order, in world (arm-frame) coordinates.
 
-    events: tuple
+    arm is (N, 3); extension_mm, contact and contact_z are (N,), with
+    contact_z NaN where the probe found no surface. Every probe is
+    vertical (alpha 0), so a contact point is (arm x, arm y, contact_z).
+    """
+
+    arm: np.ndarray
+    extension_mm: np.ndarray
+    contact: np.ndarray
+    contact_z: np.ndarray
     nx: int
     ny: int
     step_mm: float
     origin: tuple
 
     @property
+    def events(self) -> tuple:
+        """One ProbeEvent per node, built from the columns on each access."""
+        return tuple(
+            ProbeEvent(tuple(arm), 0.0, ext, hit, (arm[0], arm[1], z) if hit else None)
+            for arm, ext, hit, z in zip(
+                self.arm.tolist(),
+                self.extension_mm.tolist(),
+                self.contact.tolist(),
+                self.contact_z.tolist(),
+            )
+        )
+
+    @property
     def contact_count(self) -> int:
-        return sum(1 for e in self.events if e.contact)
+        return int(self.contact.sum())
 
 
-@dataclass
+# Columns of MissionLog.rows, the events.csv columns after step_index.
+LOG_ARM, LOG_ALPHA, LOG_S, LOG_CONTACT, LOG_POINT = slice(0, 3), 3, 4, 5, slice(6, 9)
+
+
 class MissionLog:
-    """Append-only event log; rows are arm moves and probe results."""
+    """Append-only event log; rows are arm moves and probe results.
 
-    rows: list = field(default_factory=list)
+    Rows are kept in blocks of (n, 9) floats laid out as LOG_ARM, LOG_ALPHA,
+    LOG_S, LOG_CONTACT (1.0 or 0.0) and LOG_POINT. A row without a contact
+    point holds NaN there and writes empty cells.
+    """
+
+    def __init__(self):
+        self.blocks = []
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Every row so far as one (n, 9) array; the step index is the row number."""
+        return np.concatenate(self.blocks) if self.blocks else np.empty((0, 9))
 
     def add(self, arm, alpha, s, contact=False, contact_point=None):
-        self.rows.append((len(self.rows), tuple(arm), alpha, s, contact, contact_point))
+        """Append one row, built in the LOG_ARM .. LOG_POINT order by one
+        np.array call, which costs less than add_block for a single row."""
+        point = (np.nan,) * 3 if contact_point is None else tuple(contact_point)
+        self.blocks.append(np.array([[*arm, alpha, s, contact, *point]], dtype=float))
+
+    def add_block(self, arm, alpha, s, contact=False, contact_point=np.nan):
+        """Append len(s) rows. Every other argument is one value for all rows
+        or a column of that length; arm and contact_point are (3,) or (n, 3)."""
+        block = np.empty((len(s), 9))
+        block[:, LOG_ARM], block[:, LOG_ALPHA], block[:, LOG_S] = arm, alpha, s
+        block[:, LOG_CONTACT], block[:, LOG_POINT] = contact, contact_point
+        self.blocks.append(block)
 
     def to_csv(self) -> str:
-        lines = [LOG_HEADER]
-        for idx, arm, alpha, s, contact, cp in self.rows:
-            cells = [str(idx)] + [repr(float(v)) for v in arm]
-            cells += [repr(float(alpha)), repr(float(s)), "1" if contact else "0"]
-            cells += [repr(float(v)) for v in cp] if cp is not None else ["", "", ""]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        rows = self.rows
+        arm_alpha_s = [repr_column(col) for col in rows[:, :LOG_CONTACT].T]
+        flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0").tolist()
+        points = [repr_column(col, nan="") for col in rows[:, LOG_POINT].T]
+        cols = [map(str, range(len(rows))), *arm_alpha_s, flags, *points]
+        return "\n".join([LOG_HEADER, *map(",".join, zip(*cols)), ""])
 
     def write(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_csv())
 
 
-def probe_vertical(scene: HeightField, arm, geom: RobotGeometry, quantum: float = 0.5) -> ProbeEvent:
-    """Straight downward probe from minimum extension.
+def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float = 0.5):
+    """Straight downward probes from minimum extension at each row of an
+    (N, 3) array of arm positions; returns (extension, contact, contact_z)
+    columns.
 
     The bristle tip starts at arm_z - (s_min + l + bristle) and descends as
     the backbone extends in `quantum` mm increments; first contact is the
     first quantized extension whose tip is at or below the surface. No
-    contact by s_max reports a fully extended non-contact event.
+    contact by s_max reports full extension, no contact and NaN contact_z.
+    A tip already below the surface at minimum extension raises
+    ArmTooLowError for the first such row.
     """
     if quantum <= 0.0:
         raise ValueError(f"probe quantum must be > 0, got {quantum}")
-    x, y, z = (float(v) for v in arm)
+    arms = np.asarray(arms, dtype=float)
+    x, y, z = arms.T
     h = scene.height_at(x, y)
     tip_min = z - (geom.s_min + geom.probe_offset)
-    if tip_min < h:
+    too_low = np.flatnonzero(tip_min < h)
+    if too_low.size:
+        k = too_low[0]
         raise ArmTooLowError(
-            f"probe tip at minimum extension is {tip_min:.3f} mm, below surface {h:.3f} mm"
+            f"probe tip at minimum extension is {tip_min[k]:.3f} mm, below surface {h[k]:.3f} mm"
         )
     s_exact = z - geom.probe_offset - h
-    if s_exact > geom.s_max:
-        return ProbeEvent((x, y, z), 0.0, geom.s_max, False)
-    steps = math.ceil((s_exact - geom.s_min) / quantum)
-    s_q = min(geom.s_min + steps * quantum, geom.s_max)
-    contact_point = (x, y, z - (s_q + geom.probe_offset))
-    return ProbeEvent((x, y, z), 0.0, s_q, True, contact_point)
+    contact = s_exact <= geom.s_max
+    steps = np.ceil((s_exact - geom.s_min) / quantum)
+    s_q = np.where(contact, np.minimum(geom.s_min + steps * quantum, geom.s_max), geom.s_max)
+    contact_z = np.where(contact, z - (s_q + geom.probe_offset), np.nan)
+    return s_q, contact, contact_z
+
+
+def probe_vertical(scene: HeightField, arm, geom: RobotGeometry, quantum: float = 0.5) -> ProbeEvent:
+    """One probe of probe_columns at a single arm position."""
+    x, y, z = (float(v) for v in arm)
+    (ext,), (hit,), (contact_z,) = probe_columns(scene, [(x, y, z)], geom, quantum)
+    point = (x, y, float(contact_z)) if hit else None
+    return ProbeEvent((x, y, z), 0.0, float(ext), bool(hit), point)
 
 
 @dataclass(frozen=True)
@@ -129,28 +190,35 @@ def surface_scan(
     """Probe every node of the scan grid in boustrophedon order.
 
     The backbone retracts to s_min before every arm move (the anti-drag
-    rule), probes once per node and reports one event per node. Contact
-    heights are arm_z - (extension + l + bristle).
+    rule), probes once per node and reports one row per node. Contact
+    heights are arm_z - (extension + l + bristle). All nodes are probed in
+    one probe_columns call and logged as one block of two rows per node,
+    the move and the probe; a node too low to probe raises before anything
+    is logged.
     """
     nx = round(cfg.width / cfg.step_mm) + 1
     ny = round(cfg.height / cfg.step_mm) + 1
     arm_z = cfg.arm_z if cfg.arm_z is not None else geom.s_max + geom.probe_offset
     log = log if log is not None else MissionLog()
-    events = []
-    for j in range(ny):
-        cols = range(nx) if j % 2 == 0 else range(nx - 1, -1, -1)
-        for i in cols:
-            arm = (
-                cfg.origin[0] + i * cfg.step_mm,
-                cfg.origin[1] + j * cfg.step_mm,
-                arm_z,
-            )
-            # Move with the backbone retracted, then extend in place.
-            log.add(arm, 0.0, geom.s_min)
-            event = probe_vertical(scene, arm, geom, cfg.quantum)
-            events.append(event)
-            log.add(arm, 0.0, event.extension_mm, event.contact, event.contact_point)
-    return ContactCloud(tuple(events), nx, ny, cfg.step_mm, cfg.origin)
+    # Row j of the grid runs along +x when j is even and back along -x when odd.
+    i = np.tile(np.arange(nx), (ny, 1))
+    i[1::2] = i[1::2, ::-1]
+    j = np.repeat(np.arange(ny), nx)
+    arms = np.empty((nx * ny, 3))
+    arms[:, 0] = cfg.origin[0] + i.ravel() * cfg.step_mm
+    arms[:, 1] = cfg.origin[1] + j * cfg.step_mm
+    arms[:, 2] = arm_z
+    ext, contact, contact_z = probe_columns(scene, arms, geom, cfg.quantum)
+    points = np.where(contact[:, None], np.column_stack([arms[:, :2], contact_z]), np.nan)
+    # Each node logs its move, made with the backbone retracted, then its probe.
+    log.add_block(
+        np.repeat(arms, 2, axis=0),
+        0.0,
+        np.column_stack([np.full_like(ext, geom.s_min), ext]).ravel(),
+        np.column_stack([np.zeros_like(contact), contact]).ravel(),
+        np.stack([np.full_like(points, np.nan), points], axis=1).reshape(-1, 3),
+    )
+    return ContactCloud(arms, ext, contact, contact_z, nx, ny, cfg.step_mm, cfg.origin)
 
 
 @dataclass(frozen=True)
@@ -209,17 +277,18 @@ def radial_scan(
     touch = np.hypot(tips[:, 0] - arm[0], tips[:, 1] - arm[1]) >= scene.inner_radius_mm
     if scene.obstacle is not None:
         touch |= scene.obstacle.contains(tips)
-    events = []
-    for k, alpha in enumerate(alphas):
-        hits = np.flatnonzero(touch[starts[k] : starts[k] + per_azimuth[k]])
-        if hits.size:
-            i = starts[k] + hits[0]
-            event = ProbeEvent(arm, alpha, float(s[i]), True, tuple(tips[i].tolist()))
-        else:
-            event = ProbeEvent(arm, alpha, goals[k].s, False)
-        events.append(event)
-        log.add(arm, alpha, event.extension_mm, event.contact, event.contact_point)
-    return events, any(e.contact for e in events)
+    # First touching waypoint of each azimuth, or the row past its last one.
+    first = np.minimum.reduceat(np.where(touch, np.arange(rows.size), rows.size), starts)
+    contact = first < starts + per_azimuth
+    first = np.where(contact, first, 0)
+    ext = np.where(contact, s[first], goal_s)
+    points = np.where(contact[:, None], tips[first], np.nan)
+    log.add_block(arm, alphas, ext, contact, points)
+    events = [
+        ProbeEvent(arm, alpha, e, hit, tuple(p) if hit else None)
+        for alpha, e, hit, p in zip(alphas, ext.tolist(), contact.tolist(), points.tolist())
+    ]
+    return events, bool(contact.any())
 
 
 @dataclass(frozen=True)

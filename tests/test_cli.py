@@ -127,6 +127,56 @@ class TestExitCodes:
         assert not (out / "events.csv").exists()
 
 
+def assert_rejected_as_input(proc, out=None):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+    if out is not None:
+        assert not (out / "events.csv").exists()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "fields", [{"cell_mm": math.nan}, {"origin": [math.nan, 0]}, {"cell_mm": math.inf}]
+    )
+    def test_height_field_exits_2(self, tmp_path, fields):
+        doc = {"type": "height_field", "origin": [0, 0], "cell_mm": 10, "heights": [[0, 40]]}
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({**doc, **fields}))
+        out = tmp_path / "run"
+        assert_rejected_as_input(run_cli("scan", "--scene", scene, "--out", out), out)
+
+    def test_geometry_exits_2(self, tmp_path):
+        geom = tmp_path / "geom.json"
+        geom.write_text(json.dumps({"l": math.inf}))
+        assert_rejected_as_input(
+            run_cli("fk", "--alpha", 0, "--theta", 30, "--s", 50, "--geometry", geom)
+        )
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        assert_rejected_as_input(
+            run_cli("scan", "--scene", scene, "--geometry", geom, "--out", out), out
+        )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "tube", "inner_radius_mm": math.nan},
+            {"type": "tube", "inner_radius_mm": 174,
+             "obstacle": {"center": [45, math.nan, -206], "edge_mm": 40}},
+            {"type": "tube", "inner_radius_mm": 174,
+             "obstacle": {"center": [45, 0, -206], "edge_mm": math.inf}},
+        ],
+    )
+    def test_tube_exits_2(self, tmp_path, doc):
+        scene = tmp_path / "tube.json"
+        scene.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert_rejected_as_input(run_cli("explore", "--scene", scene, "--out", out), out)
+
+
 class TestWorkspaceCommand:
     def test_defaults_summary_and_files(self, tmp_path):
         out = tmp_path / "ws"

@@ -1,6 +1,8 @@
 """Geometry defaults and JSON loading."""
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -52,6 +54,15 @@ def test_invariant_violations():
         RobotGeometry(l=-1.0)
     with pytest.raises(ConfigError):
         RobotGeometry(pulley_diameter=0.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RobotGeometry)])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_rejected(name, value):
+    with pytest.raises(ConfigError, match="finite"):
+        RobotGeometry(**{name: value})
+    with pytest.raises(ConfigError, match="finite"):
+        RobotGeometry.from_json(json.dumps({name: value}))
 
 
 def test_load_file(tmp_path):

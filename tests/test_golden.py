@@ -1,12 +1,14 @@
 """Golden corpus: CLI outputs frozen before the closed-form kernel refactor.
 
 Each case runs `coilkin.cli.main` in-process and compares stdout and every
-output file with `tests/golden/<case>/` token by token. Tokens are split
-on commas, whitespace and `=`; numbers must agree within 1e-12 absolute
-(NaN matches NaN), every other token (headers, flags, reasons, empty
-cells) must match exactly, and line and token counts must be equal. So
-the corpus pins rows, columns, contact and feasibility flags, and lets a
-refactor change only the last bits of a float.
+output file with `tests/golden/<case>/`. The output files of the scan
+cases must match byte for byte. All other files, and stdout, are compared
+token by token: tokens are split on commas, whitespace and `=`; numbers
+must agree within 1e-12 absolute (NaN matches NaN), every other token
+(headers, flags, reasons, empty cells) must match exactly, and line and
+token counts must be equal. So the corpus pins rows, columns, contact and
+feasibility flags, and lets a refactor of the workspace or explore paths
+change only the last bits of a float.
 
 The inputs are fixed: the five C6 scenes of the acceptance suite (stored
 as JSON under `tests/golden/scenes/`), one small workspace grid whose
@@ -90,9 +92,13 @@ def test_matches_golden(name, tmp_path, capsys):
     assert_same_text((case_dir / "stdout.txt").read_text(), stdout, f"{name}/stdout")
     for fname in CASES[name][1]:
         assert (tmp_path / fname).exists(), f"{name}: {fname} not written"
-        assert_same_text(
-            (case_dir / fname).read_text(), (tmp_path / fname).read_text(), f"{name}/{fname}"
-        )
+        if name.startswith("scan_"):
+            same = (tmp_path / fname).read_bytes() == (case_dir / fname).read_bytes()
+            assert same, f"{name}/{fname} differs from the golden bytes"
+        else:
+            assert_same_text(
+                (case_dir / fname).read_text(), (tmp_path / fname).read_text(), f"{name}/{fname}"
+            )
 
 
 def test_comparison_catches_a_flipped_flag():

@@ -11,7 +11,6 @@ from coilkin import (
     ContactCloud,
     EmptyCloudError,
     HeightField,
-    ProbeEvent,
     RobotGeometry,
     ScanConfig,
     bubble_aggregate,
@@ -21,24 +20,22 @@ from coilkin import (
     surface_scan,
     to_feature,
 )
+from coilkin.columns import DEDUPE_MIN_SIZE, repr_column
+from coilkin.ply import CHUNK_POINTS, write_points
 
 GEOM = RobotGeometry()
 
 
 def synthetic_cloud(height_grid, step=10.0, contact_mask=None):
-    """Cloud whose event at node (i, j) reports height_grid[i, j]."""
+    """Cloud whose node (i, j) reports height_grid[i, j], visited row by row in j."""
     grid = np.asarray(height_grid, dtype=float)
     nx, ny = grid.shape
-    events = []
-    for j in range(ny):
-        for i in range(nx):
-            arm = (i * step, j * step, 200.0)
-            hit = True if contact_mask is None else bool(contact_mask[i, j])
-            if hit:
-                events.append(ProbeEvent(arm, 0.0, 50.0, True, (arm[0], arm[1], grid[i, j])))
-            else:
-                events.append(ProbeEvent(arm, 0.0, 70.0, False))
-    return ContactCloud(tuple(events), nx, ny, step, (0.0, 0.0))
+    j, i = (k.ravel() for k in np.mgrid[0:ny, 0:nx])
+    arm = np.column_stack([i * step, j * step, np.full(i.size, 200.0)])
+    hit = np.ones(i.size, bool) if contact_mask is None else np.asarray(contact_mask, bool)[i, j]
+    extension = np.where(hit, 50.0, 70.0)
+    contact_z = np.where(hit, grid[i, j], np.nan)
+    return ContactCloud(arm, extension, hit, contact_z, nx, ny, step, (0.0, 0.0))
 
 
 def stamped_scene(pattern, at_i, at_j, size=21):
@@ -46,6 +43,30 @@ def stamped_scene(pattern, at_i, at_j, size=21):
     p = np.asarray(pattern, dtype=float)
     grid[at_i : at_i + p.shape[0], at_j : at_j + p.shape[1]] = p
     return HeightField((0.0, 0.0), 10.0, grid)
+
+
+class TestColumnText:
+    @pytest.mark.parametrize(
+        "size", [1, 9, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, 5 * DEDUPE_MIN_SIZE]
+    )
+    def test_repr_column_is_repr_per_value(self, size):
+        """Both the per-value and the deduplicating path give repr's text,
+        with -0.0 kept apart from 0.0 and NaN written as asked."""
+        values = np.resize([0.0, -0.0, math.nan, 12.5, 1 / 3, -7.25, 1e-300, 2.0**60, 0.1], size)
+        values[::4] = np.random.default_rng(size).normal(size=values[::4].size)
+        expected = [repr(v) for v in values.tolist()]
+        assert repr_column(values) == expected
+        assert repr_column(values, nan="") == [("" if t == "nan" else t) for t in expected]
+
+    def test_ply_text_across_chunks(self, tmp_path):
+        pts = np.random.default_rng(0).normal(size=(2 * CHUNK_POINTS + 5, 3))
+        pts[::7, 2] = -0.0
+        pts[::5, 0] = 12.5
+        write_points(pts, tmp_path / "points.ply")
+        lines = (tmp_path / "points.ply").read_text().splitlines()
+        assert f"element vertex {len(pts)}" in lines
+        body = lines[lines.index("end_header") + 1 :]
+        assert body == [f"{x!r} {y!r} {z!r}" for x, y, z in pts.tolist()]
 
 
 class TestReconstruct:

@@ -1,6 +1,7 @@
 """Scene types and their JSON documents."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ def test_height_lookup_inside_and_outside():
     assert field.height_at(100.0, 100.0) == 0.0
 
 
+def test_height_lookup_broadcasts_like_scalar_calls():
+    field = HeightField((10.0, 20.0), 5.0, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    xs = np.array([10.0, 14.9, 15.0, 10.0, 0.0, 100.0, 9.999, 19.999])
+    ys = np.array([20.0, 24.9, 20.0, 25.0, 0.0, 100.0, 20.0, 29.999])
+    assert field.height_at(xs, ys).tolist() == [field.height_at(x, y) for x, y in zip(xs, ys)]
+    assert field.height_at(xs[:, None], ys).shape == (8, 8)
+    assert type(field.height_at(15.0, 25.0)) is float
+
+
 def test_height_field_validation():
     with pytest.raises(SceneError):
         HeightField((0, 0), 10.0, np.array([[-1.0]]))
@@ -25,6 +35,9 @@ def test_height_field_validation():
         HeightField((0, 0), 0.0, np.array([[1.0]]))
     with pytest.raises(SceneError):
         HeightField((0, 0), 10.0, np.array([1.0, 2.0]))
+    for origin, cell in (((0, 0), math.nan), ((0, 0), math.inf), ((math.nan, 0), 10.0)):
+        with pytest.raises(SceneError):
+            HeightField(origin, cell, np.array([[1.0]]))
 
 
 def test_cube_contains():
@@ -34,14 +47,16 @@ def test_cube_contains():
     assert not cube.contains((20.1, 0.0, -100.0))
     rows = np.array([(0.0, 0.0, -100.0), (20.1, 0.0, -100.0), (20.0, -20.0, -120.0)])
     assert cube.contains(rows).tolist() == [True, False, True]
-    with pytest.raises(SceneError):
-        Cube((0, 0, 0), 0.0)
+    for center, edge in (((0, 0, 0), 0.0), ((0, 0, 0), math.nan), ((0, math.inf, 0), 1.0)):
+        with pytest.raises(SceneError):
+            Cube(center, edge)
 
 
 def test_tube_validation():
     Tube(174.0)
-    with pytest.raises(SceneError):
-        Tube(0.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(SceneError):
+            Tube(radius)
 
 
 def test_height_field_json_round_trip(tmp_path):

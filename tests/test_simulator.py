@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coilkin import (
     ArcState,
     ArmTooLowError,
     ConfigError,
     Cube,
+    EmptyCloudError,
     ExploreConfig,
     HeightField,
     MissionLog,
@@ -24,6 +27,7 @@ from coilkin import (
     interpolate,
     probe_vertical,
     radial_scan,
+    reconstruct,
     surface_scan,
     tendon_lengths,
 )
@@ -181,6 +185,116 @@ class TestScanConfig:
     def test_zero_extent_is_one_node(self):
         cloud = surface_scan(FLAT, GEOM, ScanConfig(width=0.0, height=0.0))
         assert len(cloud.events) == 1
+
+
+def reference_scan(scene, geom, cfg):
+    """surface_scan as a per-node loop in plain Python: the events as
+    (arm, extension, contact, contact z or None) and the events.csv text.
+    Raises ArmTooLowError at the first node in visit order that is too low."""
+    nx = round(cfg.width / cfg.step_mm) + 1
+    ny = round(cfg.height / cfg.step_mm) + 1
+    z = cfg.arm_z if cfg.arm_z is not None else geom.s_max + geom.probe_offset
+    gx, gy = scene.heights.shape
+    events, lines = [], [LOG_HEADER]
+    for j in range(ny):
+        for i in range(nx) if j % 2 == 0 else range(nx - 1, -1, -1):
+            x, y = cfg.origin[0] + i * cfg.step_mm, cfg.origin[1] + j * cfg.step_mm
+            ci = math.floor((x - scene.origin[0]) / scene.cell_mm)
+            cj = math.floor((y - scene.origin[1]) / scene.cell_mm)
+            h = float(scene.heights[ci, cj]) if 0 <= ci < gx and 0 <= cj < gy else 0.0
+            tip_min = z - (geom.s_min + geom.probe_offset)
+            if tip_min < h:
+                raise ArmTooLowError(
+                    f"probe tip at minimum extension is {tip_min:.3f} mm, below surface {h:.3f} mm"
+                )
+            s_exact = z - geom.probe_offset - h
+            if s_exact > geom.s_max:
+                event = ((x, y, z), geom.s_max, False, None)
+            else:
+                steps = math.ceil((s_exact - geom.s_min) / cfg.quantum)
+                s_q = min(geom.s_min + steps * cfg.quantum, geom.s_max)
+                event = ((x, y, z), s_q, True, z - (s_q + geom.probe_offset))
+            events.append(event)
+            arm = f"{x!r},{y!r},{float(z)!r}"
+            lines.append(f"{len(lines) - 1},{arm},0.0,{float(geom.s_min)!r},0,,,")
+            point = f"{x!r},{y!r},{event[3]!r}" if event[2] else ",,"
+            lines.append(f"{len(lines) - 1},{arm},0.0,{float(event[1])!r},{int(event[2])},{point}")
+    return events, "\n".join(lines) + "\n"
+
+
+def reference_heights(events, cfg):
+    """reconstruct's height grid, filled one contact event at a time."""
+    contacts = [
+        (round((x - cfg.origin[0]) / cfg.step_mm), round((y - cfg.origin[1]) / cfg.step_mm), z)
+        for (x, y, _), _, hit, z in events
+        if hit
+    ]
+    i0, j0 = min(c[0] for c in contacts), min(c[1] for c in contacts)
+    i1, j1 = max(c[0] for c in contacts), max(c[1] for c in contacts)
+    heights = np.full((i1 - i0 + 1, j1 - j0 + 1), np.nan)
+    for i, j, z in contacts:
+        heights[i - i0, j - j0] = z
+    return heights - np.nanmin(heights)
+
+
+coords = st.floats(-25.0, 25.0)
+MIXED = [[0.0, 20.0, 40.0], [10.0, 30.0, 50.0]]
+heights = st.one_of(st.floats(0.0, 60.0), st.integers(0, 600).map(lambda k: k / 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.lists(heights, min_size=n, max_size=n),
+            min_size=1,
+            max_size=9,
+        )
+    ),
+    cell=st.sampled_from([0.7, 1.0, 2.5, 4.0, 10.0]),
+    scene_origin=st.tuples(coords, coords),
+    size=st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
+    step=st.sampled_from([0.5, 1.0, 2.0, 3.3, 7.5]),
+    scan_origin=st.tuples(coords, coords),
+    lift=st.one_of(st.none(), st.floats(-0.5, 1.2), st.floats(0.05, 0.95)),
+    quantum=st.sampled_from([0.1, 0.25, 0.3, 0.5, 2.0]),
+)
+# A 3x2-cell field inside a larger scan: cells of 30 mm and more reach the
+# probe, lower cells and the floor around the field do not (lift 0.5), or
+# the 50 mm cell is too low (lift -0.5); 5 and 6 grid rows.
+@example(MIXED, 2.5, (-1.0, 3.0), (13.0, 8.0), 2.0, (-3.0, 0.5), 0.5, 0.3)
+@example(MIXED, 2.5, (-1.0, 3.0), (13.0, 10.0), 2.0, (-3.0, 0.5), 0.5, 0.3)
+@example(MIXED, 2.5, (-1.0, 3.0), (13.0, 10.0), 2.0, (-3.0, 0.5), -0.5, 0.3)
+def test_array_scan_matches_node_loop(
+    grid, cell, scene_origin, size, step, scan_origin, lift, quantum
+):
+    """The arm sits `lift` times the tallest cell above floor reach (None:
+    at floor reach), so that some nodes miss the surface or are too low."""
+    scene = HeightField(scene_origin, cell, np.array(grid))
+    floor_reach = GEOM.s_max + GEOM.probe_offset
+    arm_z = None if lift is None else floor_reach + lift * float(scene.heights.max())
+    cfg = ScanConfig(size[0], size[1], step, scan_origin, arm_z, quantum)
+    try:
+        expected, expected_csv = reference_scan(scene, GEOM, cfg)
+    except ArmTooLowError as exc:
+        with pytest.raises(ArmTooLowError) as got:
+            surface_scan(scene, GEOM, cfg)
+        assert str(got.value) == str(exc)
+        return
+    log = MissionLog()
+    cloud = surface_scan(scene, GEOM, cfg, log)
+    arm, extension, contact, contact_z = zip(*expected)
+    assert cloud.arm.tolist() == [list(a) for a in arm]
+    assert cloud.extension_mm.tolist() == list(extension)
+    assert cloud.contact.tolist() == list(contact)
+    np.testing.assert_array_equal(cloud.contact_z, [np.nan if z is None else z for z in contact_z])
+    assert [(e.arm, e.extension_mm, e.contact) for e in cloud.events] == [e[:3] for e in expected]
+    assert log.to_csv() == expected_csv
+    if cloud.contact_count:
+        np.testing.assert_array_equal(reconstruct(cloud).heights, reference_heights(expected, cfg))
+    else:
+        with pytest.raises(EmptyCloudError):
+            reconstruct(cloud)
 
 
 class TestRadialScan:
