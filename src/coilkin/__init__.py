@@ -62,6 +62,7 @@ from .simulator import (
     surface_scan,
 )
 from .workspace import (
+    Workspace,
     WorkspaceSample,
     sample_workspace,
     workspace_extents,

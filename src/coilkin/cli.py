@@ -13,7 +13,10 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .actuation import max_payout
+from .columns import write_rows
 from .errors import CoilkinError, ConfigError, SceneError
 from .geometry import RobotGeometry
 from .kinematics import ArcState, fk_point, fk_tip, ik, tendon_lengths
@@ -108,17 +111,14 @@ def cmd_tendons(args) -> int:
 
 def cmd_workspace(args) -> int:
     geom = _geometry(args)
-    samples = sample_workspace(geom, (args.n_alpha, args.n_theta, args.n_s))
+    ws = sample_workspace(geom, (args.n_alpha, args.n_theta, args.n_s))
     out = _out_dir(args)
-    csv_path = os.path.join(out, "workspace.csv")
-    ply_path = os.path.join(out, "workspace.ply")
-    write_csv(samples, csv_path)
-    write_ply(samples, ply_path)
+    write_csv(ws, os.path.join(out, "workspace.csv"))
+    write_ply(ws, os.path.join(out, "workspace.ply"))
     _write_manifest(out, "workspace", args, ["workspace.csv", "workspace.ply"])
-    feasible = sum(1 for s in samples if s.feasible)
-    extents = workspace_extents(samples)
+    extents = workspace_extents(ws)
     print(
-        f"samples={len(samples)} feasible={feasible} "
+        f"samples={len(ws)} feasible={ws.feasible.sum()} "
         f"z_min={extents['z_min']:.3f} z_max={extents['z_max']:.3f} "
         f"radial_max={extents['radial_max']:.3f} "
         f"max_payout={max_payout(geom):.3f}"
@@ -160,13 +160,15 @@ def cmd_scan(args) -> int:
 def _write_pressure(path, cloud, geom, seed):
     """Synthesized pressure trace check per probe: a step on contact events."""
     synth = PressureSynth(seed=seed or 0)
-    lines = ["event_index,contact,detected_sample"]
+    detected = []
     for idx, contact in enumerate(cloud.contact.tolist()):
         trace = replace(synth, seed=(seed or 0) + idx).trace(16, contact_at=8 if contact else None)
         hit = detect_contact(trace, synth.baseline_hpa, geom.contact_threshold)
-        lines.append(f"{idx},{1 if contact else 0},{'' if hit is None else hit}")
+        detected.append("" if hit is None else hit)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("event_index,contact,detected_sample\n")
+        flags = np.where(cloud.contact, "1", "0")
+        write_rows(fh, [np.arange(len(detected)), flags, np.array(detected, dtype=str)])
 
 
 def make_offset_tube(offset_mm: float, geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig(),

@@ -1,11 +1,12 @@
 """Contact clouds to height maps, fixed-size feature vectors and error stats."""
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import repr_column
+from .columns import write_rows
 from .errors import EmptyCloudError
 from .ply import write_points
 from .simulator import ContactCloud
@@ -33,15 +34,19 @@ class HeightMap:
         return ~np.isnan(self.heights)
 
     def to_csv(self) -> str:
-        header = f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r} cell_mm={self.cell_mm!r}"
-        cells = repr_column(self.heights)
-        nx, ny = self.heights.shape
-        rows = (",".join(cells[k * ny : (k + 1) * ny]) for k in range(nx))
-        return "\n".join([header, *rows, ""])
+        """The height-map CSV text: an origin and cell-size comment, then one
+        line per row of heights."""
+        with io.StringIO() as buf:
+            self._write_csv(buf)
+            return buf.getvalue()
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
+            self._write_csv(fh)
+
+    def _write_csv(self, fh):
+        fh.write(f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r} cell_mm={self.cell_mm!r}\n")
+        write_rows(fh, [self.heights])
 
     def write_ply(self, path):
         """ASCII PLY of the contacted cells."""

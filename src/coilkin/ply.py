@@ -2,10 +2,7 @@
 
 import numpy as np
 
-from .columns import repr_column
-
-# Points formatted per write, which bounds the text held in memory.
-CHUNK_POINTS = 2048
+from .columns import write_rows
 
 
 def write_points(points, path):
@@ -19,7 +16,4 @@ def write_points(points, path):
             "property float x\nproperty float y\nproperty float z\n"
             "end_header\n"
         )
-        for start in range(0, len(pts), CHUNK_POINTS):
-            chunk = pts[start : start + CHUNK_POINTS]
-            lines = map(" ".join, zip(*(repr_column(chunk[:, k]) for k in range(3))))
-            fh.write("\n".join([*lines, ""]))
+        write_rows(fh, [pts], sep=" ")

@@ -8,13 +8,14 @@ whose CSV serialization is byte-stable, so identical configurations
 replay identically.
 """
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .actuation import step_count
-from .columns import repr_column
+from .columns import write_rows
 from .errors import ArmTooLowError, ConfigError, SceneError
 from .geometry import RobotGeometry
 from .kinematics import TWO_PI, ArcState, arc_kernel, ik, tendon_lengths
@@ -80,7 +81,7 @@ class MissionLog:
 
     Rows are kept in blocks of (n, 9) floats laid out as LOG_ARM, LOG_ALPHA,
     LOG_S, LOG_CONTACT (1.0 or 0.0) and LOG_POINT. A row without a contact
-    point holds NaN there and writes empty cells.
+    point holds NaN there; NaN is written as an empty cell.
     """
 
     def __init__(self):
@@ -106,16 +107,20 @@ class MissionLog:
         self.blocks.append(block)
 
     def to_csv(self) -> str:
-        rows = self.rows
-        arm_alpha_s = [repr_column(col) for col in rows[:, :LOG_CONTACT].T]
-        flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0").tolist()
-        points = [repr_column(col, nan="") for col in rows[:, LOG_POINT].T]
-        cols = [map(str, range(len(rows))), *arm_alpha_s, flags, *points]
-        return "\n".join([LOG_HEADER, *map(",".join, zip(*cols)), ""])
+        """The events.csv text."""
+        with io.StringIO() as buf:
+            self._write_csv(buf)
+            return buf.getvalue()
 
     def write(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
+            self._write_csv(fh)
+
+    def _write_csv(self, fh):
+        rows = self.rows
+        flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0")
+        fh.write(LOG_HEADER + "\n")
+        write_rows(fh, [np.arange(len(rows)), rows[:, :LOG_CONTACT], flags, rows[:, LOG_POINT]], nan="")
 
 
 def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float = 0.5):
@@ -232,6 +237,16 @@ class ExploreConfig:
     target_z: float = 60.0
     n_directions: int = 8
     max_step_mm: float = 2.0
+
+    def __post_init__(self):
+        values = (self.descent_step, self.max_steps, self.compressed_s, self.target_radial,
+                  self.target_z, self.n_directions, self.max_step_mm)
+        valid = all(map(math.isfinite, values)) and min(self.max_steps, self.n_directions) >= 1
+        if not valid or min(self.descent_step, self.max_step_mm) <= 0.0:
+            raise ConfigError(
+                f"explore needs finite values, max_steps and n_directions >= 1, "
+                f"descent_step and max_step_mm > 0: {self}"
+            )
 
 
 def radial_scan(

@@ -1,12 +1,12 @@
 """Reachable-set enumeration under length, bend and servo-travel bounds."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .actuation import beyond_servo_range, pulley_angle
-from .errors import EmptyWorkspaceError
+from .columns import write_rows
+from .errors import ConfigError, EmptyWorkspaceError
 from .geometry import RobotGeometry
 from .kinematics import HALF_PI, TWO_PI, ArcState, arc_kernel
 from .ply import write_points
@@ -28,18 +28,50 @@ class WorkspaceSample:
     reason: str
 
 
-def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> list:
+@dataclass(frozen=True, eq=False)
+class Workspace:
+    """The sampled grid as columns, one row per grid point in sampling order.
+
+    alpha, theta and s are (N,), u (spring top) and e (tip) are (N, 3) and
+    feasible is (N,) bool. Indexing and iteration give WorkspaceSample rows,
+    built on each access.
+    """
+
+    alpha: np.ndarray
+    theta: np.ndarray
+    s: np.ndarray
+    u: np.ndarray
+    e: np.ndarray
+    feasible: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, k):
+        """Row k as a WorkspaceSample; a slice gives a list of rows."""
+        rows = range(len(self))[k]
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        ok = bool(self.feasible[k])
+        state = ArcState.from_arc(float(self.alpha[k]), float(self.theta[k]), float(self.s[k]))
+        return WorkspaceSample(state, self.u[k], self.e[k], ok, REASON_OK if ok else REASON_SERVO)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> Workspace:
     """Evaluate FK over the (alpha, theta, s) grid in deterministic order.
 
     alpha spans [0, 2*pi) without its endpoint, theta [0, pi/2] and s
     [s_min, s_max] inclusive; alpha is the outer loop, s the inner one.
-    Each sample carries the spring-top and tip positions plus a
-    feasibility verdict: the shortening from the s_max home lengths must
-    fit the servo travel (grid states always satisfy the other bounds).
+    Each row holds the spring-top and tip positions plus a feasibility
+    verdict: the shortening from the s_max home lengths must fit the servo
+    travel (grid states always satisfy the other bounds).
     """
     n_alpha, n_theta, n_s = grid
     if min(grid) < 1:
-        raise ValueError(f"grid counts must be >= 1, got {grid}")
+        raise ConfigError(f"grid counts must be >= 1, got {grid}")
     alphas = [TWO_PI * k / n_alpha for k in range(n_alpha)]
     thetas = np.linspace(0.0, HALF_PI, n_theta)
     lengths = np.linspace(geom.s_min, geom.s_max, n_s)
@@ -47,40 +79,30 @@ def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> list:
     kin = arc_kernel(alpha, theta, s, geom.d, geom.l)
     shortening = (geom.s_max - kin.q).max(axis=-1)
     feasible = ~beyond_servo_range(pulley_angle(shortening, geom), geom)
-    return [
-        WorkspaceSample(ArcState.from_arc(a, t, l), u, e, ok, REASON_OK if ok else REASON_SERVO)
-        for a, t, l, u, e, ok in zip(
-            alpha.tolist(), theta.tolist(), s.tolist(), kin.u, kin.e, feasible.tolist()
-        )
-    ]
+    return Workspace(alpha, theta, s, kin.u, kin.e, feasible)
 
 
-def workspace_extents(samples) -> dict:
+def workspace_extents(ws: Workspace) -> dict:
     """Axis-aligned extents of the feasible spring-top positions."""
-    pts = [s.u for s in samples if s.feasible]
-    if not pts:
+    u = ws.u[ws.feasible]
+    if not len(u):
         raise EmptyWorkspaceError("no feasible samples")
-    zs = [p[2] for p in pts]
     return {
-        "z_min": min(zs),
-        "z_max": max(zs),
-        "radial_max": max(math.hypot(p[0], p[1]) for p in pts),
+        "z_min": float(u[:, 2].min()),
+        "z_max": float(u[:, 2].max()),
+        "radial_max": float(np.hypot(u[:, 0], u[:, 1]).max()),
     }
 
 
-def write_csv(samples, path):
+def write_csv(ws: Workspace, path):
     """alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason rows, angles in radians."""
+    flags = np.where(ws.feasible, "1", "0")
+    reasons = np.array([REASON_SERVO, REASON_OK], dtype=object)[ws.feasible.view(np.int8)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason\n")
-        for smp in samples:
-            st = smp.state
-            vals = [st.alpha, st.theta, st.s, *smp.u, *smp.e]
-            fh.write(
-                ",".join(repr(float(v)) for v in vals)
-                + f",{1 if smp.feasible else 0},{smp.reason}\n"
-            )
+        write_rows(fh, [ws.alpha, ws.theta, ws.s, ws.u, ws.e, flags, reasons])
 
 
-def write_ply(samples, path):
+def write_ply(ws: Workspace, path):
     """ASCII PLY point cloud of the feasible spring-top positions."""
-    write_points([s.u for s in samples if s.feasible], path)
+    write_points(ws.u[ws.feasible], path)

@@ -9,12 +9,18 @@ import sys
 import numpy as np
 import pytest
 
+import coilkin
+
 QUARTER = 44.563384065730695
+# The child process imports the coilkin these tests import, whether it came
+# from PYTHONPATH or from pytest's pythonpath setting.
+SRC = os.path.dirname(os.path.dirname(coilkin.__file__))
 
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("COILKIN_OUT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -188,6 +194,12 @@ class TestWorkspaceCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "workspace"
         assert "workspace.csv" in manifest["outputs"]
+
+    @pytest.mark.parametrize("count", [("--n-alpha", 0), ("--n-s", -3)])
+    def test_grid_below_one_exits_2(self, tmp_path, count):
+        out = tmp_path / "ws"
+        assert_rejected_as_input(run_cli("workspace", *count, "--out", out))
+        assert not (out / "workspace.csv").exists()
 
     def test_coarse_grid_row_count(self, tmp_path):
         out = tmp_path / "ws"

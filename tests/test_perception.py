@@ -20,8 +20,8 @@ from coilkin import (
     surface_scan,
     to_feature,
 )
-from coilkin.columns import DEDUPE_MIN_SIZE, repr_column
-from coilkin.ply import CHUNK_POINTS, write_points
+from coilkin.columns import CHUNK_ROWS, DEDUPE_MIN_SIZE, repr_column
+from coilkin.ply import write_points
 
 GEOM = RobotGeometry()
 
@@ -59,7 +59,7 @@ class TestColumnText:
         assert repr_column(values, nan="") == [("" if t == "nan" else t) for t in expected]
 
     def test_ply_text_across_chunks(self, tmp_path):
-        pts = np.random.default_rng(0).normal(size=(2 * CHUNK_POINTS + 5, 3))
+        pts = np.random.default_rng(0).normal(size=(2 * CHUNK_ROWS + 5, 3))
         pts[::7, 2] = -0.0
         pts[::5, 0] = 12.5
         write_points(pts, tmp_path / "points.ply")

@@ -187,6 +187,28 @@ class TestScanConfig:
         assert len(cloud.events) == 1
 
 
+class TestExploreConfig:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"descent_step": math.nan},
+            {"descent_step": 0.0},
+            {"descent_step": -20.0},
+            {"max_steps": 0},
+            {"n_directions": 0},
+            {"n_directions": -8},
+            {"max_step_mm": 0.0},
+            {"max_step_mm": math.inf},
+            {"compressed_s": math.nan},
+            {"target_radial": math.inf},
+            {"target_z": -math.inf},
+        ],
+    )
+    def test_rejects_bad_fields(self, fields):
+        with pytest.raises(ConfigError):
+            ExploreConfig(**fields)
+
+
 def reference_scan(scene, geom, cfg):
     """surface_scan as a per-node loop in plain Python: the events as
     (arm, extension, contact, contact z or None) and the events.csv text.
@@ -265,6 +287,8 @@ heights = st.one_of(st.floats(0.0, 60.0), st.integers(0, 600).map(lambda k: k / 
 @example(MIXED, 2.5, (-1.0, 3.0), (13.0, 8.0), 2.0, (-3.0, 0.5), 0.5, 0.3)
 @example(MIXED, 2.5, (-1.0, 3.0), (13.0, 10.0), 2.0, (-3.0, 0.5), 0.5, 0.3)
 @example(MIXED, 2.5, (-1.0, 3.0), (13.0, 10.0), 2.0, (-3.0, 0.5), -0.5, 0.3)
+# 41 x 41 nodes: 3,362 log rows, across the writer's 2,048-row chunks.
+@example(MIXED, 2.5, (-1.0, 3.0), (40.0, 40.0), 1.0, (-3.0, 0.5), 0.5, 0.3)
 def test_array_scan_matches_node_loop(
     grid, cell, scene_origin, size, step, scan_origin, lift, quantum
 ):

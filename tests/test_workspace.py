@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coilkin import (
+    ConfigError,
     EmptyWorkspaceError,
     RobotGeometry,
     ServoRangeError,
@@ -78,8 +79,10 @@ def test_extents(default_samples):
 
 
 def test_extents_empty():
+    # Without servo travel only the s_max home lengths are reachable, and a
+    # single-length grid holds only s_min.
     with pytest.raises(EmptyWorkspaceError):
-        workspace_extents([])
+        workspace_extents(sample_workspace(replace(GEOM, servo_range=0.0), (4, 2, 1)))
 
 
 def test_rotational_symmetry(default_samples):
@@ -136,23 +139,73 @@ def test_csv_and_ply_exports(tmp_path, default_samples):
     assert len(ply) == ply.index("end_header") + 1 + n_feasible
 
 
+def reference_extents(samples):
+    """workspace_extents as a loop over the feasible rows."""
+    pts = [s.u for s in samples if s.feasible]
+    if not pts:
+        raise EmptyWorkspaceError("no feasible samples")
+    zs = [p[2] for p in pts]
+    return {
+        "z_min": min(zs),
+        "z_max": max(zs),
+        "radial_max": max(math.hypot(p[0], p[1]) for p in pts),
+    }
+
+
 def test_matches_per_sample_loop():
     # The scalar API sample by sample, with the servo check of tendon_to_servo.
-    geom = replace(GEOM, d=13.0, servo_range=95.0)
-    home = TendonSet(geom.s_max, geom.s_max, geom.s_max, geom.s_max)
-    samples = sample_workspace(geom, (24, 7, 6))
-    assert sum(not s.feasible for s in samples) > 0
-    for smp in samples:
-        assert smp.u == pytest.approx(fk_point(smp.state, geom), abs=1e-12)
-        assert smp.e == pytest.approx(fk_tip(smp.state, geom), abs=1e-12)
+    cases = [
+        (replace(GEOM, d=13.0, servo_range=95.0), (24, 7, 6)),
+        (replace(GEOM, d=10.5, s_min=25.0, s_max=60.0, l=40.0, servo_range=60.0), (10, 5, 4)),
+        (replace(GEOM, servo_range=0.0), (6, 4, 1)),  # nothing feasible
+    ]
+    for geom, grid in cases:
+        home = TendonSet(geom.s_max, geom.s_max, geom.s_max, geom.s_max)
+        samples = sample_workspace(geom, grid)
+        assert len(samples) == math.prod(grid)
+        assert sum(not s.feasible for s in samples) > 0
+        for smp in samples:
+            assert smp.u == pytest.approx(fk_point(smp.state, geom), abs=1e-12)
+            assert smp.e == pytest.approx(fk_tip(smp.state, geom), abs=1e-12)
+            try:
+                tendon_to_servo(tendon_lengths(smp.state, geom), home, geom)
+                reason = REASON_OK
+            except ServoRangeError:
+                reason = REASON_SERVO
+            assert (smp.feasible, smp.reason) == (reason == REASON_OK, reason)
         try:
-            tendon_to_servo(tendon_lengths(smp.state, geom), home, geom)
-            reason = REASON_OK
-        except ServoRangeError:
-            reason = REASON_SERVO
-        assert (smp.feasible, smp.reason) == (reason == REASON_OK, reason)
+            expected = reference_extents(samples)
+        except EmptyWorkspaceError:
+            with pytest.raises(EmptyWorkspaceError):
+                workspace_extents(samples)
+        else:
+            assert workspace_extents(samples) == pytest.approx(expected, rel=1e-15)
+
+
+def reference_csv(samples, path):
+    """The workspace.csv writer as a per-row repr loop over the samples."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason\n")
+        for smp in samples:
+            st = smp.state
+            vals = [st.alpha, st.theta, st.s, *smp.u, *smp.e]
+            fh.write(
+                ",".join(repr(float(v)) for v in vals)
+                + f",{1 if smp.feasible else 0},{smp.reason}\n"
+            )
+
+
+@pytest.mark.parametrize(
+    "grid, servo_range",
+    [((24, 7, 6), 95.0), ((1, 1, 1), 120.0), ((30, 9, 9), 80.0)],  # the last crosses a chunk
+)
+def test_csv_matches_per_row_writer(tmp_path, grid, servo_range):
+    samples = sample_workspace(replace(GEOM, servo_range=servo_range), grid)
+    write_csv(samples, tmp_path / "ws.csv")
+    reference_csv(samples, tmp_path / "ref.csv")
+    assert (tmp_path / "ws.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_bad_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sample_workspace(GEOM, (0, 1, 1))
