@@ -3,8 +3,6 @@ missions for a spring-backbone continuum robot."""
 
 from .actuation import (
     ServoCommand,
-    TendonTrajectory,
-    interpolate,
     max_payout,
     servo_to_tendon,
     tendon_to_servo,
@@ -52,13 +50,12 @@ from .simulator import (
     ExploreResult,
     MissionLog,
     PressureSynth,
-    ProbeEvent,
+    RingPath,
     ScanConfig,
     detect_contact,
     explore_tube,
     probe_columns,
-    probe_vertical,
-    radial_scan,
+    ring_path,
     surface_scan,
 )
 from .workspace import (

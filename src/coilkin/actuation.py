@@ -1,4 +1,4 @@
-"""Tendon-space actuation: servo pulley mapping and smooth trajectories."""
+"""Tendon-space actuation: servo pulley mapping, the servo bound and the step rule."""
 
 import math
 from dataclasses import dataclass
@@ -39,17 +39,6 @@ class ServoCommand:
         """One-line record: angle1..angle4, then slack flags as 0/1."""
         parts = [repr(a) for a in self.angles] + ["1" if f else "0" for f in self.slack]
         return ",".join(parts)
-
-
-@dataclass(frozen=True)
-class TendonTrajectory:
-    """Ordered tendon waypoints; each step moves a tendon at most max_step."""
-
-    waypoints: tuple
-
-    @property
-    def step_count(self) -> int:
-        return max(1, len(self.waypoints) - 1)
 
 
 def max_payout(geom: RobotGeometry) -> float:
@@ -101,32 +90,11 @@ def servo_to_tendon(command: ServoCommand, home: TendonSet, geom: RobotGeometry)
 
 
 def step_count(start, stop, max_step_mm: float):
-    """Steps that move no tendon more than max_step_mm from start to stop:
-    ceil(largest |stop - start| / max_step_mm), at least 1. The four lengths
-    sit in the last axis; leading axes broadcast over a batch."""
+    """Step count from start to stop: ceil(largest |stop - start| /
+    max_step_mm), at least 1, so that the endpoints differ by at most
+    max_step_mm per step in every tendon. The four lengths sit in the last
+    axis; leading axes broadcast over a batch."""
     if max_step_mm <= 0.0:
         raise ValueError(f"max_step_mm must be > 0, got {max_step_mm}")
     biggest = np.abs(np.subtract(stop, start)).max(axis=-1)
     return np.maximum(np.ceil(biggest / max_step_mm), 1.0).astype(int)
-
-
-def interpolate(start: TendonSet, stop: TendonSet, max_step_mm: float = 2.0) -> TendonTrajectory:
-    """March every tendon toward its target at up to max_step_mm per step.
-
-    Steps run at full size with the remainder in the final step; the step
-    count comes from step_count and the last waypoint is exactly `stop`.
-    Equal endpoints give a single waypoint.
-    """
-    a = start.as_tuple()
-    n = int(step_count(a, stop.as_tuple(), max_step_mm))
-    if a == stop.as_tuple():
-        return TendonTrajectory((start,))
-    deltas = [b - v for v, b in zip(a, stop.as_tuple())]
-    points = [start]
-    for k in range(1, n):
-        vals = [
-            v + math.copysign(min(k * max_step_mm, abs(d)), d) for v, d in zip(a, deltas)
-        ]
-        points.append(TendonSet(*vals))
-    points.append(stop)
-    return TendonTrajectory(tuple(points))

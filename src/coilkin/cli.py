@@ -196,12 +196,12 @@ def cmd_explore(args) -> int:
     result = explore_tube(scene, geom, (0.0, 0.0, 0.0), cfg)
     out = _out_dir(args)
     result.log.write(os.path.join(out, "events.csv"))
-    contacts = sum(1 for e in result.events if e.contact)
+    contacts = int(result.contact.sum())
     report = {
         "stop_depth_mm": result.stop_depth_mm,
         "any_contact": result.any_contact,
         "contacts": contacts,
-        "probes": len(result.events),
+        "probes": len(result.contact),
     }
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

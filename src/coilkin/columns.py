@@ -1,12 +1,26 @@
-"""Columns as text: the number format and the row writer of every CSV and PLY table."""
+"""Columns: the node cap of every grid, and as text the number format and
+the row writer of every CSV and PLY table."""
 
 import numpy as np
 
+from .errors import ConfigError
+
+# The node cap of every grid a call builds (scan nodes, workspace samples,
+# explore depth x waypoint tips): a scan peaks at about 400 bytes of arrays
+# per node, a workspace at about 210, so 512 bytes a node fits 1 GiB.
+MEMORY_BUDGET_BYTES = 1 << 30
+MAX_NODES = MEMORY_BUDGET_BYTES // 512
 # Below this many values one repr per value costs less than finding the
 # distinct values first (np.unique has a fixed cost of about 15 us).
 DEDUPE_MIN_SIZE = 128
 # Rows formatted per write, which bounds the text held in memory.
 CHUNK_ROWS = 2048
+
+
+def check_node_count(count, what: str):
+    """ConfigError when `count` (an int, or a float that may be inf) exceeds MAX_NODES."""
+    if not count <= MAX_NODES:
+        raise ConfigError(f"{what} exceeds the cap of {MAX_NODES} nodes")
 
 
 def repr_column(values, nan="nan") -> list:

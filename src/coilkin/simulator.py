@@ -9,30 +9,20 @@ replay identically.
 """
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .actuation import step_count
-from .columns import write_rows
+from .columns import check_node_count, write_rows
 from .errors import ArmTooLowError, ConfigError, SceneError
 from .geometry import RobotGeometry
 from .kinematics import TWO_PI, ArcState, arc_kernel, ik, tendon_lengths
 from .scenes import HeightField, Tube
 
 LOG_HEADER = "step_index,arm_x,arm_y,arm_z,alpha,s,contact,cx,cy,cz"
-
-
-@dataclass(frozen=True)
-class ProbeEvent:
-    """Outcome of one probe: where the arm was, how far the backbone went."""
-
-    arm: tuple
-    alpha: float
-    extension_mm: float
-    contact: bool
-    contact_point: tuple | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,19 +43,6 @@ class ContactCloud:
     ny: int
     step_mm: float
     origin: tuple
-
-    @property
-    def events(self) -> tuple:
-        """One ProbeEvent per node, built from the columns on each access."""
-        return tuple(
-            ProbeEvent(tuple(arm), 0.0, ext, hit, (arm[0], arm[1], z) if hit else None)
-            for arm, ext, hit, z in zip(
-                self.arm.tolist(),
-                self.extension_mm.tolist(),
-                self.contact.tolist(),
-                self.contact_z.tolist(),
-            )
-        )
 
     @property
     def contact_count(self) -> int:
@@ -155,20 +132,13 @@ def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float 
     return s_q, contact, contact_z
 
 
-def probe_vertical(scene: HeightField, arm, geom: RobotGeometry, quantum: float = 0.5) -> ProbeEvent:
-    """One probe of probe_columns at a single arm position."""
-    x, y, z = (float(v) for v in arm)
-    (ext,), (hit,), (contact_z,) = probe_columns(scene, [(x, y, z)], geom, quantum)
-    point = (x, y, float(contact_z)) if hit else None
-    return ProbeEvent((x, y, z), 0.0, float(ext), bool(hit), point)
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Zig-zag X-Y coverage: width x height mm visited in step_mm strides.
 
     arm_z = None drops the floor exactly at full extension reach, which
-    keeps every cell of a desk-scale object measurable.
+    keeps every cell of a desk-scale object measurable. A grid of more than
+    columns.MAX_NODES nodes raises ConfigError.
     """
 
     width: float = 200.0
@@ -184,6 +154,14 @@ class ScanConfig:
         valid = all(map(math.isfinite, values)) and min(self.step_mm, self.quantum) > 0.0
         if not valid or min(self.width, self.height) < 0.0:
             raise ConfigError(f"scan needs finite values, step and quantum > 0, size >= 0: {self}")
+        # A quotient that overflows to inf is rejected before round() sees it.
+        check_node_count(max(self.width, self.height) / self.step_mm, "scan row")
+        check_node_count(math.prod(self.shape), "scan grid")
+
+    @property
+    def shape(self) -> tuple:
+        """(nx, ny): nodes along x and along y."""
+        return round(self.width / self.step_mm) + 1, round(self.height / self.step_mm) + 1
 
 
 def surface_scan(
@@ -201,8 +179,7 @@ def surface_scan(
     the move and the probe; a node too low to probe raises before anything
     is logged.
     """
-    nx = round(cfg.width / cfg.step_mm) + 1
-    ny = round(cfg.height / cfg.step_mm) + 1
+    nx, ny = cfg.shape
     arm_z = cfg.arm_z if cfg.arm_z is not None else geom.s_max + geom.probe_offset
     log = log if log is not None else MissionLog()
     # Row j of the grid runs along +x when j is even and back along -x when odd.
@@ -249,28 +226,41 @@ class ExploreConfig:
             )
 
 
-def radial_scan(
-    scene: Tube,
-    geom: RobotGeometry,
-    arm,
-    cfg: ExploreConfig = ExploreConfig(),
-    log: MissionLog | None = None,
-):
-    """One ring of bend-and-extend probes around the tube axis.
+@dataclass(frozen=True, eq=False)
+class RingPath:
+    """The commanded motion of one ring scan as columns, one row per
+    waypoint with the azimuths back to back.
 
-    For each azimuth the backbone compresses to cfg.compressed_s, then
-    follows the tendon-interpolated path toward the target point
-    (radial*cos(a), radial*sin(a), target_z); waypoint states sweep
-    (theta, s) linearly at the fractions step/n of the n tendon steps
-    (actuation.step_count). The bristle tip is checked against the wall
-    and the obstacle at every waypoint; the first contact stops that
-    azimuth and the backbone re-compresses. The goal tendon sets of the
-    ring are one kernel call and all its waypoints another.
-
-    Returns (events, any_contact).
+    alpha and goal_s are (n,), the azimuths and their goal lengths; starts
+    (n,) holds the first row of each azimuth. row, t, theta and s are (M,),
+    q (M, 4) the tendon lengths and tip (M, 3) the bristle tip's offset from
+    the arm in world axes. The path does not depend on depth, because the
+    arm only translates.
     """
-    log = log if log is not None else MissionLog()
-    arm = tuple(float(v) for v in arm)
+
+    alpha: np.ndarray
+    goal_s: np.ndarray
+    starts: np.ndarray
+    row: np.ndarray
+    t: np.ndarray
+    theta: np.ndarray
+    s: np.ndarray
+    q: np.ndarray
+    tip: np.ndarray
+
+
+def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> RingPath:
+    """Waypoints of the bend-and-extend sweep toward the target point
+    (radial*cos(a), radial*sin(a), target_z) of each of the n azimuths.
+
+    Each azimuth starts compressed to cfg.compressed_s and takes the m
+    steps that actuation.step_count gives between the compressed and the
+    goal tendon sets. Waypoint k sits at t = k/m, linear in (theta, s):
+    theta = t * goal theta, s = compressed_s + t * (goal s - compressed_s).
+    Its tendon set is the servo command of that step; step_count bounds
+    only the change between the endpoints, not between waypoints. One
+    kernel call gives the goal tendon sets and one every waypoint.
+    """
     q_compressed = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), geom)
     alphas = [TWO_PI * k / cfg.n_directions for k in range(cfg.n_directions)]
     goals = [
@@ -280,37 +270,28 @@ def radial_scan(
     goal_alpha, goal_theta, goal_s = np.reshape([(g.alpha, g.theta, g.s) for g in goals], (-1, 3)).T
     goal_q = arc_kernel(goal_alpha, goal_theta, goal_s, geom.d, geom.l).q
     steps = step_count(q_compressed.as_tuple(), goal_q, cfg.max_step_mm)
-    # The waypoints of all azimuths back to back: azimuth k owns the rows
-    # starts[k] .. starts[k] + steps[k], at fractions t = step / steps[k].
-    per_azimuth = steps + 1
-    starts = np.cumsum(per_azimuth) - per_azimuth
-    rows = np.repeat(np.arange(cfg.n_directions), per_azimuth)
-    t = (np.arange(rows.size) - starts[rows]) / steps[rows]
-    s = cfg.compressed_s + t * (goal_s[rows] - cfg.compressed_s)
-    bristle = arc_kernel(np.take(alphas, rows), t * goal_theta[rows], s, geom.d, geom.probe_offset)
-    tips = np.add(arm, bristle.e * (1.0, -1.0, -1.0))  # world = arm + (x, -y, -z)
-    touch = np.hypot(tips[:, 0] - arm[0], tips[:, 1] - arm[1]) >= scene.inner_radius_mm
-    if scene.obstacle is not None:
-        touch |= scene.obstacle.contains(tips)
-    # First touching waypoint of each azimuth, or the row past its last one.
-    first = np.minimum.reduceat(np.where(touch, np.arange(rows.size), rows.size), starts)
-    contact = first < starts + per_azimuth
-    first = np.where(contact, first, 0)
-    ext = np.where(contact, s[first], goal_s)
-    points = np.where(contact[:, None], tips[first], np.nan)
-    log.add_block(arm, alphas, ext, contact, points)
-    events = [
-        ProbeEvent(arm, alpha, e, hit, tuple(p) if hit else None)
-        for alpha, e, hit, p in zip(alphas, ext.tolist(), contact.tolist(), points.tolist())
-    ]
-    return events, bool(contact.any())
+    starts = np.cumsum(steps + 1) - (steps + 1)
+    row = np.repeat(np.arange(cfg.n_directions), steps + 1)
+    t = (np.arange(row.size) - starts[row]) / steps[row]
+    theta = t * goal_theta[row]
+    s = cfg.compressed_s + t * (goal_s[row] - cfg.compressed_s)
+    kin = arc_kernel(np.take(alphas, row), theta, s, geom.d, geom.probe_offset)
+    # Frame D point (x, y, z) sits at arm + (x, -y, -z).
+    return RingPath(np.array(alphas), goal_s, starts, row, t, theta, s, kin.q, kin.e * (1.0, -1.0, -1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExploreResult:
+    """A mission's outcome; the probe columns hold one row per azimuth of
+    every ring scanned, ring by ring: alpha, extension_mm and contact are
+    (N,), contact_point (N, 3) is NaN without contact."""
+
     stop_depth_mm: float
     any_contact: bool
-    events: tuple
+    alpha: np.ndarray
+    extension_mm: np.ndarray
+    contact: np.ndarray
+    contact_point: np.ndarray
     log: MissionLog
 
 
@@ -323,28 +304,58 @@ def explore_tube(
 ) -> ExploreResult:
     """Descend in fixed steps, ring-scanning after each step.
 
-    The first scan that reports any contact still runs to completion; the
-    arm then returns to its start and the mission stops with the
-    cumulative descent as stop depth. Without contact the arm performs
-    max_steps descents for a stop depth of max_steps * descent_step.
+    Every ring follows ring_path, built once and translated to each depth,
+    the running sum of descent steps. A waypoint touches where its bristle
+    tip reaches the wall radius or lies in the obstacle; every depth is
+    tested in one array pass (at most columns.MAX_NODES depth x waypoint
+    tips). In the first ring that touches, each azimuth stops at its first
+    touching waypoint; the arm then returns to its start and the mission
+    stops with that depth. Without contact the arm performs max_steps
+    descents. The log holds, per ring, the compressed descent and one row
+    per azimuth, then the return.
     """
     if not isinstance(scene, Tube):
         raise SceneError("tube exploration needs a tube scene")
+    try:
+        origin = tuple(float(v) for v in start)
+    except (TypeError, ValueError):
+        origin = ()
+    if len(origin) != 3 or not all(map(math.isfinite, origin)):
+        raise ConfigError(f"explore start must be three finite numbers, got {start!r}")
     log = log if log is not None else MissionLog()
-    start = tuple(float(v) for v in start)
-    all_events = []
-    depth = 0.0
-    for _ in range(cfg.max_steps):
-        depth += cfg.descent_step
-        arm = (start[0], start[1], start[2] - depth)
+    path = ring_path(geom, cfg)
+    check_node_count(cfg.max_steps * len(path.t), "explore depth pass")
+    depths = list(itertools.accumulate(itertools.repeat(cfg.descent_step, cfg.max_steps)))
+    arms = np.empty((cfg.max_steps, 3))
+    arms[:, :2] = origin[:2]
+    arms[:, 2] = origin[2] - np.array(depths)
+    tips = arms[:, None, :] + path.tip
+    # The wall test does not depend on depth; the obstacle test does.
+    wall = np.hypot(tips[0, :, 0] - origin[0], tips[0, :, 1] - origin[1]) >= scene.inner_radius_mm
+    touch = np.broadcast_to(wall, tips.shape[:2])
+    if scene.obstacle is not None:
+        touch = touch | scene.obstacle.contains(tips)
+    hit = touch.any(axis=1)
+    any_contact = bool(hit.any())
+    rings = int(hit.argmax()) + 1 if any_contact else cfg.max_steps
+    # First touching waypoint of each azimuth in each ring, or the row past
+    # the last; only the last ring scanned can touch.
+    m = len(path.t)
+    first = np.minimum.reduceat(np.where(touch[:rings], np.arange(m), m), path.starts, axis=1)
+    contact = first < m
+    first = np.where(contact, first, 0)
+    ext = np.where(contact, path.s[first], path.goal_s)
+    points = np.where(contact[..., None], tips[np.arange(rings)[:, None], first], np.nan)
+    for k in range(rings):
         # Descend compressed; the backbone never moves with the arm extended.
-        log.add(arm, 0.0, cfg.compressed_s)
-        events, hit = radial_scan(scene, geom, arm, cfg, log)
-        all_events.extend(events)
-        if hit:
-            log.add(start, 0.0, cfg.compressed_s)
-            return ExploreResult(depth, True, tuple(all_events), log)
-    return ExploreResult(depth, False, tuple(all_events), log)
+        log.add(arms[k], 0.0, cfg.compressed_s)
+        log.add_block(arms[k], path.alpha, ext[k], contact[k], points[k])
+    if any_contact:
+        log.add(origin, 0.0, cfg.compressed_s)
+    return ExploreResult(
+        depths[rings - 1], any_contact, np.tile(path.alpha, rings),
+        ext.ravel(), contact.ravel(), points.reshape(-1, 3), log,
+    )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actuation import beyond_servo_range, pulley_angle
-from .columns import write_rows
+from .columns import check_node_count, write_rows
 from .errors import ConfigError, EmptyWorkspaceError
 from .geometry import RobotGeometry
 from .kinematics import HALF_PI, TWO_PI, ArcState, arc_kernel
@@ -67,11 +67,14 @@ def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> Workspace:
     [s_min, s_max] inclusive; alpha is the outer loop, s the inner one.
     Each row holds the spring-top and tip positions plus a feasibility
     verdict: the shortening from the s_max home lengths must fit the servo
-    travel (grid states always satisfy the other bounds).
+    travel (grid states always satisfy the other bounds). A grid of more
+    than columns.MAX_NODES samples raises ConfigError before anything is
+    built.
     """
     n_alpha, n_theta, n_s = grid
     if min(grid) < 1:
         raise ConfigError(f"grid counts must be >= 1, got {grid}")
+    check_node_count(n_alpha * n_theta * n_s, f"workspace grid {grid}")
     alphas = [TWO_PI * k / n_alpha for k in range(n_alpha)]
     thetas = np.linspace(0.0, HALF_PI, n_theta)
     lengths = np.linspace(geom.s_min, geom.s_max, n_s)

@@ -157,7 +157,7 @@ def test_c5_exploration_stop_depths():
         results == {35.0: (40.0, True), 55.0: (60.0, True), 75.0: (80.0, True), 95.0: (100.0, True)}
         and control.stop_depth_mm == 100.0
         and not control.any_contact
-        and sum(e.contact for e in control.events) == 0
+        and not control.contact.any()
         and slowest < 1.0
     )
     report(
@@ -210,7 +210,7 @@ def test_c6_surface_scan_fidelity():
         started = time.perf_counter()
         cloud = surface_scan(scene, GEOM)  # floor exactly reachable
         slowest = max(slowest, time.perf_counter() - started)
-        assert len(cloud.events) == 441
+        assert len(cloud.contact) == 441
         hmap = reconstruct(cloud)
         bad = 0
         total = 0

@@ -1,4 +1,4 @@
-"""Servo mapping and trajectory interpolation."""
+"""Servo mapping, the servo bound and the step rule."""
 
 import math
 from dataclasses import replace
@@ -11,7 +11,6 @@ from coilkin import (
     RobotGeometry,
     ServoRangeError,
     TendonSet,
-    interpolate,
     max_payout,
     servo_to_tendon,
     tendon_to_servo,
@@ -102,52 +101,27 @@ class TestMaxPayout:
         assert max_payout(replace(GEOM, servo_range=0.0)) == 0.0
 
 
-class TestInterpolate:
-    def test_equal_endpoints_single_waypoint(self):
-        traj = interpolate(HOME, HOME, 2.0)
-        assert traj.waypoints == (HOME,)
-        assert traj.step_count == 1
+class TestStepCount:
+    def test_equal_endpoints_single_step(self):
+        assert step_count(HOME.as_tuple(), HOME.as_tuple(), 2.0) == 1
 
     def test_uniform_compression(self):
-        target = TendonSet(20.0, 20.0, 20.0, 20.0)
-        traj = interpolate(HOME, target, 2.0)
-        assert traj.step_count == 25
-        assert len(traj.waypoints) == 26
-        assert traj.waypoints[0] == HOME
-        assert traj.waypoints[-1] == target
-        for a, b in zip(traj.waypoints, traj.waypoints[1:]):
-            deltas = [y - x for x, y in zip(a.as_tuple(), b.as_tuple())]
-            assert deltas == pytest.approx([-2.0] * 4)
+        assert step_count(HOME.as_tuple(), (20.0, 20.0, 20.0, 20.0), 2.0) == 25
 
-    def test_remainder_in_final_step(self):
-        traj = interpolate(TendonSet(50.0, 60.0, 60.0, 60.0), TendonSet(60.0, 60.0, 60.0, 60.0), 3.0)
-        assert traj.step_count == 4
-        q1s = [w.q1 for w in traj.waypoints]
-        steps = [b - a for a, b in zip(q1s, q1s[1:])]
-        assert steps == pytest.approx([3.0, 3.0, 3.0, 1.0])
+    def test_remainder_takes_a_step(self):
+        assert step_count((50.0, 60.0, 60.0, 60.0), (60.0, 60.0, 60.0, 60.0), 3.0) == 4
 
     @given(start=tendon_sets, stop=tendon_sets, max_step=st.floats(0.1, 10.0))
     @settings(max_examples=200, deadline=None)
-    def test_step_bound_and_exact_endpoints(self, start, stop, max_step):
-        traj = interpolate(start, stop, max_step)
-        assert traj.waypoints[0] == start
-        assert traj.waypoints[-1] == stop
-        for a, b in zip(traj.waypoints, traj.waypoints[1:]):
-            for x, y in zip(a.as_tuple(), b.as_tuple()):
-                assert abs(y - x) <= max_step + 1e-9
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            interpolate(HOME, HOME, 0.0)
+    def test_fewest_steps_within_max_step(self, start, stop, max_step):
+        n = step_count(start.as_tuple(), stop.as_tuple(), max_step)
+        biggest = max(abs(b - a) for a, b in zip(start.as_tuple(), stop.as_tuple()))
+        assert n >= 1
+        assert biggest / n <= max_step * (1 + 1e-12)
+        assert n == 1 or biggest / (n - 1) > max_step * (1 - 1e-12)
 
 
 class TestSharedRules:
-    @given(tendon_sets, tendon_sets, st.floats(0.1, 10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_step_count_matches_interpolate(self, start, stop, step):
-        expected = interpolate(start, stop, step).step_count
-        assert step_count(start.as_tuple(), stop.as_tuple(), step) == expected
-
     def test_step_count_batches(self):
         stops = [(70.0, 70.0, 70.0, 70.0), (60.0, 70.0, 70.0, 70.0), (70.0, 70.0, 70.0, 19.5)]
         assert step_count(HOME.as_tuple(), stops, 2.0).tolist() == [1, 5, 26]

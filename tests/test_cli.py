@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -17,7 +18,13 @@ QUARTER = 44.563384065730695
 SRC = os.path.dirname(os.path.dirname(coilkin.__file__))
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def limit_memory():
+    """Child set-up for the node-cap tests: 1 GiB of address space, so that
+    a grid built by mistake fails with MemoryError instead of filling RAM."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_cli(*args, env_extra=None, cwd=None, timeout=None, preexec_fn=None):
     env = dict(os.environ)
     env.pop("COILKIN_OUT", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -29,6 +36,8 @@ def run_cli(*args, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -201,6 +210,15 @@ class TestWorkspaceCommand:
         assert_rejected_as_input(run_cli("workspace", *count, "--out", out))
         assert not (out / "workspace.csv").exists()
 
+    @pytest.mark.parametrize("count", [("--n-alpha", 10**12), ("--n-s", 10**400)])
+    def test_grid_above_node_cap_exits_2(self, tmp_path, count):
+        # Rejected from the counts alone, before the alpha column is built.
+        out = tmp_path / "ws"
+        proc = run_cli("workspace", *count, "--out", out, timeout=60, preexec_fn=limit_memory)
+        assert_rejected_as_input(proc)
+        assert "cap" in proc.stderr
+        assert not (out / "workspace.csv").exists()
+
     def test_coarse_grid_row_count(self, tmp_path):
         out = tmp_path / "ws"
         proc = run_cli("workspace", "--n-alpha", 1, "--n-theta", 2, "--n-s", 2, "--out", out)
@@ -218,6 +236,15 @@ class TestWorkspaceCommand:
 
 
 class TestScanCommand:
+    @pytest.mark.parametrize("extra", [("--width", "1e308"), ("--step", "0.001")])
+    def test_grid_above_node_cap_exits_2(self, tmp_path, extra):
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        proc = run_cli("scan", "--scene", scene, "--out", out, *extra, timeout=60, preexec_fn=limit_memory)
+        assert_rejected_as_input(proc, out)
+        assert "cap" in proc.stderr
+
     def test_plateau_scan_outputs(self, tmp_path):
         scene = tmp_path / "scene.json"
         write_plateau_scene(scene)

@@ -24,16 +24,19 @@ from coilkin import (
     explore_tube,
     fk_point,
     ik,
-    interpolate,
-    probe_vertical,
-    radial_scan,
+    probe_columns,
     reconstruct,
+    ring_path,
     surface_scan,
     tendon_lengths,
 )
+import coilkin.columns
+import coilkin.kinematics
+import coilkin.simulator
 from coilkin.cli import make_offset_tube
+from coilkin.columns import MAX_NODES
 from coilkin.kinematics import tip_tangent
-from coilkin.simulator import LOG_HEADER
+from coilkin.simulator import LOG_ARM, LOG_CONTACT, LOG_HEADER, LOG_POINT
 
 GEOM = RobotGeometry()
 FLAT = HeightField((0.0, 0.0), 10.0, np.zeros((21, 21)))
@@ -60,59 +63,62 @@ def parse_log_rows(log):
     return rows
 
 
-class TestProbeVertical:
+def probe(scene, arm, quantum=0.5):
+    """probe_columns at one arm position: (extension, contact, contact z)."""
+    (ext,), (hit,), (z,) = probe_columns(scene, [arm], GEOM, quantum)
+    return float(ext), bool(hit), float(z)
+
+
+class TestProbeColumns:
     def test_out_of_reach(self):
-        event = probe_vertical(FLAT, (50.0, 50.0, 200.0), GEOM)
-        assert not event.contact
-        assert event.extension_mm == GEOM.s_max
-        assert event.contact_point is None
+        ext, hit, z = probe(FLAT, (50.0, 50.0, 200.0))
+        assert not hit
+        assert ext == GEOM.s_max
+        assert math.isnan(z)
 
     def test_flat_contact_at_50(self):
-        event = probe_vertical(FLAT, (50.0, 50.0, 156.0), GEOM)
-        assert event.contact
-        assert event.extension_mm == pytest.approx(50.0)
-        assert event.contact_point[2] == pytest.approx(0.0)
+        ext, hit, z = probe(FLAT, (50.0, 50.0, 156.0))
+        assert hit
+        assert ext == pytest.approx(50.0)
+        assert z == pytest.approx(0.0)
 
     def test_contact_at_minimum_extension(self):
-        scene = plateau_scene(30.0)
-        event = probe_vertical(scene, (70.0, 70.0, 156.0), GEOM)
-        assert event.contact
-        assert event.extension_mm == pytest.approx(GEOM.s_min)
-        assert event.contact_point[2] == pytest.approx(30.0)
+        ext, hit, z = probe(plateau_scene(30.0), (70.0, 70.0, 156.0))
+        assert hit
+        assert ext == pytest.approx(GEOM.s_min)
+        assert z == pytest.approx(30.0)
 
     def test_arm_too_low(self):
         scene = plateau_scene(35.0)
         with pytest.raises(ArmTooLowError):
-            probe_vertical(scene, (70.0, 70.0, 156.0), GEOM)
+            probe(scene, (70.0, 70.0, 156.0))
 
     def test_quantization_rounds_up(self):
-        scene = plateau_scene(30.3)
-        event = probe_vertical(scene, (70.0, 70.0, 176.0), GEOM)
+        ext, _, _ = probe(plateau_scene(30.3), (70.0, 70.0, 176.0))
         # exact extension 39.7 mm -> next 0.5 mm grid point 40.0
-        assert event.extension_mm == pytest.approx(40.0)
-        measured = 176.0 - (event.extension_mm + GEOM.probe_offset)
+        assert ext == pytest.approx(40.0)
+        measured = 176.0 - (ext + GEOM.probe_offset)
         assert 30.3 - 0.5 <= measured <= 30.3
 
 
 class TestSurfaceScan:
     def test_empty_scene_control(self):
         cloud = surface_scan(FLAT, GEOM, ScanConfig(arm_z=200.0))
-        assert len(cloud.events) == 441
+        assert len(cloud.contact) == 441
         assert cloud.contact_count == 0
 
     def test_plateau_heights_within_quantum(self):
         scene = plateau_scene(40.0)
         cloud = surface_scan(scene, GEOM)  # floor exactly reachable
         assert cloud.contact_count == 441
-        for event in cloud.events:
-            truth = scene.height_at(event.arm[0], event.arm[1])
-            measured = event.contact_point[2]
+        for (x, y, _), measured in zip(cloud.arm.tolist(), cloud.contact_z.tolist()):
+            truth = scene.height_at(x, y)
             assert truth - 0.5 <= measured <= truth + 1e-9
 
     def test_zig_zag_order(self):
         cloud = surface_scan(FLAT, GEOM, ScanConfig(width=20.0, height=20.0, step_mm=10.0))
-        xs = [e.arm[0] for e in cloud.events]
-        ys = [e.arm[1] for e in cloud.events]
+        xs = cloud.arm[:, 0].tolist()
+        ys = cloud.arm[:, 1].tolist()
         assert xs == [0.0, 10.0, 20.0, 20.0, 10.0, 0.0, 0.0, 10.0, 20.0]
         assert ys == [0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 20.0, 20.0, 20.0]
 
@@ -134,18 +140,18 @@ class TestSurfaceScan:
         # Arm at 191 mm: cells of height >= 15 are reachable, the floor is not.
         scene = plateau_scene(30.0, 4, 9, 4, 9)
         cloud = surface_scan(scene, GEOM, ScanConfig(arm_z=191.0))
-        for event in cloud.events:
-            reachable = scene.height_at(event.arm[0], event.arm[1]) >= 191.0 - GEOM.probe_offset - GEOM.s_max
-            assert event.contact == reachable
+        for (x, y, _), contact in zip(cloud.arm.tolist(), cloud.contact.tolist()):
+            reachable = scene.height_at(x, y) >= 191.0 - GEOM.probe_offset - GEOM.s_max
+            assert contact == reachable
         assert cloud.contact_count == 25
 
     def test_box_scene_single_component(self):
         scene = plateau_scene(25.0, 8, 14, 9, 12)  # board-eraser proportions
         cloud = surface_scan(scene, GEOM)
         tall = {
-            (round(e.arm[0]), round(e.arm[1]))
-            for e in cloud.events
-            if e.contact and e.contact_point[2] > 12.5
+            (round(x), round(y))
+            for (x, y, _), z in zip(cloud.arm.tolist(), cloud.contact_z.tolist())
+            if z > 12.5  # NaN, no contact, compares False
         }
         # flood fill oracle: the thresholded map must be one connected blob
         components = 0
@@ -182,9 +188,19 @@ class TestScanConfig:
         with pytest.raises(ConfigError):
             ScanConfig(**fields)
 
+    def test_node_cap(self):
+        # Checked from the configuration; nothing is allocated.
+        assert ScanConfig(width=MAX_NODES - 1.0, height=0.0, step_mm=1.0).shape == (MAX_NODES, 1)
+        # 1e308 / 1e-300 overflows to inf, which round() cannot take.
+        too_big = ({"width": MAX_NODES}, {"width": 1e308}, {"width": 1e308, "step_mm": 1e-300},
+                   {"width": 2000.0, "height": 2000.0})
+        for fields in too_big:
+            with pytest.raises(ConfigError, match="cap"):
+                ScanConfig(**{"height": 0.0, "step_mm": 1.0, **fields})
+
     def test_zero_extent_is_one_node(self):
         cloud = surface_scan(FLAT, GEOM, ScanConfig(width=0.0, height=0.0))
-        assert len(cloud.events) == 1
+        assert len(cloud.contact) == 1
 
 
 class TestExploreConfig:
@@ -312,8 +328,9 @@ def test_array_scan_matches_node_loop(
     assert cloud.extension_mm.tolist() == list(extension)
     assert cloud.contact.tolist() == list(contact)
     np.testing.assert_array_equal(cloud.contact_z, [np.nan if z is None else z for z in contact_z])
-    assert [(e.arm, e.extension_mm, e.contact) for e in cloud.events] == [e[:3] for e in expected]
-    assert log.to_csv() == expected_csv
+    # Line lists, not one string: a failing 3,362-row example then reports
+    # its first differing line at once instead of diffing the whole text.
+    assert log.to_csv().splitlines(keepends=True) == expected_csv.splitlines(keepends=True)
     if cloud.contact_count:
         np.testing.assert_array_equal(reconstruct(cloud).heights, reference_heights(expected, cfg))
     else:
@@ -321,77 +338,175 @@ def test_array_scan_matches_node_loop(
             reconstruct(cloud)
 
 
-class TestRadialScan:
+ONE_RING = ExploreConfig(max_steps=1)
+
+
+def one_ring(scene):
+    """A mission of one ring scan with the arm at the origin."""
+    return explore_tube(scene, GEOM, (0.0, 0.0, ONE_RING.descent_step), ONE_RING)
+
+
+class TestOneRing:
     def test_clear_tube_no_contacts(self):
-        events, hit = radial_scan(Tube(174.0), GEOM, (0.0, 0.0, 0.0))
-        assert len(events) == 8
-        assert not hit
-        assert all(not e.contact for e in events)
+        result = one_ring(Tube(174.0))
+        assert len(result.alpha) == 8
+        assert not result.any_contact
+        assert not result.contact.any()
+        assert np.isnan(result.contact_point).all()
         # tip never gets near the wall: extension targets reach ~65 mm radially
-        assert all(e.extension_mm == pytest.approx(62.46955909735036) for e in events)
+        assert result.extension_mm == pytest.approx([62.46955909735036] * 8)
 
     def test_cube_seen_only_on_facing_azimuth(self):
         # cube straddles the +x scan path, in depth range of the sweep
-        scene = Tube(174.0, Cube((45.0, 0.0, -176.0), 40.0))
-        events, hit = radial_scan(scene, GEOM, (0.0, 0.0, 0.0))
-        assert hit
-        by_alpha = {round(math.degrees(e.alpha)): e.contact for e in events}
+        result = one_ring(Tube(174.0, Cube((45.0, 0.0, -176.0), 40.0)))
+        assert result.any_contact
+        by_alpha = dict(zip(np.round(np.degrees(result.alpha)).tolist(), result.contact.tolist()))
         assert by_alpha[0]
         assert not by_alpha[180]
         assert not by_alpha[90]
         assert not by_alpha[45]
 
     def test_contact_stops_extension_early(self):
-        scene = Tube(174.0, Cube((45.0, 0.0, -176.0), 40.0))
-        events, _ = radial_scan(scene, GEOM, (0.0, 0.0, 0.0))
-        hit = [e for e in events if e.contact][0]
-        assert hit.extension_mm < 62.4  # stopped mid-extension
-        assert hit.contact_point is not None
+        result = one_ring(Tube(174.0, Cube((45.0, 0.0, -176.0), 40.0)))
+        k = np.flatnonzero(result.contact)[0]
+        assert result.extension_mm[k] < 62.4  # stopped mid-extension
+        assert np.isfinite(result.contact_point[k]).all()
 
     def test_narrow_tube_wall_contact(self):
-        events, hit = radial_scan(Tube(40.0), GEOM, (0.0, 0.0, 0.0))
-        assert hit
-        assert all(e.contact for e in events)  # every azimuth reaches the wall
+        result = one_ring(Tube(40.0))
+        assert result.any_contact
+        assert result.contact.all()  # every azimuth reaches the wall
 
 
-def reference_ring(scene, geom, arm, cfg=ExploreConfig()):
-    """radial_scan as a per-waypoint loop over the scalar API, stopping at
-    the first waypoint whose bristle tip touches the wall or the obstacle."""
-    q0 = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), GEOM)
-    events = []
-    for k in range(cfg.n_directions):
-        alpha = 2.0 * math.pi * k / cfg.n_directions
-        radial = cfg.target_radial
-        goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), geom)
-        n = interpolate(q0, tendon_lengths(goal, geom), cfg.max_step_mm).step_count
-        event = (alpha, goal.s, False, None)
-        for step in range(n + 1):
-            t = step / n
-            s = cfg.compressed_s + t * (goal.s - cfg.compressed_s)
-            state = ArcState.from_arc(alpha, t * goal.theta, s)
-            d = fk_point(state, geom) + geom.probe_offset * tip_tangent(state)
-            tip = (arm[0] + d[0], arm[1] - d[1], arm[2] - d[2])
-            wall = math.hypot(tip[0] - arm[0], tip[1] - arm[1]) >= scene.inner_radius_mm
-            if wall or (scene.obstacle is not None and scene.obstacle.contains(tip)):
-                event = (alpha, state.s, True, tip)
-                break
-        events.append(event)
-    return events
+class TestRingPath:
+    def test_waypoints_match_scalar_loop(self):
+        cfg = ExploreConfig()
+        path = ring_path(GEOM, cfg)
+        q0 = (cfg.compressed_s,) * 4
+        expected = []
+        for k in range(cfg.n_directions):
+            alpha = 2.0 * math.pi * k / cfg.n_directions
+            radial = cfg.target_radial
+            goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), GEOM)
+            q1 = tendon_lengths(goal, GEOM).as_tuple()
+            m = max(1, math.ceil(max(abs(b - a) for a, b in zip(q0, q1)) / cfg.max_step_mm))
+            for j in range(m + 1):
+                t = j / m
+                s = cfg.compressed_s + t * (goal.s - cfg.compressed_s)
+                expected.append((k, t, t * goal.theta, s))
+        columns = zip(path.row.tolist(), path.t.tolist(), path.theta.tolist(), path.s.tolist())
+        assert list(columns) == expected
+        for (k, _, theta, s), q, tip in zip(expected, path.q, path.tip):
+            state = ArcState.from_arc(path.alpha[k], theta, s)
+            d = fk_point(state, GEOM) + GEOM.probe_offset * tip_tangent(state)
+            assert tip == pytest.approx((d[0], -d[1], -d[2]), abs=1e-9)
+            assert q == pytest.approx(tendon_lengths(state, GEOM).as_tuple(), abs=1e-9)
+
+    def test_default_servo_step_within_max_step(self):
+        path = ring_path(GEOM)
+        same_azimuth = path.row[1:] == path.row[:-1]
+        steps = np.abs(np.diff(path.q, axis=0))[same_azimuth]
+        assert steps.max() == pytest.approx(1.962, abs=5e-4)
+        assert steps.max() <= ExploreConfig().max_step_mm
 
 
+def reference_mission(scene, geom, start, cfg):
+    """explore_tube as a per-depth, per-waypoint loop over the scalar API:
+    the probe rows (alpha, extension, contact, point or None), the log rows
+    (arm, alpha, s, contact, point or None) and the stop depth."""
+    q0 = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), geom).as_tuple()
+    probes, log, depth = [], [], 0.0
+    for _ in range(cfg.max_steps):
+        depth += cfg.descent_step
+        arm = (start[0], start[1], start[2] - depth)
+        log.append((arm, 0.0, cfg.compressed_s, False, None))
+        ring = []
+        for k in range(cfg.n_directions):
+            alpha = 2.0 * math.pi * k / cfg.n_directions
+            radial = cfg.target_radial
+            goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), geom)
+            q1 = tendon_lengths(goal, geom).as_tuple()
+            n = max(1, math.ceil(max(abs(b - a) for a, b in zip(q0, q1)) / cfg.max_step_mm))
+            probe = (alpha, goal.s, False, None)
+            for step in range(n + 1):
+                t = step / n
+                s = cfg.compressed_s + t * (goal.s - cfg.compressed_s)
+                state = ArcState.from_arc(alpha, t * goal.theta, s)
+                d = fk_point(state, geom) + geom.probe_offset * tip_tangent(state)
+                tip = (arm[0] + d[0], arm[1] - d[1], arm[2] - d[2])
+                wall = math.hypot(tip[0] - arm[0], tip[1] - arm[1]) >= scene.inner_radius_mm
+                if wall or (scene.obstacle is not None and scene.obstacle.contains(tip)):
+                    probe = (alpha, state.s, True, tip)
+                    break
+            ring.append(probe)
+            log.append((arm, *probe))
+        probes += ring
+        if any(p[2] for p in ring):
+            log.append((start, 0.0, cfg.compressed_s, False, None))
+            break
+    return probes, log, depth
+
+
+def assert_points(actual, expected):
+    """(N, 3) points against a list of points or None (NaN rows)."""
+    nan = (math.nan,) * 3
+    np.testing.assert_allclose(
+        actual, [nan if p is None else p for p in expected], rtol=0, atol=1e-9
+    )
+
+
+# descent_step 0.1 over 12 steps: the running sum, not k * 0.1, sets each depth.
+FINE = ExploreConfig(descent_step=0.1, max_steps=12)
+CONFIGS = {"default": ExploreConfig(), "fine": FINE}
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+# Offset 2.75 stops FINE at depth 0.8999999999999999 (9 * 0.1 is 0.9).
+@pytest.mark.parametrize("offset", [2.75, 10.0, 35.0, 55.0, 75.0, 95.0, 130.0])
 @pytest.mark.parametrize("radius", [40.0, 60.0, 80.0, 174.0])
-@pytest.mark.parametrize("offset", [10.0, 35.0, 55.0, 75.0, 95.0, 130.0])
-def test_batched_ring_matches_waypoint_loop(radius, offset):
+def test_mission_matches_scalar_loop(radius, offset, config):
+    cfg = CONFIGS[config]
     scene = make_offset_tube(offset, GEOM, inner_radius_mm=radius)
-    for depth in (20.0, 60.0, 100.0):
-        arm = (1.5, -2.0, -depth)
-        events, hit = radial_scan(scene, GEOM, arm)
-        expected = reference_ring(scene, GEOM, arm)
-        assert hit == any(e[2] for e in expected)
-        for event, (alpha, ext, contact, point) in zip(events, expected, strict=True):
-            assert (event.alpha, event.extension_mm, event.contact) == (alpha, ext, contact)
-            if contact:
-                assert event.contact_point == pytest.approx(point, abs=1e-9)
+    start = (1.5, -2.0, 3.25)
+    result = explore_tube(scene, GEOM, start, cfg)
+    probes, log, depth = reference_mission(scene, GEOM, start, cfg)
+    assert result.stop_depth_mm == depth
+    assert result.any_contact == any(p[2] for p in probes)
+    alpha, ext, contact, points = zip(*probes)
+    assert result.alpha.tolist() == list(alpha)
+    assert result.extension_mm.tolist() == list(ext)
+    assert result.contact.tolist() == list(contact)
+    assert_points(result.contact_point, points)
+    rows = result.log.rows
+    assert rows[:, LOG_ARM].tolist() == [list(r[0]) for r in log]
+    assert rows[:, LOG_ARM.stop:LOG_CONTACT + 1].tolist() == [[r[1], r[2], float(r[3])] for r in log]
+    assert_points(rows[:, LOG_POINT], [r[4] for r in log])
+
+
+@pytest.mark.parametrize(
+    "scene,rings",
+    [(Tube(40.0), 1), (make_offset_tube(35.0, GEOM), 2), (make_offset_tube(95.0, GEOM), 5),
+     (Tube(174.0), 5)],
+)
+@pytest.mark.parametrize("n_directions", [8, 5])
+def test_one_path_per_mission(monkeypatch, scene, rings, n_directions):
+    """ik runs once per azimuth and the kernel three times, however deep."""
+    calls = {"ik": 0, "arc_kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    kernel = counted("arc_kernel", coilkin.kinematics.arc_kernel)
+    monkeypatch.setattr(coilkin.kinematics, "arc_kernel", kernel)
+    monkeypatch.setattr(coilkin.simulator, "arc_kernel", kernel)
+    monkeypatch.setattr(coilkin.simulator, "ik", counted("ik", coilkin.simulator.ik))
+    result = explore_tube(scene, GEOM, cfg=ExploreConfig(n_directions=n_directions))
+    assert len(result.alpha) == rings * n_directions
+    assert calls == {"ik": n_directions, "arc_kernel": 3}
 
 
 class TestExploreTube:
@@ -409,8 +524,10 @@ class TestExploreTube:
         result = explore_tube(Tube(174.0), GEOM)
         assert result.stop_depth_mm == 100.0
         assert not result.any_contact
-        assert sum(1 for e in result.events if e.contact) == 0
-        assert len(result.events) == 5 * 8
+        assert not result.contact.any()
+        assert len(result.alpha) == len(result.extension_mm) == len(result.contact) == 5 * 8
+        assert result.contact_point.shape == (5 * 8, 3)
+        assert np.isnan(result.contact_point).all()
 
     def test_obstacle_below_reach(self):
         result = explore_tube(make_offset_tube(120.0, GEOM), GEOM)
@@ -423,6 +540,24 @@ class TestExploreTube:
             for off in (10.0, 30.0, 50.0, 70.0, 90.0, 110.0)
         ]
         assert stops == sorted(stops)
+
+    @pytest.mark.parametrize(
+        "start", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0), (1.0, 2.0, 3.0, 4.0), "abc", None]
+    )
+    def test_rejects_bad_start(self, start):
+        log = MissionLog()
+        with pytest.raises(ConfigError, match="start"):
+            explore_tube(Tube(174.0), GEOM, start, log=log)
+        assert len(log.rows) == 0
+
+    def test_depth_pass_is_capped(self, monkeypatch):
+        # Checked before the (depth, waypoint) tips array is built; a lowered
+        # cap, so that a missing check cannot allocate much.
+        tips = 5 * len(ring_path(GEOM).t)
+        monkeypatch.setattr(coilkin.columns, "MAX_NODES", tips)
+        assert explore_tube(Tube(174.0), GEOM).stop_depth_mm == 100.0
+        with pytest.raises(ConfigError, match="explore depth pass"):
+            explore_tube(Tube(174.0), GEOM, cfg=ExploreConfig(max_steps=6))
 
     def test_arm_moves_only_compressed(self):
         result = explore_tube(make_offset_tube(55.0, GEOM), GEOM)

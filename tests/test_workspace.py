@@ -20,6 +20,7 @@ from coilkin import (
     tendon_to_servo,
     workspace_extents,
 )
+import coilkin.columns
 from coilkin.workspace import REASON_OK, REASON_SERVO, write_csv, write_ply
 
 GEOM = RobotGeometry()
@@ -209,3 +210,12 @@ def test_csv_matches_per_row_writer(tmp_path, grid, servo_range):
 def test_bad_grid():
     with pytest.raises(ConfigError):
         sample_workspace(GEOM, (0, 1, 1))
+
+
+def test_node_cap(monkeypatch):
+    # A lowered cap, so that a missing check cannot allocate much.
+    monkeypatch.setattr(coilkin.columns, "MAX_NODES", 100)
+    assert len(sample_workspace(GEOM, (10, 5, 2))) == 100
+    for grid in [(101, 1, 1), (10, 5, 3), (10**12, 19, 11)]:
+        with pytest.raises(ConfigError, match="cap"):
+            sample_workspace(GEOM, grid)
