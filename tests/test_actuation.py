@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from coilkin import (
     tendon_to_servo,
 )
 from coilkin.actuation import beyond_servo_range, pulley_angle, step_count
+from coilkin.kinematics import ArcState, ik, tendon_lengths
+from coilkin.simulator import ExploreConfig, ring_path
 
 GEOM = RobotGeometry()
 HOME = TendonSet(70.0, 70.0, 70.0, 70.0)
@@ -122,6 +125,22 @@ class TestStepCount:
 
 
 class TestSharedRules:
+    @given(st.floats(0.1, 10.0), st.floats(0.0, 25.0))
+    @settings(max_examples=50, deadline=None)
+    def test_step_count_matches_interpolate(self, step, radial):
+        """The ring path interpolates each azimuth from the compressed to the
+        goal tendon set in step_count steps, endpoints exact."""
+        cfg = ExploreConfig(max_step_mm=step, target_radial=radial)
+        path = ring_path(GEOM, cfg)
+        q0 = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), GEOM).as_tuple()
+        ends = np.append(path.starts[1:], len(path.t)) - 1
+        for k, alpha in enumerate(path.alpha.tolist()):
+            goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), GEOM)
+            q1 = tendon_lengths(goal, GEOM).as_tuple()
+            assert ends[k] - path.starts[k] == step_count(q0, q1, step)
+            assert path.q[path.starts[k]] == pytest.approx(q0, abs=1e-9)
+            assert path.q[ends[k]] == pytest.approx(q1, abs=1e-9)
+
     def test_step_count_batches(self):
         stops = [(70.0, 70.0, 70.0, 70.0), (60.0, 70.0, 70.0, 70.0), (70.0, 70.0, 70.0, 19.5)]
         assert step_count(HOME.as_tuple(), stops, 2.0).tolist() == [1, 5, 26]

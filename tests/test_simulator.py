@@ -69,7 +69,9 @@ def probe(scene, arm, quantum=0.5):
     return float(ext), bool(hit), float(z)
 
 
-class TestProbeColumns:
+class TestProbeVertical:
+    """The vertical probe at one arm position, through probe_columns."""
+
     def test_out_of_reach(self):
         ext, hit, z = probe(FLAT, (50.0, 50.0, 200.0))
         assert not hit
@@ -346,7 +348,9 @@ def one_ring(scene):
     return explore_tube(scene, GEOM, (0.0, 0.0, ONE_RING.descent_step), ONE_RING)
 
 
-class TestOneRing:
+class TestRadialScan:
+    """One ring of radial probes: a mission of one ring."""
+
     def test_clear_tube_no_contacts(self):
         result = one_ring(Tube(174.0))
         assert len(result.alpha) == 8
@@ -457,30 +461,30 @@ def assert_points(actual, expected):
 
 # descent_step 0.1 over 12 steps: the running sum, not k * 0.1, sets each depth.
 FINE = ExploreConfig(descent_step=0.1, max_steps=12)
-CONFIGS = {"default": ExploreConfig(), "fine": FINE}
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("radius", [40.0, 60.0, 80.0, 174.0])
 # Offset 2.75 stops FINE at depth 0.8999999999999999 (9 * 0.1 is 0.9).
 @pytest.mark.parametrize("offset", [2.75, 10.0, 35.0, 55.0, 75.0, 95.0, 130.0])
-@pytest.mark.parametrize("radius", [40.0, 60.0, 80.0, 174.0])
-def test_mission_matches_scalar_loop(radius, offset, config):
-    cfg = CONFIGS[config]
+def test_batched_ring_matches_waypoint_loop(radius, offset):
+    """Every ring of a mission, batched over depths, against the scalar loop,
+    with the default config and FINE."""
     scene = make_offset_tube(offset, GEOM, inner_radius_mm=radius)
     start = (1.5, -2.0, 3.25)
-    result = explore_tube(scene, GEOM, start, cfg)
-    probes, log, depth = reference_mission(scene, GEOM, start, cfg)
-    assert result.stop_depth_mm == depth
-    assert result.any_contact == any(p[2] for p in probes)
-    alpha, ext, contact, points = zip(*probes)
-    assert result.alpha.tolist() == list(alpha)
-    assert result.extension_mm.tolist() == list(ext)
-    assert result.contact.tolist() == list(contact)
-    assert_points(result.contact_point, points)
-    rows = result.log.rows
-    assert rows[:, LOG_ARM].tolist() == [list(r[0]) for r in log]
-    assert rows[:, LOG_ARM.stop:LOG_CONTACT + 1].tolist() == [[r[1], r[2], float(r[3])] for r in log]
-    assert_points(rows[:, LOG_POINT], [r[4] for r in log])
+    for cfg in (ExploreConfig(), FINE):
+        result = explore_tube(scene, GEOM, start, cfg)
+        probes, log, depth = reference_mission(scene, GEOM, start, cfg)
+        assert result.stop_depth_mm == depth
+        assert result.any_contact == any(p[2] for p in probes)
+        alpha, ext, contact, points = zip(*probes)
+        assert result.alpha.tolist() == list(alpha)
+        assert result.extension_mm.tolist() == list(ext)
+        assert result.contact.tolist() == list(contact)
+        assert_points(result.contact_point, points)
+        rows = result.log.rows
+        assert rows[:, LOG_ARM].tolist() == [list(r[0]) for r in log]
+        assert rows[:, LOG_ARM.stop:LOG_CONTACT + 1].tolist() == [[r[1], r[2], float(r[3])] for r in log]
+        assert_points(rows[:, LOG_POINT], [r[4] for r in log])
 
 
 @pytest.mark.parametrize(
