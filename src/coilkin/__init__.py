@@ -49,11 +49,10 @@ from .simulator import (
     ExploreConfig,
     ExploreResult,
     MissionLog,
-    PressureSynth,
     RingPath,
     ScanConfig,
-    detect_contact,
     explore_tube,
+    pressure_detections,
     probe_columns,
     ring_path,
     surface_scan,

@@ -93,8 +93,9 @@ def step_count(start, stop, max_step_mm: float):
     """Step count from start to stop: ceil(largest |stop - start| /
     max_step_mm), at least 1, so that the endpoints differ by at most
     max_step_mm per step in every tendon. The four lengths sit in the last
-    axis; leading axes broadcast over a batch."""
+    axis; leading axes broadcast over a batch. Counts are whole floats, so
+    a caller can check one too large for an int (or inf) before casting."""
     if max_step_mm <= 0.0:
         raise ValueError(f"max_step_mm must be > 0, got {max_step_mm}")
     biggest = np.abs(np.subtract(stop, start)).max(axis=-1)
-    return np.maximum(np.ceil(biggest / max_step_mm), 1.0).astype(int)
+    return np.maximum(np.ceil(biggest / max_step_mm), 1.0)

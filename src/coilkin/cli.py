@@ -17,7 +17,7 @@ import numpy as np
 
 from .actuation import max_payout
 from .columns import write_rows
-from .errors import CoilkinError, ConfigError, SceneError
+from .errors import CoilkinError, ConfigError
 from .geometry import RobotGeometry
 from .kinematics import ArcState, fk_point, fk_tip, ik, tendon_lengths
 from .perception import reconstruct, to_feature
@@ -25,10 +25,9 @@ from .scenes import Cube, Tube, load_scene
 from .simulator import (
     ExploreConfig,
     MissionLog,
-    PressureSynth,
     ScanConfig,
-    detect_contact,
     explore_tube,
+    pressure_detections,
     surface_scan,
 )
 from .workspace import sample_workspace, workspace_extents, write_csv, write_ply
@@ -138,12 +137,14 @@ def cmd_scan(args) -> int:
     )
     log = MissionLog()
     cloud = surface_scan(scene, geom, cfg, log)
+    if args.pressure_synth:  # before any output, so that a bad seed writes nothing
+        detected = pressure_detections(cloud.contact, args.seed, geom.contact_threshold)
     out = _out_dir(args)
     outputs = ["events.csv"]
     log.write(os.path.join(out, "events.csv"))
     if args.pressure_synth:
         outputs.append("pressure.csv")
-        _write_pressure(os.path.join(out, "pressure.csv"), cloud, geom, args.seed)
+        _write_pressure(os.path.join(out, "pressure.csv"), cloud.contact, detected)
     if cloud.contact_count > 0:
         hmap = reconstruct(cloud)
         hmap.write_csv(os.path.join(out, "heightmap.csv"))
@@ -157,18 +158,13 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _write_pressure(path, cloud, geom, seed):
-    """Synthesized pressure trace check per probe: a step on contact events."""
-    synth = PressureSynth(seed=seed or 0)
-    detected = []
-    for idx, contact in enumerate(cloud.contact.tolist()):
-        trace = replace(synth, seed=(seed or 0) + idx).trace(16, contact_at=8 if contact else None)
-        hit = detect_contact(trace, synth.baseline_hpa, geom.contact_threshold)
-        detected.append("" if hit is None else hit)
+def _write_pressure(path, contact, detected):
+    """Per probe its contact flag and the sample at which its synthetic
+    pressure trace crossed the threshold, empty where it never did."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("event_index,contact,detected_sample\n")
-        flags = np.where(cloud.contact, "1", "0")
-        write_rows(fh, [np.arange(len(detected)), flags, np.array(detected, dtype=str)])
+        hit = np.where(detected >= 0, detected.astype(str), "")
+        write_rows(fh, [np.arange(len(hit)), np.where(contact, "1", "0"), hit])
 
 
 def make_offset_tube(offset_mm: float, geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig(),
@@ -185,8 +181,6 @@ def cmd_explore(args) -> int:
     cfg = ExploreConfig()
     if args.scene:
         scene = load_scene(args.scene)
-        if not isinstance(scene, Tube):
-            raise SceneError("explore needs a tube scene")
     elif args.no_obstacle:
         scene = Tube(args.tube_radius)
     elif args.obstacle_offset is not None:
@@ -217,7 +211,6 @@ def _add_geometry_arg(parser):
 
 def _add_out_args(parser):
     parser.add_argument("--out", default="coilkin_out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed for the optional noise synthesizer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arm-z", type=float, default=None, help="arm height, mm (default: floor reach)")
     p.add_argument("--quantum", type=float, default=0.5, help="probe extension step, mm")
     p.add_argument("--pressure-synth", action="store_true", help="emit synthetic pressure checks")
+    p.add_argument("--seed", type=int, default=None, help="seed of the pressure synthesizer (default 0)")
     _add_geometry_arg(p)
     _add_out_args(p)
     p.set_defaults(func=cmd_scan)

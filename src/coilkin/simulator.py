@@ -39,8 +39,6 @@ class ContactCloud:
     extension_mm: np.ndarray
     contact: np.ndarray
     contact_z: np.ndarray
-    nx: int
-    ny: int
     step_mm: float
     origin: tuple
 
@@ -200,12 +198,13 @@ def surface_scan(
         np.column_stack([np.zeros_like(contact), contact]).ravel(),
         np.stack([np.full_like(points, np.nan), points], axis=1).reshape(-1, 3),
     )
-    return ContactCloud(arms, ext, contact, contact_z, nx, ny, cfg.step_mm, cfg.origin)
+    return ContactCloud(arms, ext, contact, contact_z, cfg.step_mm, cfg.origin)
 
 
 @dataclass(frozen=True)
 class ExploreConfig:
-    """Tube exploration parameters: descent schedule and ring-scan targets."""
+    """Tube exploration parameters: descent schedule and ring-scan targets;
+    max_steps and n_directions are ints >= 1."""
 
     descent_step: float = 20.0
     max_steps: int = 5
@@ -216,14 +215,13 @@ class ExploreConfig:
     max_step_mm: float = 2.0
 
     def __post_init__(self):
-        values = (self.descent_step, self.max_steps, self.compressed_s, self.target_radial,
-                  self.target_z, self.n_directions, self.max_step_mm)
-        valid = all(map(math.isfinite, values)) and min(self.max_steps, self.n_directions) >= 1
-        if not valid or min(self.descent_step, self.max_step_mm) <= 0.0:
-            raise ConfigError(
-                f"explore needs finite values, max_steps and n_directions >= 1, "
-                f"descent_step and max_step_mm > 0: {self}"
-            )
+        counts = (self.max_steps, self.n_directions)
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in counts):
+            raise ConfigError(f"explore needs integer max_steps and n_directions >= 1: {self}")
+        values = (self.descent_step, self.compressed_s, self.target_radial, self.target_z,
+                  self.max_step_mm)
+        if not all(map(math.isfinite, values)) or min(self.descent_step, self.max_step_mm) <= 0.0:
+            raise ConfigError(f"explore needs finite values, descent_step and max_step_mm > 0: {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,6 +268,8 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     goal_alpha, goal_theta, goal_s = np.reshape([(g.alpha, g.theta, g.s) for g in goals], (-1, 3)).T
     goal_q = arc_kernel(goal_alpha, goal_theta, goal_s, geom.d, geom.l).q
     steps = step_count(q_compressed.as_tuple(), goal_q, cfg.max_step_mm)
+    check_node_count((steps + 1.0).sum(), "ring path")
+    steps = steps.astype(int)
     starts = np.cumsum(steps + 1) - (steps + 1)
     row = np.repeat(np.arange(cfg.n_directions), steps + 1)
     t = (np.arange(row.size) - starts[row]) / steps[row]
@@ -358,31 +358,32 @@ def explore_tube(
     )
 
 
-@dataclass(frozen=True)
-class PressureSynth:
-    """Synthetic bristle pressure traces for exercising threshold detection.
+# The synthetic bristle pressure sensor of pressure_detections.
+BASELINE_HPA = 1013.0
+NOISE_SD_HPA = 1.0
+CONTACT_STEP_HPA = 40.0
+PRESSURE_SAMPLES = 16
+CONTACT_SAMPLE = 8
 
-    Produces baseline readings with Gaussian noise and an additive step
-    once contact occurs. Purely optional; mission contact decisions stay
-    geometric.
+
+def pressure_detections(contact, seed: int | None, threshold_hpa: float) -> np.ndarray:
+    """First sample of each probe's synthetic pressure trace that deviates
+    from BASELINE_HPA by at least threshold_hpa, or -1 where none does.
+
+    Probe k's trace is BASELINE_HPA + default_rng(seed + k).normal(0,
+    NOISE_SD_HPA, PRESSURE_SAMPLES), seed None read as 0, plus
+    CONTACT_STEP_HPA from CONTACT_SAMPLE on where contact[k]; all traces
+    are tested as one (N, PRESSURE_SAMPLES) array. The one Generator per
+    probe that this seeding contract needs is the floor of the cost.
+    Mission contact decisions stay geometric.
     """
-
-    seed: int = 0
-    baseline_hpa: float = 1013.0
-    noise_sd_hpa: float = 1.0
-    contact_step_hpa: float = 40.0
-
-    def trace(self, n_samples: int, contact_at: int | None = None) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        p = self.baseline_hpa + rng.normal(0.0, self.noise_sd_hpa, n_samples)
-        if contact_at is not None:
-            p[contact_at:] += self.contact_step_hpa
-        return p
-
-
-def detect_contact(trace, baseline_hpa: float, threshold_hpa: float):
-    """Index of the first sample deviating from baseline by the threshold, else None."""
-    for idx, p in enumerate(trace):
-        if abs(float(p) - baseline_hpa) >= threshold_hpa:
-            return idx
-    return None
+    base = 0 if seed is None else seed
+    if base < 0:
+        raise ConfigError(f"pressure seed must be >= 0, got {seed}")
+    contact = np.asarray(contact, dtype=bool)
+    rngs = map(np.random.default_rng, range(base, base + contact.size))
+    noise = [rng.normal(0.0, NOISE_SD_HPA, PRESSURE_SAMPLES) for rng in rngs]
+    p = BASELINE_HPA + np.reshape(noise, (contact.size, PRESSURE_SAMPLES))
+    p[contact, CONTACT_SAMPLE:] += CONTACT_STEP_HPA
+    crossed = np.abs(p - BASELINE_HPA) >= threshold_hpa
+    return np.where(crossed.any(axis=1), crossed.argmax(axis=1), -1)

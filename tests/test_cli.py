@@ -1,16 +1,25 @@
 """CLI behavior: records, files, exit codes and reproducibility."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coilkin
+from coilkin.cli import main
 
 QUARTER = 44.563384065730695
 # The child process imports the coilkin these tests import, whether it came
@@ -191,6 +200,76 @@ class TestNonFiniteInputs:
         out = tmp_path / "run"
         assert_rejected_as_input(run_cli("explore", "--scene", scene, "--out", out), out)
 
+    @pytest.mark.parametrize(
+        "doc,command",
+        [
+            ({}, ("tendons", "--alpha", 45, "--theta", 80, "--s", 40, "--d", 1.7e308)),
+            ({"l": 1.7e308, "bristle_length": 1.7e308}, ("explore", "--no-obstacle")),
+            ({"s_max": 1.7e308, "l": 1e308}, ("scan",)),
+            ({"d": 1e300}, ("explore", "--no-obstacle")),
+        ],
+    )
+    def test_overflowing_geometry_exits_2(self, tmp_path, doc, command):
+        geom = tmp_path / "geom.json"
+        geom.write_text(json.dumps(doc))
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        extra = ("--scene", scene) if command[0] == "scan" else ()
+        writes = ("--out", out) if command[0] != "tendons" else ()
+        proc = run_cli(*command, *extra, "--geometry", geom, *writes)
+        assert_rejected_as_input(proc, out)
+
+    def test_explore_height_field_scene_exits_2(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        assert_rejected_as_input(run_cli("explore", "--scene", scene, "--out", out), out)
+
+
+FUZZ_COMMANDS = {
+    "fk": ["fk", "--alpha", "30", "--theta", "40", "--s", "50"],
+    "tendons": ["tendons", "--alpha", "45", "--theta", "80", "--s", "40"],
+    "scan": ["scan", "--scene", "SCENE", "--width", "40", "--height", "40"],
+    "explore": ["explore", "--no-obstacle"],
+}
+GEOMETRY_FIELDS = [f.name for f in dataclasses.fields(coilkin.RobotGeometry)]
+NON_FINITE_TEXT = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
+
+
+class TestGeometryFuzz:
+    """Extreme but finite geometry values through main, in process: every
+    run returns (a traceback would fail the test) with a known exit code,
+    and a run that succeeds prints and writes only finite numbers."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+    @given(doc=st.dictionaries(
+        st.sampled_from(GEOMETRY_FIELDS),
+        st.sampled_from([1e300, 1.7e308, 5e-324, 2.2250738585072014e-308, 1e-300]),
+        min_size=1, max_size=4,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_exit_code_and_finite_output(self, command, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            scene = tmp / "scene.json"
+            write_plateau_scene(scene)
+            geom = tmp / "geometry.json"
+            geom.write_text(json.dumps(doc))
+            argv = [str(scene) if a == "SCENE" else a for a in FUZZ_COMMANDS[command]]
+            argv += ["--geometry", str(geom)]
+            if command in ("scan", "explore"):
+                argv += ["--out", str(tmp / "run")]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), stderr.getvalue()
+            if code == 0:
+                texts = [stdout.getvalue()]
+                if (tmp / "run").exists():
+                    texts += [f.read_text() for f in sorted((tmp / "run").iterdir())]
+                assert not any(NON_FINITE_TEXT.search(t) for t in texts), doc
+
 
 class TestWorkspaceCommand:
     def test_defaults_summary_and_files(self, tmp_path):
@@ -289,6 +368,19 @@ class TestScanCommand:
         lines = (out / "pressure.csv").read_text().splitlines()
         assert lines[0] == "event_index,contact,detected_sample"
         assert len(lines) == 1 + 25
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        proc = run_cli("scan", "--scene", scene, "--out", out, "--seed", -1, "--pressure-synth")
+        assert_rejected_as_input(proc, out)
+
+    @pytest.mark.parametrize("command", [("workspace",), ("explore", "--no-obstacle")])
+    def test_seed_only_on_scan(self, tmp_path, command):
+        proc = run_cli(*command, "--seed", 1, "--out", tmp_path / "run")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --seed" in proc.stderr
 
     def test_scene_parse_error_exits_2(self, tmp_path):
         scene = tmp_path / "scene.json"

@@ -13,9 +13,14 @@ change only the last bits of a float.
 The inputs are fixed: the five C6 scenes of the acceptance suite (stored
 as JSON under `tests/golden/scenes/`), one small workspace grid whose
 servo range leaves some samples infeasible, and the C5 tube explorations.
-To re-capture after an intended output change, run from the repo root
+The `scan_plateau_pressure` case pins the seeded `pressure.csv` of
+`scan --pressure-synth`. To re-capture after an intended output change,
+run from the repo root
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+which rewrites the named cases, or every case when none is named. Files a
+command writes beyond its case's list are not kept.
 """
 
 import math
@@ -43,6 +48,10 @@ CASES = {
         f"scan_{name}": (["scan", "--scene", str(SCENES / f"{name}.json")], SCAN_FILES)
         for name in SCENE_NAMES
     },
+    "scan_plateau_pressure": (
+        ["scan", "--scene", str(SCENES / "plateau.json"), "--pressure-synth", "--seed", "7"],
+        ("pressure.csv",),
+    ),
     **{
         f"explore_{offset}": (["explore", "--obstacle-offset", str(offset)], EXPLORE_FILES)
         for offset in (35, 55, 75, 95)
@@ -112,8 +121,9 @@ def test_comparison_catches_a_flipped_flag():
     assert_same_text(good, "alpha,feasible,reason\n0.5000000000001,1,ok\n", "within tolerance")
 
 
-def capture():
-    """Write the scene inputs and every case's outputs under tests/golden/."""
+def capture(names=()):
+    """Write the scene inputs and the outputs of the named cases (default
+    all) under tests/golden/."""
     import contextlib
     import io
     import json
@@ -124,7 +134,8 @@ def capture():
     for name, grid in _criterion_scenes().items():
         doc = {"type": "height_field", "origin": [0, 0], "cell_mm": 10, "heights": grid.tolist()}
         (SCENES / f"{name}.json").write_text(json.dumps(doc) + "\n")
-    for name, (argv, files) in CASES.items():
+    for name in names or CASES:
+        argv, files = CASES[name]
         case_dir = GOLDEN / name
         case_dir.mkdir(parents=True, exist_ok=True)
         stdout = io.StringIO()
@@ -133,9 +144,11 @@ def capture():
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
         (case_dir / "stdout.txt").write_text(stdout.getvalue())
-        (case_dir / "manifest.json").unlink()
+        for path in case_dir.iterdir():
+            if path.name not in (*files, "stdout.txt"):
+                path.unlink()
         print(f"{name}: {', '.join(files)}")
 
 
 if __name__ == "__main__":
-    sys.exit(capture())
+    sys.exit(capture(sys.argv[1:]))

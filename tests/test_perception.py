@@ -35,7 +35,7 @@ def synthetic_cloud(height_grid, step=10.0, contact_mask=None):
     hit = np.ones(i.size, bool) if contact_mask is None else np.asarray(contact_mask, bool)[i, j]
     extension = np.where(hit, 50.0, 70.0)
     contact_z = np.where(hit, grid[i, j], np.nan)
-    return ContactCloud(arm, extension, hit, contact_z, nx, ny, step, (0.0, 0.0))
+    return ContactCloud(arm, extension, hit, contact_z, step, (0.0, 0.0))
 
 
 def stamped_scene(pattern, at_i, at_j, size=21):

@@ -16,14 +16,13 @@ from coilkin import (
     ExploreConfig,
     HeightField,
     MissionLog,
-    PressureSynth,
     RobotGeometry,
     ScanConfig,
     Tube,
-    detect_contact,
     explore_tube,
     fk_point,
     ik,
+    pressure_detections,
     probe_columns,
     reconstruct,
     ring_path,
@@ -33,7 +32,7 @@ from coilkin import (
 import coilkin.columns
 import coilkin.kinematics
 import coilkin.simulator
-from coilkin.cli import make_offset_tube
+from coilkin.cli import _write_pressure, make_offset_tube
 from coilkin.columns import MAX_NODES
 from coilkin.kinematics import tip_tangent
 from coilkin.simulator import LOG_ARM, LOG_CONTACT, LOG_HEADER, LOG_POINT
@@ -220,6 +219,10 @@ class TestExploreConfig:
             {"compressed_s": math.nan},
             {"target_radial": math.inf},
             {"target_z": -math.inf},
+            {"max_steps": 5.5},
+            {"max_steps": 5.0},
+            {"max_steps": True},
+            {"n_directions": 2.5},
         ],
     )
     def test_rejects_bad_fields(self, fields):
@@ -380,6 +383,13 @@ class TestRadialScan:
         result = one_ring(Tube(40.0))
         assert result.any_contact
         assert result.contact.all()  # every azimuth reaches the wall
+
+    def test_wall_touch_is_closed(self):
+        """A tip at exactly the wall radius touches; one ulp further out does not."""
+        reach = np.hypot(*ring_path(GEOM, ONE_RING).tip[:, :2].T).max()
+        result = one_ring(Tube(float(reach)))
+        assert len(result.contact) == 8 and result.contact.all()
+        assert not one_ring(Tube(float(np.nextafter(reach, np.inf)))).any_contact
 
 
 class TestRingPath:
@@ -604,20 +614,54 @@ class TestDeterminism:
         assert text.endswith("\n")
 
 
+def reference_pressure_csv(contact, seed, threshold_hpa):
+    """pressure.csv as the per-probe loop that wrote it before the array
+    pass: probe k's 16-sample trace from default_rng(seed + k), a 40 hPa
+    step from sample 8 on contact, and its first sample at least the
+    threshold off the 1013 hPa baseline."""
+    lines = ["event_index,contact,detected_sample"]
+    for idx, touched in enumerate(contact):
+        trace = 1013.0 + np.random.default_rng((seed or 0) + idx).normal(0.0, 1.0, 16)
+        if touched:
+            trace[8:] += 40.0
+        hit = next((k for k, p in enumerate(trace) if abs(float(p) - 1013.0) >= threshold_hpa), "")
+        lines.append(f"{idx},{int(touched)},{hit}")
+    return "\n".join(lines) + "\n"
+
+
+PRESSURE_COLUMNS = {
+    "all_contact": np.ones(300, bool),
+    "no_contact": np.zeros(300, bool),
+    "mixed": np.random.default_rng(3).random(300) < 0.5,
+    "empty": np.zeros(0, bool),
+}
+
+
 class TestPressureSynth:
     def test_no_contact_never_crosses_threshold(self):
-        synth = PressureSynth(seed=7)
-        trace = synth.trace(64)
-        assert detect_contact(trace, synth.baseline_hpa, GEOM.contact_threshold) is None
+        hit = pressure_detections(np.zeros(64, bool), 7, GEOM.contact_threshold)
+        assert hit.tolist() == [-1] * 64
 
     def test_contact_step_detected(self):
-        synth = PressureSynth(seed=7)
-        trace = synth.trace(64, contact_at=40)
-        assert detect_contact(trace, synth.baseline_hpa, GEOM.contact_threshold) == 40
+        hit = pressure_detections(np.ones(64, bool), 7, GEOM.contact_threshold)
+        assert hit.tolist() == [8] * 64
 
     def test_seed_reproducibility(self):
-        a = PressureSynth(seed=11).trace(32, contact_at=5)
-        b = PressureSynth(seed=11).trace(32, contact_at=5)
-        assert np.array_equal(a, b)
-        c = PressureSynth(seed=12).trace(32, contact_at=5)
-        assert not np.array_equal(a, c)
+        # At one noise SD the noise alone crosses, so the column depends on the seed.
+        contact = np.arange(32) % 3 == 0
+        a = pressure_detections(contact, 11, 1.0)
+        assert np.array_equal(a, pressure_detections(contact, 11, 1.0))
+        assert not np.array_equal(a, pressure_detections(contact, 12, 1.0))
+
+    @pytest.mark.parametrize("threshold", [GEOM.contact_threshold, 2.5])
+    @pytest.mark.parametrize("column", sorted(PRESSURE_COLUMNS))
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_csv_matches_reference_loop(self, seed, column, threshold, tmp_path):
+        contact = PRESSURE_COLUMNS[column]
+        path = tmp_path / "pressure.csv"
+        _write_pressure(path, contact, pressure_detections(contact, seed, threshold))
+        assert path.read_bytes() == reference_pressure_csv(contact, seed, threshold).encode()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            pressure_detections(np.ones(4, bool), -1, GEOM.contact_threshold)
