@@ -213,46 +213,40 @@ def _add_out_args(parser):
     parser.add_argument("--out", default="coilkin_out", help="output directory")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coilkin",
-        description="Constant-curvature backbone kinematics and contact missions. "
-        "Angles are degrees here, millimeters everywhere.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_arc_args(parser):
+    parser.add_argument("--alpha", type=float, required=True, help="bend-plane angle, degrees")
+    parser.add_argument("--theta", type=float, required=True, help="bend angle, degrees")
+    parser.add_argument("--s", type=float, required=True, help="backbone length, mm")
 
-    p = sub.add_parser("fk", help="spring-top and tip position of a configuration")
-    p.add_argument("--alpha", type=float, required=True, help="bend-plane angle, degrees")
-    p.add_argument("--theta", type=float, required=True, help="bend angle, degrees")
-    p.add_argument("--s", type=float, required=True, help="backbone length, mm")
+
+def _fk_args(p):
+    _add_arc_args(p)
     _add_geometry_arg(p)
-    p.set_defaults(func=cmd_fk)
 
-    p = sub.add_parser("ik", help="arc state reaching a spring-top target")
+
+def _ik_args(p):
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
     p.add_argument("z", type=float)
     _add_geometry_arg(p)
-    p.set_defaults(func=cmd_ik)
 
-    p = sub.add_parser("tendons", help="tendon lengths of a configuration")
-    p.add_argument("--alpha", type=float, required=True, help="bend-plane angle, degrees")
-    p.add_argument("--theta", type=float, required=True, help="bend angle, degrees")
-    p.add_argument("--s", type=float, required=True, help="backbone length, mm")
+
+def _tendons_args(p):
+    _add_arc_args(p)
     p.add_argument("--d", type=float, default=None, help="attachment radius override, mm")
     _add_geometry_arg(p)
-    p.set_defaults(func=cmd_tendons)
 
-    p = sub.add_parser("workspace", help="sample the reachable set, write CSV + PLY")
+
+def _workspace_args(p):
     p.add_argument("--n-alpha", type=int, default=72)
     p.add_argument("--n-theta", type=int, default=19)
     p.add_argument("--n-s", type=int, default=11)
     p.add_argument("--servo-range", type=float, default=None, help="servo range override, degrees")
     _add_geometry_arg(p)
     _add_out_args(p)
-    p.set_defaults(func=cmd_workspace)
 
-    p = sub.add_parser("scan", help="zig-zag contact scan of a height-field scene")
+
+def _scan_args(p):
     p.add_argument("--scene", required=True, help="height-field scene JSON")
     p.add_argument("--width", type=float, default=200.0)
     p.add_argument("--height", type=float, default=200.0)
@@ -263,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed of the pressure synthesizer (default 0)")
     _add_geometry_arg(p)
     _add_out_args(p)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("explore", help="tube exploration with descent steps")
+
+def _explore_args(p):
     p.add_argument("--scene", default=None, help="tube scene JSON")
     p.add_argument("--obstacle-offset", type=float, default=None,
                    help="cube offset below the compressed bristle tip, mm")
@@ -273,14 +267,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tube-radius", type=float, default=174.0)
     _add_geometry_arg(p)
     _add_out_args(p)
-    p.set_defaults(func=cmd_explore)
 
+
+# name -> (help, function adding the command's arguments, handler), in the
+# order that help and usage list the commands.
+COMMANDS = {
+    "fk": ("spring-top and tip position of a configuration", _fk_args, cmd_fk),
+    "ik": ("arc state reaching a spring-top target", _ik_args, cmd_ik),
+    "tendons": ("tendon lengths of a configuration", _tendons_args, cmd_tendons),
+    "workspace": ("sample the reachable set, write CSV + PLY", _workspace_args, cmd_workspace),
+    "scan": ("zig-zag contact scan of a height-field scene", _scan_args, cmd_scan),
+    "explore": ("tube exploration with descent steps", _explore_args, cmd_explore),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a command name, only that command's subparser.
+
+    A one-command parser accepts exactly what the full parser accepts for
+    that command and prints the same help, usage and errors: its metavar
+    keeps the full command list in the top-level usage line, which the
+    "unrecognized arguments" error prints. The full parser derives that
+    list from its choices; a metavar there would change its own errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="coilkin",
+        description="Constant-curvature backbone kinematics and contact missions. "
+        "Angles are degrees here, millimeters everywhere.",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. When argv starts with a command name only that
+    command's parser is built; any other argv (help, no arguments, an
+    unknown command, an option first) gets the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except CoilkinError as exc:

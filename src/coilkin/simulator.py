@@ -19,7 +19,7 @@ from .actuation import step_count
 from .columns import check_node_count, write_rows
 from .errors import ArmTooLowError, ConfigError, SceneError
 from .geometry import RobotGeometry
-from .kinematics import TWO_PI, ArcState, arc_kernel, ik, tendon_lengths
+from .kinematics import TWO_PI, ArcState, _check_state, arc_kernel, ik
 from .scenes import HeightField, Tube
 
 LOG_HEADER = "step_index,arm_x,arm_y,arm_z,alpha,s,contact,cx,cy,cz"
@@ -124,8 +124,16 @@ def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float 
         )
     s_exact = z - geom.probe_offset - h
     contact = s_exact <= geom.s_max
-    steps = np.ceil((s_exact - geom.s_min) / quantum)
-    s_q = np.where(contact, np.minimum(geom.s_min + steps * quantum, geom.s_max), geom.s_max)
+    # Far above the surface, or with a subnormal quantum, the step count or
+    # its length overflows to inf. An inf count means quantum is below the
+    # resolution of s_exact, so the first step at or past it is s_exact; an
+    # inf length lies past s_max, which min() reports, and rows without
+    # contact report s_max anyway.
+    with np.errstate(over="ignore"):
+        steps = np.ceil((s_exact - geom.s_min) / quantum)
+        s_q = geom.s_min + steps * quantum
+    np.copyto(s_q, s_exact, where=np.isinf(steps))
+    s_q = np.where(contact, np.minimum(s_q, geom.s_max, out=s_q), geom.s_max)
     contact_z = np.where(contact, z - (s_q + geom.probe_offset), np.nan)
     return s_q, contact, contact_z
 
@@ -177,6 +185,8 @@ def surface_scan(
     the move and the probe; a node too low to probe raises before anything
     is logged.
     """
+    if not isinstance(scene, HeightField):
+        raise SceneError("surface scan needs a height-field scene")
     nx, ny = cfg.shape
     arm_z = cfg.arm_z if cfg.arm_z is not None else geom.s_max + geom.probe_offset
     log = log if log is not None else MissionLog()
@@ -257,17 +267,20 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     theta = t * goal theta, s = compressed_s + t * (goal s - compressed_s).
     Its tendon set is the servo command of that step; step_count bounds
     only the change between the endpoints, not between waypoints. One
-    kernel call gives the goal tendon sets and one every waypoint.
+    kernel call gives the compressed and the goal tendon sets (row 0 and
+    rows 1..n) and one every waypoint.
     """
-    q_compressed = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), geom)
+    compressed = ArcState.from_arc(0.0, 0.0, cfg.compressed_s)
+    _check_state(compressed, geom)  # arc_kernel itself checks no bounds
     alphas = [TWO_PI * k / cfg.n_directions for k in range(cfg.n_directions)]
     goals = [
         ik((cfg.target_radial * math.cos(a), cfg.target_radial * math.sin(a), cfg.target_z), geom)
         for a in alphas
     ]
-    goal_alpha, goal_theta, goal_s = np.reshape([(g.alpha, g.theta, g.s) for g in goals], (-1, 3)).T
-    goal_q = arc_kernel(goal_alpha, goal_theta, goal_s, geom.d, geom.l).q
-    steps = step_count(q_compressed.as_tuple(), goal_q, cfg.max_step_mm)
+    kin_alpha, kin_theta, kin_s = np.array([(g.alpha, g.theta, g.s) for g in (compressed, *goals)]).T
+    q = arc_kernel(kin_alpha, kin_theta, kin_s, geom.d, geom.l).q
+    goal_theta, goal_s = kin_theta[1:], kin_s[1:]
+    steps = step_count(q[0], q[1:], cfg.max_step_mm)
     check_node_count((steps + 1.0).sum(), "ring path")
     steps = steps.astype(int)
     starts = np.cumsum(steps + 1) - (steps + 1)

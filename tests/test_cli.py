@@ -1,5 +1,6 @@
 """CLI behavior: records, files, exit codes and reproducibility."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -11,15 +12,16 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import coilkin
-from coilkin.cli import main
+from coilkin.cli import build_parser, main
 
 QUARTER = 44.563384065730695
 # The child process imports the coilkin these tests import, whether it came
@@ -226,6 +228,12 @@ class TestNonFiniteInputs:
         out = tmp_path / "run"
         assert_rejected_as_input(run_cli("explore", "--scene", scene, "--out", out), out)
 
+    def test_scan_tube_scene_exits_2(self, tmp_path):
+        scene = tmp_path / "tube.json"
+        scene.write_text(json.dumps({"type": "tube", "inner_radius_mm": 90}))
+        out = tmp_path / "run"
+        assert_rejected_as_input(run_cli("scan", "--scene", scene, "--out", out), out)
+
 
 FUZZ_COMMANDS = {
     "fk": ["fk", "--alpha", "30", "--theta", "40", "--s", "50"],
@@ -269,6 +277,205 @@ class TestGeometryFuzz:
                 if (tmp / "run").exists():
                     texts += [f.read_text() for f in sorted((tmp / "run").iterdir())]
                 assert not any(NON_FINITE_TEXT.search(t) for t in texts), doc
+
+
+def run_main(argv, parser=None):
+    """main(argv), or parser.parse_args(argv), in process: (stdout, stderr,
+    exit code, result). The result is main's return or the parsed namespace
+    without func; argparse's exits give code and no result."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    result = code = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            if parser is None:
+                code = result = main(argv)
+            else:
+                result = vars(parser.parse_args(argv))
+                result.pop("func")
+        except SystemExit as exc:
+            code = exc.code
+    return stdout.getvalue(), stderr.getvalue(), code, result
+
+
+USAGE_GOLDEN = Path(__file__).parent / "golden" / "usage.json"
+VALID_TAILS = {
+    "fk": ["--alpha", "30", "--theta", "40", "--s", "50"],
+    "ik": ["0", "0", "45"],
+    "tendons": ["--alpha", "45", "--theta", "80", "--s", "40", "--d", "12"],
+    "workspace": ["--n-alpha", "4", "--servo-range", "90", "--out", "o"],
+    "scan": ["--scene", "s.json", "--arm-z", "150", "--pressure-synth", "--seed", "3"],
+    "explore": ["--obstacle-offset", "55", "--tube-radius", "90", "--no-obstacle"],
+}
+BAD_TYPE_TAILS = {
+    "fk": ["--alpha", "x", "--theta", "1", "--s", "2"],
+    "ik": ["1", "y", "3"],
+    "tendons": ["--d", "wide"],
+    "workspace": ["--n-s", "1.5"],
+    "scan": ["--step", "fine"],
+    "explore": ["--tube-radius", "r"],
+}
+
+
+def parser_tails(command):
+    valid = VALID_TAILS[command]
+    return [
+        [], ["--help"], ["-h"], ["--bogus"], ["--geometry"], valid, valid + ["extra"],
+        valid + ["--bogus", "1"], valid + ["-h"], ["--geometry", "g.json", *valid],
+        BAD_TYPE_TAILS[command],
+    ]
+
+
+class TestCommandParser:
+    """main builds only the subparser that argv[0] names; help, usage and
+    errors stay those of the full parser."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_usage_matches_capture(self):
+        # Captured from the full parser with COLUMNS=80 under Python 3.11;
+        # argparse words some of these messages differently in other versions.
+        if sys.version_info[:2] != (3, 11):
+            pytest.skip("usage text captured under Python 3.11")
+        for case in json.loads(USAGE_GOLDEN.read_text(encoding="utf-8")):
+            stdout, stderr, code, _ = run_main(case["argv"])
+            assert (stdout, stderr, code) == (case["stdout"], case["stderr"], case["code"]), case["argv"]
+
+    @pytest.mark.parametrize(
+        "command,tail",
+        [(c, t) for c in VALID_TAILS for t in parser_tails(c)],
+        ids=[f"{c}-{i}" for c in VALID_TAILS for i in range(len(parser_tails(c)))],
+    )
+    def test_one_command_parser_matches_full(self, command, tail):
+        argv = [command, *tail]
+        expected = run_main(argv, build_parser())
+        assert run_main(argv, build_parser(command)) == expected
+
+    def test_builds_only_named_subparser(self, monkeypatch, tmp_path):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert run_main(["explore", "--no-obstacle", "--out", str(tmp_path)])[2] == 0
+        assert built == ["explore"]
+        built.clear()
+        assert run_main(["--help"])[2] == 0
+        assert built == ["fk", "ik", "tendons", "workspace", "scan", "explore"]
+
+
+FUZZ_NUMBERS = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-5", "5e-324", "wide"]
+# Per command: flag -> values (None: a flag without value). The key None
+# holds ik's positional values, of which it takes three. Sizes stay small:
+# the node cap stops only grids above MAX_NODES nodes, so workspace counts
+# stay <= 4 and scans <= 50 mm wide with steps >= 5 mm unless an extreme
+# value sends them to the cap.
+ARGV_FLAGS = {
+    "fk": {f: FUZZ_NUMBERS + [v] * 3 for f, v in (("--alpha", "30"), ("--theta", "40"), ("--s", "50"))},
+    "ik": {None: FUZZ_NUMBERS + ["0", "10", "45"] * 2},
+    "tendons": {
+        **{f: FUZZ_NUMBERS + [v] * 3 for f, v in (("--alpha", "45"), ("--theta", "80"), ("--s", "40"))},
+        "--d": FUZZ_NUMBERS + ["12"] * 3,
+    },
+    "workspace": {
+        **{f: FUZZ_NUMBERS + ["1", "4"] * 2 for f in ("--n-alpha", "--n-theta", "--n-s")},
+        "--servo-range": FUZZ_NUMBERS + ["90"] * 3,
+    },
+    "scan": {
+        **{f: FUZZ_NUMBERS + ["20", "50"] * 2 for f in ("--width", "--height")},
+        "--step": FUZZ_NUMBERS + ["5", "10"] * 2,
+        "--arm-z": FUZZ_NUMBERS + ["150"] * 3,
+        "--quantum": FUZZ_NUMBERS + ["0.5"] * 3,
+        "--seed": FUZZ_NUMBERS + ["7"] * 3,
+        "--pressure-synth": [None],
+        "--scene": ["SCENE", "SCENE", "TUBE"],
+    },
+    "explore": {
+        "--obstacle-offset": FUZZ_NUMBERS + ["55"] * 3,
+        "--tube-radius": FUZZ_NUMBERS + ["90"] * 3,
+        "--no-obstacle": [None],
+        "--scene": ["TUBE", "TUBE", "SCENE"],
+    },
+}
+# Present in every draw (and possibly overridden): the workspace grid and
+# the scan extent, which keep the work small.
+ARGV_FIXED = {
+    "workspace": [("--n-alpha", "4"), ("--n-theta", "4"), ("--n-s", "4")],
+    "scan": [("--width", "50"), ("--height", "50")],
+}
+# Present in most draws, so that most runs get past the required arguments.
+ARGV_BASE = {
+    "fk": [("--alpha", "30"), ("--theta", "40"), ("--s", "50")],
+    "tendons": [("--alpha", "45"), ("--theta", "80"), ("--s", "40")],
+    "scan": [("--scene", "SCENE")],
+    "explore": [("--obstacle-offset", "55")],
+}
+UNKNOWN_FLAGS = [("--bogus", "1"), ("-q",), ("--geometry", "MISSING")]
+
+
+@st.composite
+def argv_draws(draw, command):
+    flags = ARGV_FLAGS[command]
+    named = sorted(f for f in flags if f is not None)
+    items = []
+    if named:
+        drawn = draw(st.lists(
+            st.sampled_from(named).flatmap(lambda f: st.tuples(st.just(f), st.sampled_from(flags[f]))),
+            max_size=4,
+        ))
+        items += [tuple(t for t in pair if t is not None) for pair in drawn]
+    if None in flags:
+        count = draw(st.sampled_from([3, 3, 3, 2, 4]))
+        items += [(draw(st.sampled_from(flags[None])),) for _ in range(count)]
+    items += ARGV_FIXED.get(command, [])
+    if draw(st.integers(0, 3)):
+        items += ARGV_BASE.get(command, [])
+    unknown = draw(st.sampled_from([None] * 5 + UNKNOWN_FLAGS))
+    if unknown:
+        items.append(unknown)
+    tokens = [t for item in draw(st.permutations(items)) for t in item]
+    if tokens and not draw(st.integers(0, 9)):
+        tokens = tokens[:-1]  # a flag loses its value
+    head = draw(st.sampled_from([command] * 6 + ["bogus", "--bogus"]))
+    return [head, *tokens]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestArgvFuzz:
+    """Extreme, malformed and reordered argv through main, in process: a
+    documented exit code and no traceback; on success fk, ik and tendons
+    print strict JSON and no command prints a non-finite number."""
+
+    @pytest.mark.parametrize("command", sorted(ARGV_FLAGS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exit_code_and_strict_output(self, command, data):
+        argv = data.draw(argv_draws(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_plateau_scene(tmp / "scene.json")
+            (tmp / "tube.json").write_text(json.dumps({"type": "tube", "inner_radius_mm": 90}))
+            files = {"SCENE": tmp / "scene.json", "TUBE": tmp / "tube.json", "MISSING": tmp / "none.json"}
+            argv = [str(files.get(a, a)) for a in argv]
+            if command in ("workspace", "scan", "explore"):
+                argv += ["--out", str(tmp / "run")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stdout, stderr, code, _ = run_main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4), (argv, stderr)
+        assert "Traceback" not in stderr, argv
+        if code == 0 and argv[0] == command:
+            assert not NON_FINITE_TEXT.search(stdout), argv
+            if command in ("fk", "ik", "tendons"):
+                json.loads(stdout, parse_constant=reject_constant)
 
 
 class TestWorkspaceCommand:
@@ -381,6 +588,22 @@ class TestScanCommand:
         proc = run_cli(*command, "--seed", 1, "--out", tmp_path / "run")
         assert proc.returncode == 2
         assert "unrecognized arguments: --seed" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "extra,contacts",
+        [(("--geometry", "GEOM"), 25), (("--arm-z", "1e308"), 0), (("--arm-z", "150", "--quantum", "5e-324"), 25)],
+    )
+    def test_overflowing_probe_warns_nothing(self, tmp_path, extra, contacts):
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        geom = tmp_path / "geometry.json"
+        geom.write_text(json.dumps({"s_max": 1.7e308}))
+        argv = ["scan", "--scene", str(scene), "--width", "40", "--height", "40", "--out", str(tmp_path / "run")]
+        argv += [str(geom) if a == "GEOM" else a for a in extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stdout, stderr, code, _ = run_main(argv)
+        assert (stdout, stderr, code) == (f"nodes=25 contacts={contacts}\n", "", 0)
 
     def test_scene_parse_error_exits_2(self, tmp_path):
         scene = tmp_path / "scene.json"

@@ -1,6 +1,7 @@
 """Mission simulation: vertical probes, surface scans, tube exploration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from coilkin import (
     EmptyCloudError,
     ExploreConfig,
     HeightField,
+    InvalidStateError,
     MissionLog,
     RobotGeometry,
     ScanConfig,
@@ -100,6 +102,24 @@ class TestProbeVertical:
         assert ext == pytest.approx(40.0)
         measured = 176.0 - (ext + GEOM.probe_offset)
         assert 30.3 - 0.5 <= measured <= 30.3
+
+    @pytest.mark.parametrize(
+        "geom,arm,quantum,expected",
+        [
+            (RobotGeometry(s_max=1.7e308), (0.0, 0.0, 1.7e308), 0.5, (1.7e308, True)),
+            (GEOM, (50.0, 50.0, 1e308), 0.5, (GEOM.s_max, False)),
+            (GEOM, (50.0, 50.0, 1.7e308), 1e308, (GEOM.s_max, False)),
+            (GEOM, (50.0, 50.0, 156.0), 5e-324, (50.0, True)),
+            (GEOM, (50.0, 50.0, 156.0), 1e-300, (50.0, True)),
+        ],
+    )
+    def test_overflowing_step_count(self, geom, arm, quantum, expected):
+        # Step counts or lengths that overflow to inf: no warning, and a
+        # subnormal quantum measures the surface instead of full extension.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (ext,), (hit,), _ = probe_columns(FLAT, [arm], geom, quantum)
+        assert (ext, hit) == pytest.approx(expected)
 
 
 class TestSurfaceScan:
@@ -504,7 +524,7 @@ def test_batched_ring_matches_waypoint_loop(radius, offset):
 )
 @pytest.mark.parametrize("n_directions", [8, 5])
 def test_one_path_per_mission(monkeypatch, scene, rings, n_directions):
-    """ik runs once per azimuth and the kernel three times, however deep."""
+    """ik runs once per azimuth and the kernel twice, however deep."""
     calls = {"ik": 0, "arc_kernel": 0}
 
     def counted(name, fn):
@@ -520,7 +540,7 @@ def test_one_path_per_mission(monkeypatch, scene, rings, n_directions):
     monkeypatch.setattr(coilkin.simulator, "ik", counted("ik", coilkin.simulator.ik))
     result = explore_tube(scene, GEOM, cfg=ExploreConfig(n_directions=n_directions))
     assert len(result.alpha) == rings * n_directions
-    assert calls == {"ik": n_directions, "arc_kernel": 3}
+    assert calls == {"ik": n_directions, "arc_kernel": 2}
 
 
 class TestExploreTube:
@@ -563,6 +583,10 @@ class TestExploreTube:
         with pytest.raises(ConfigError, match="start"):
             explore_tube(Tube(174.0), GEOM, start, log=log)
         assert len(log.rows) == 0
+
+    def test_compressed_length_within_bounds(self):
+        with pytest.raises(InvalidStateError, match="backbone length 10.0 outside"):
+            explore_tube(Tube(174.0), GEOM, cfg=ExploreConfig(compressed_s=10.0))
 
     def test_depth_pass_is_capped(self, monkeypatch):
         # Checked before the (depth, waypoint) tips array is built; a lowered
