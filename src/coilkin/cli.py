@@ -24,7 +24,6 @@ from .perception import reconstruct, to_feature
 from .scenes import Cube, Tube, load_scene
 from .simulator import (
     ExploreConfig,
-    MissionLog,
     ScanConfig,
     explore_tube,
     pressure_detections,
@@ -135,13 +134,12 @@ def cmd_scan(args) -> int:
         arm_z=args.arm_z,
         quantum=args.quantum,
     )
-    log = MissionLog()
-    cloud = surface_scan(scene, geom, cfg, log)
+    cloud = surface_scan(scene, geom, cfg)
     if args.pressure_synth:  # before any output, so that a bad seed writes nothing
         detected = pressure_detections(cloud.contact, args.seed, geom.contact_threshold)
     out = _out_dir(args)
     outputs = ["events.csv"]
-    log.write(os.path.join(out, "events.csv"))
+    cloud.log.write(os.path.join(out, "events.csv"))
     if args.pressure_synth:
         outputs.append("pressure.csv")
         _write_pressure(os.path.join(out, "pressure.csv"), cloud.contact, detected)

@@ -50,8 +50,11 @@ class HeightField:
 
         A scalar call returns a float. Points outside the grid read 0.
         """
-        i = np.floor((np.asarray(x, dtype=float) - self.origin[0]) / self.cell_mm)
-        j = np.floor((np.asarray(y, dtype=float) - self.origin[1]) / self.cell_mm)
+        # With a subnormal cell a cell index can overflow to inf, which lies
+        # outside the grid as it should.
+        with np.errstate(over="ignore"):
+            i = np.floor((np.asarray(x, dtype=float) - self.origin[0]) / self.cell_mm)
+            j = np.floor((np.asarray(y, dtype=float) - self.origin[1]) / self.cell_mm)
         nx, ny = self.heights.shape
         inside = (0 <= i) & (i < nx) & (0 <= j) & (j < ny)
         i, j = (np.where(inside, k, 0).astype(np.intp) for k in (i, j))
@@ -104,31 +107,32 @@ def _require_fields(doc: dict, allowed: set, required: set, what: str):
 
 
 def scene_from_dict(doc: dict):
-    """Build a HeightField or Tube from a JSON-style dict."""
+    """Build a HeightField or Tube from a JSON-style dict; any malformed
+    document, a value of the wrong type or size included, raises SceneError."""
     if not isinstance(doc, dict):
         raise SceneError("scene document must be a JSON object")
     kind = doc.get("type")
-    if kind == "height_field":
-        _require_fields(
-            doc, {"type", "origin", "cell_mm", "heights"}, {"cell_mm", "heights"}, "height_field"
-        )
-        origin = doc.get("origin", (0.0, 0.0))
-        if len(origin) != 2:
-            raise SceneError("height_field origin must be [x, y]")
-        try:
+    try:
+        if kind == "height_field":
+            _require_fields(
+                doc, {"type", "origin", "cell_mm", "heights"}, {"cell_mm", "heights"}, "height_field"
+            )
+            origin = doc.get("origin", (0.0, 0.0))
+            if len(origin) != 2:
+                raise SceneError("height_field origin must be [x, y]")
             return HeightField(tuple(origin), float(doc["cell_mm"]), np.asarray(doc["heights"]))
-        except (TypeError, ValueError) as exc:
-            raise SceneError(f"bad height_field document: {exc}") from exc
-    if kind == "tube":
-        _require_fields(doc, {"type", "inner_radius_mm", "obstacle"}, {"inner_radius_mm"}, "tube")
-        obstacle = doc.get("obstacle")
-        cube = None
-        if obstacle is not None:
-            _require_fields(obstacle, {"center", "edge_mm"}, {"center", "edge_mm"}, "obstacle")
-            if len(obstacle["center"]) != 3:
-                raise SceneError("obstacle center must be [x, y, z]")
-            cube = Cube(tuple(obstacle["center"]), float(obstacle["edge_mm"]))
-        return Tube(float(doc["inner_radius_mm"]), cube)
+        if kind == "tube":
+            _require_fields(doc, {"type", "inner_radius_mm", "obstacle"}, {"inner_radius_mm"}, "tube")
+            obstacle = doc.get("obstacle")
+            cube = None
+            if obstacle is not None:
+                _require_fields(obstacle, {"center", "edge_mm"}, {"center", "edge_mm"}, "obstacle")
+                if len(obstacle["center"]) != 3:
+                    raise SceneError("obstacle center must be [x, y, z]")
+                cube = Cube(tuple(obstacle["center"]), float(obstacle["edge_mm"]))
+            return Tube(float(doc["inner_radius_mm"]), cube)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SceneError(f"bad {kind} document: {exc}") from exc
     raise SceneError(f"scene type must be 'height_field' or 'tube', got {kind!r}")
 
 
@@ -137,6 +141,6 @@ def load_scene(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
             raise SceneError(f"scene document is not valid JSON: {exc}") from exc
     return scene_from_dict(doc)

@@ -3,9 +3,9 @@ and tube exploration with an obstacle stop rule.
 
 The arm carries Frame D pointing straight down, so a backbone point
 (x, y, z) in Frame D sits at arm + (x, -y, -z) in world coordinates. The
-arm only translates. Every arm move and probe appends to a mission log
-whose CSV serialization is byte-stable, so identical configurations
-replay identically.
+arm only translates. Each mission returns its arm moves and probe results
+as one mission log whose CSV serialization is byte-stable, so identical
+configurations replay identically.
 """
 
 import io
@@ -25,61 +25,21 @@ from .scenes import HeightField, Tube
 LOG_HEADER = "step_index,arm_x,arm_y,arm_z,alpha,s,contact,cx,cy,cz"
 
 
-@dataclass(frozen=True, eq=False)
-class ContactCloud:
-    """Probe results over a scan grid as columns, one row per node in visit
-    order, in world (arm-frame) coordinates.
-
-    arm is (N, 3); extension_mm, contact and contact_z are (N,), with
-    contact_z NaN where the probe found no surface. Every probe is
-    vertical (alpha 0), so a contact point is (arm x, arm y, contact_z).
-    """
-
-    arm: np.ndarray
-    extension_mm: np.ndarray
-    contact: np.ndarray
-    contact_z: np.ndarray
-    step_mm: float
-    origin: tuple
-
-    @property
-    def contact_count(self) -> int:
-        return int(self.contact.sum())
-
-
 # Columns of MissionLog.rows, the events.csv columns after step_index.
 LOG_ARM, LOG_ALPHA, LOG_S, LOG_CONTACT, LOG_POINT = slice(0, 3), 3, 4, 5, slice(6, 9)
 
 
+@dataclass(frozen=True, eq=False)
 class MissionLog:
-    """Append-only event log; rows are arm moves and probe results.
+    """A mission's event log; rows are arm moves and probe results.
 
-    Rows are kept in blocks of (n, 9) floats laid out as LOG_ARM, LOG_ALPHA,
-    LOG_S, LOG_CONTACT (1.0 or 0.0) and LOG_POINT. A row without a contact
-    point holds NaN there; NaN is written as an empty cell.
+    rows is one (n, 9) float array laid out as LOG_ARM, LOG_ALPHA, LOG_S,
+    LOG_CONTACT (1.0 or 0.0) and LOG_POINT; the step index is the row
+    number. A row without a contact point holds NaN there; NaN is written
+    as an empty cell.
     """
 
-    def __init__(self):
-        self.blocks = []
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Every row so far as one (n, 9) array; the step index is the row number."""
-        return np.concatenate(self.blocks) if self.blocks else np.empty((0, 9))
-
-    def add(self, arm, alpha, s, contact=False, contact_point=None):
-        """Append one row, built in the LOG_ARM .. LOG_POINT order by one
-        np.array call, which costs less than add_block for a single row."""
-        point = (np.nan,) * 3 if contact_point is None else tuple(contact_point)
-        self.blocks.append(np.array([[*arm, alpha, s, contact, *point]], dtype=float))
-
-    def add_block(self, arm, alpha, s, contact=False, contact_point=np.nan):
-        """Append len(s) rows. Every other argument is one value for all rows
-        or a column of that length; arm and contact_point are (3,) or (n, 3)."""
-        block = np.empty((len(s), 9))
-        block[:, LOG_ARM], block[:, LOG_ALPHA], block[:, LOG_S] = arm, alpha, s
-        block[:, LOG_CONTACT], block[:, LOG_POINT] = contact, contact_point
-        self.blocks.append(block)
+    rows: np.ndarray
 
     def to_csv(self) -> str:
         """The events.csv text."""
@@ -96,6 +56,49 @@ class MissionLog:
         flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0")
         fh.write(LOG_HEADER + "\n")
         write_rows(fh, [np.arange(len(rows)), rows[:, :LOG_CONTACT], flags, rows[:, LOG_POINT]], nan="")
+
+
+def _log_rows(move_arm, move_s, alpha, s, contact, point) -> np.ndarray:
+    """A mission's log in the LOG_* layout: each arm move, made with the
+    backbone at move_s and logged without contact, then the n probes made
+    from that arm position.
+
+    move_arm is (m, 3); s and contact are (k, n) and point (k, n, 3), the
+    probes after move i in row i, with k = m, or m - 1 when the last move
+    has no probes; alpha is one value or a column of n.
+    """
+    (k, n), m = np.shape(s), len(move_arm)
+    rows = np.empty((m + k * n, 9))
+    moves = rows[:: n + 1]
+    moves[:, LOG_ARM], moves[:, LOG_ALPHA], moves[:, LOG_S] = move_arm, 0.0, move_s
+    moves[:, LOG_CONTACT], moves[:, LOG_POINT] = 0.0, np.nan
+    probes = rows[: k * (n + 1)].reshape(k, n + 1, 9)[:, 1:]
+    probes[..., LOG_ARM], probes[..., LOG_ALPHA], probes[..., LOG_S] = move_arm[:k, None], alpha, s
+    probes[..., LOG_CONTACT], probes[..., LOG_POINT] = contact, point
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class ContactCloud:
+    """Probe results over a scan grid as columns, one row per node in visit
+    order, in world (arm-frame) coordinates, and the mission's log.
+
+    arm is (N, 3); extension_mm, contact and contact_z are (N,), with
+    contact_z NaN where the probe found no surface. Every probe is
+    vertical (alpha 0), so a contact point is (arm x, arm y, contact_z).
+    """
+
+    arm: np.ndarray
+    extension_mm: np.ndarray
+    contact: np.ndarray
+    contact_z: np.ndarray
+    step_mm: float
+    origin: tuple
+    log: MissionLog
+
+    @property
+    def contact_count(self) -> int:
+        return int(self.contact.sum())
 
 
 def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float = 0.5):
@@ -170,26 +173,19 @@ class ScanConfig:
         return round(self.width / self.step_mm) + 1, round(self.height / self.step_mm) + 1
 
 
-def surface_scan(
-    scene: HeightField,
-    geom: RobotGeometry,
-    cfg: ScanConfig = ScanConfig(),
-    log: MissionLog | None = None,
-) -> ContactCloud:
+def surface_scan(scene: HeightField, geom: RobotGeometry, cfg: ScanConfig = ScanConfig()) -> ContactCloud:
     """Probe every node of the scan grid in boustrophedon order.
 
     The backbone retracts to s_min before every arm move (the anti-drag
     rule), probes once per node and reports one row per node. Contact
     heights are arm_z - (extension + l + bristle). All nodes are probed in
-    one probe_columns call and logged as one block of two rows per node,
-    the move and the probe; a node too low to probe raises before anything
-    is logged.
+    one probe_columns call; the log holds two rows per node, the move and
+    the probe. A node too low to probe raises ArmTooLowError.
     """
     if not isinstance(scene, HeightField):
         raise SceneError("surface scan needs a height-field scene")
     nx, ny = cfg.shape
     arm_z = cfg.arm_z if cfg.arm_z is not None else geom.s_max + geom.probe_offset
-    log = log if log is not None else MissionLog()
     # Row j of the grid runs along +x when j is even and back along -x when odd.
     i = np.tile(np.arange(nx), (ny, 1))
     i[1::2] = i[1::2, ::-1]
@@ -201,14 +197,8 @@ def surface_scan(
     ext, contact, contact_z = probe_columns(scene, arms, geom, cfg.quantum)
     points = np.where(contact[:, None], np.column_stack([arms[:, :2], contact_z]), np.nan)
     # Each node logs its move, made with the backbone retracted, then its probe.
-    log.add_block(
-        np.repeat(arms, 2, axis=0),
-        0.0,
-        np.column_stack([np.full_like(ext, geom.s_min), ext]).ravel(),
-        np.column_stack([np.zeros_like(contact), contact]).ravel(),
-        np.stack([np.full_like(points, np.nan), points], axis=1).reshape(-1, 3),
-    )
-    return ContactCloud(arms, ext, contact, contact_z, cfg.step_mm, cfg.origin)
+    rows = _log_rows(arms, geom.s_min, 0.0, ext[:, None], contact[:, None], points[:, None])
+    return ContactCloud(arms, ext, contact, contact_z, cfg.step_mm, cfg.origin, MissionLog(rows))
 
 
 @dataclass(frozen=True)
@@ -313,7 +303,6 @@ def explore_tube(
     geom: RobotGeometry,
     start=(0.0, 0.0, 0.0),
     cfg: ExploreConfig = ExploreConfig(),
-    log: MissionLog | None = None,
 ) -> ExploreResult:
     """Descend in fixed steps, ring-scanning after each step.
 
@@ -335,7 +324,6 @@ def explore_tube(
         origin = ()
     if len(origin) != 3 or not all(map(math.isfinite, origin)):
         raise ConfigError(f"explore start must be three finite numbers, got {start!r}")
-    log = log if log is not None else MissionLog()
     path = ring_path(geom, cfg)
     check_node_count(cfg.max_steps * len(path.t), "explore depth pass")
     depths = list(itertools.accumulate(itertools.repeat(cfg.descent_step, cfg.max_steps)))
@@ -359,12 +347,10 @@ def explore_tube(
     first = np.where(contact, first, 0)
     ext = np.where(contact, path.s[first], path.goal_s)
     points = np.where(contact[..., None], tips[np.arange(rings)[:, None], first], np.nan)
-    for k in range(rings):
-        # Descend compressed; the backbone never moves with the arm extended.
-        log.add(arms[k], 0.0, cfg.compressed_s)
-        log.add_block(arms[k], path.alpha, ext[k], contact[k], points[k])
-    if any_contact:
-        log.add(origin, 0.0, cfg.compressed_s)
+    # Each ring logs its descent, then one row per azimuth; after a contact
+    # the return to the start follows. Every arm move is made compressed.
+    moves = np.vstack([arms[:rings], origin])[: rings + any_contact]
+    log = MissionLog(_log_rows(moves, cfg.compressed_s, path.alpha, ext, contact, points))
     return ExploreResult(
         depths[rings - 1], any_contact, np.tile(path.alpha, rings),
         ext.ravel(), contact.ravel(), points.reshape(-1, 3), log,

@@ -14,7 +14,6 @@ import numpy as np
 
 from coilkin import (
     HeightField,
-    MissionLog,
     RobotGeometry,
     ScanConfig,
     TendonSet,
@@ -335,9 +334,8 @@ def test_c9_determinism():
     grid[5:10, 5:10] = 40.0
     scan_logs = []
     for _ in range(2):
-        log = MissionLog()
-        surface_scan(HeightField((0.0, 0.0), 10.0, grid), GEOM, ScanConfig(), log)
-        scan_logs.append(log.to_csv().encode())
+        cloud = surface_scan(HeightField((0.0, 0.0), 10.0, grid), GEOM, ScanConfig())
+        scan_logs.append(cloud.log.to_csv().encode())
     explore_logs = [
         explore_tube(make_offset_tube(55.0, GEOM), GEOM).log.to_csv().encode() for _ in range(2)
     ]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import coilkin
@@ -277,6 +277,106 @@ class TestGeometryFuzz:
                 if (tmp / "run").exists():
                     texts += [f.read_text() for f in sorted((tmp / "run").iterdir())]
                 assert not any(NON_FINITE_TEXT.search(t) for t in texts), doc
+
+
+# Scene documents whose conversion raises TypeError, ValueError or
+# OverflowError; the last two hold integers that no float can hold, one of
+# them beyond the digit limit of Python's int parser.
+MALFORMED_SCENES = {
+    "tube-obstacle-number": '{"type": "tube", "inner_radius_mm": 174, "obstacle": 5}',
+    "tube-radius-text": '{"type": "tube", "inner_radius_mm": "abc"}',
+    "tube-radius-null": '{"type": "tube", "inner_radius_mm": null}',
+    "obstacle-center-number": '{"type": "tube", "inner_radius_mm": 174, "obstacle": {"center": 5, "edge_mm": 40}}',
+    "obstacle-center-text": '{"type": "tube", "inner_radius_mm": 174, '
+    '"obstacle": {"center": ["a", "b", "c"], "edge_mm": 40}}',
+    "height-field-origin-number": '{"type": "height_field", "origin": 5, "cell_mm": 10, "heights": [[0, 40]]}',
+    "tube-radius-400-digits": '{"type": "tube", "inner_radius_mm": 1' + "0" * 400 + "}",
+    "tube-radius-5000-digits": '{"type": "tube", "inner_radius_mm": 1' + "0" * 5000 + "}",
+}
+FINITE_SCENE_VALUES = [10, 40.0, 25.5, 174] * 3 + [0, -5, 1e308, -1e308, 5e-324, 2.2250738585072014e-308]
+BAD_SCENE_VALUES = [math.nan, math.inf, -math.inf, 10**400, "abc", None, True, [1, 2], {}]
+
+# True in one draw of five; hypothesis draws small integers more often than that.
+RARELY = st.sampled_from([False] * 4 + [True])
+
+
+@st.composite
+def scene_docs(draw):
+    """A tube or height-field document, or a bare value. Two in three draw
+    only finite numbers, mostly ordinary ones, so that many documents get
+    past validation; the rest also draw non-finite and wrongly typed values.
+    A draw may then lose one key or gain an unknown one."""
+    finite = draw(st.sampled_from([True, True, False]))
+    number = st.sampled_from(FINITE_SCENE_VALUES + ([] if finite else BAD_SCENE_VALUES * 2))
+
+    def numbers(size):  # usually `size` numbers, sometimes the wrong count or a bare value
+        shape = draw(st.sampled_from(["size"] * 3 + ["any", "bare"]))
+        if shape == "bare":
+            return draw(number)
+        return draw(st.lists(number, min_size=size, max_size=size) if shape == "size" else st.lists(number, max_size=4))
+
+    kind = draw(st.sampled_from(["height_field", "tube", "height_field", "tube", "other"]))
+    if kind == "tube":
+        doc = {"type": "tube", "inner_radius_mm": draw(number)}
+        obstacle = draw(st.sampled_from(["none", "cube", "cube", "bare"]))
+        if obstacle == "cube":
+            doc["obstacle"] = {"center": numbers(3), "edge_mm": draw(number)}
+        elif obstacle == "bare":
+            doc["obstacle"] = draw(number)
+    elif kind == "height_field":
+        nx, ny = draw(st.sampled_from([3, 2, 1, 0])), draw(st.sampled_from([3, 2, 1]))
+        grid = [draw(st.lists(number, min_size=ny, max_size=ny)) for _ in range(nx)]
+        if grid and draw(RARELY):
+            grid[-1] = grid[-1][:-1]  # ragged, or an empty row
+        doc = {"type": "height_field", "origin": numbers(2), "cell_mm": draw(number), "heights": grid}
+    else:
+        return numbers(2)
+    if draw(RARELY):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if draw(RARELY):
+        doc["bogus"] = 1
+    return doc
+
+
+class TestSceneDocuments:
+    """Scene JSON through scan and explore, in process: a malformed document
+    exits 2 with an error line and writes nothing; any document gives a
+    documented exit code, no traceback and, on success, finite output."""
+
+    @pytest.mark.parametrize("command", ["scan", "explore"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SCENES))
+    def test_malformed_document_exits_2(self, tmp_path, name, command):
+        scene = tmp_path / "scene.json"
+        scene.write_text(MALFORMED_SCENES[name])
+        out = tmp_path / "run"
+        stdout, stderr, code, _ = run_main([command, "--scene", str(scene), "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+        assert not out.exists()
+
+    @given(doc=scene_docs())
+    # A subnormal cell overflows the cell index of every node but the first.
+    @example(doc={"type": "height_field", "origin": [0, 0], "cell_mm": 5e-324, "heights": [[0, 40]]})
+    @settings(max_examples=100, deadline=None)
+    def test_fuzz_exit_code_and_finite_output(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            scene = tmp / "scene.json"
+            scene.write_text(json.dumps(doc))
+            for command in ("scan", "explore"):
+                out = tmp / command
+                argv = [command, "--scene", str(scene), "--out", str(out)]
+                if command == "scan":
+                    argv += ["--width", "40", "--height", "40"]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    stdout, stderr, code, _ = run_main(argv)
+                event(f"{command} exit {code}")
+                assert code in (0, 2, 3, 4), (doc, stderr)
+                assert "Traceback" not in stderr, doc
+                if code == 0:
+                    texts = [stdout] + [f.read_text() for f in sorted(out.iterdir())]
+                    assert not any(NON_FINITE_TEXT.search(t) for t in texts), doc
 
 
 def run_main(argv, parser=None):

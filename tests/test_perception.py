@@ -11,6 +11,7 @@ from coilkin import (
     ContactCloud,
     EmptyCloudError,
     HeightField,
+    MissionLog,
     RobotGeometry,
     ScanConfig,
     bubble_aggregate,
@@ -35,7 +36,7 @@ def synthetic_cloud(height_grid, step=10.0, contact_mask=None):
     hit = np.ones(i.size, bool) if contact_mask is None else np.asarray(contact_mask, bool)[i, j]
     extension = np.where(hit, 50.0, 70.0)
     contact_z = np.where(hit, grid[i, j], np.nan)
-    return ContactCloud(arm, extension, hit, contact_z, step, (0.0, 0.0))
+    return ContactCloud(arm, extension, hit, contact_z, step, (0.0, 0.0), MissionLog(np.empty((0, 9))))
 
 
 def stamped_scene(pattern, at_i, at_j, size=21):

@@ -17,7 +17,6 @@ from coilkin import (
     ExploreConfig,
     HeightField,
     InvalidStateError,
-    MissionLog,
     RobotGeometry,
     ScanConfig,
     Tube,
@@ -144,17 +143,15 @@ class TestSurfaceScan:
         assert ys == [0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 20.0, 20.0, 20.0]
 
     def test_retract_before_move(self):
-        log = MissionLog()
-        surface_scan(plateau_scene(40.0), GEOM, ScanConfig(width=50.0, height=50.0), log)
-        rows = parse_log_rows(log)
+        cloud = surface_scan(plateau_scene(40.0), GEOM, ScanConfig(width=50.0, height=50.0))
+        rows = parse_log_rows(cloud.log)
         for prev, row in zip(rows, rows[1:]):
             if row["arm"] != prev["arm"]:
                 assert row["s"] == GEOM.s_min
 
     def test_arm_stays_in_scan_plane(self):
-        log = MissionLog()
-        surface_scan(FLAT, GEOM, ScanConfig(width=40.0, height=40.0), log)
-        zs = {row["arm"][2] for row in parse_log_rows(log)}
+        cloud = surface_scan(FLAT, GEOM, ScanConfig(width=40.0, height=40.0))
+        zs = {row["arm"][2] for row in parse_log_rows(cloud.log)}
         assert len(zs) == 1
 
     def test_completeness_reachable_cells_contact(self):
@@ -346,8 +343,7 @@ def test_array_scan_matches_node_loop(
             surface_scan(scene, GEOM, cfg)
         assert str(got.value) == str(exc)
         return
-    log = MissionLog()
-    cloud = surface_scan(scene, GEOM, cfg, log)
+    cloud = surface_scan(scene, GEOM, cfg)
     arm, extension, contact, contact_z = zip(*expected)
     assert cloud.arm.tolist() == [list(a) for a in arm]
     assert cloud.extension_mm.tolist() == list(extension)
@@ -355,7 +351,7 @@ def test_array_scan_matches_node_loop(
     np.testing.assert_array_equal(cloud.contact_z, [np.nan if z is None else z for z in contact_z])
     # Line lists, not one string: a failing 3,362-row example then reports
     # its first differing line at once instead of diffing the whole text.
-    assert log.to_csv().splitlines(keepends=True) == expected_csv.splitlines(keepends=True)
+    assert cloud.log.to_csv().splitlines(keepends=True) == expected_csv.splitlines(keepends=True)
     if cloud.contact_count:
         np.testing.assert_array_equal(reconstruct(cloud).heights, reference_heights(expected, cfg))
     else:
@@ -579,10 +575,8 @@ class TestExploreTube:
         "start", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0), (1.0, 2.0, 3.0, 4.0), "abc", None]
     )
     def test_rejects_bad_start(self, start):
-        log = MissionLog()
         with pytest.raises(ConfigError, match="start"):
-            explore_tube(Tube(174.0), GEOM, start, log=log)
-        assert len(log.rows) == 0
+            explore_tube(Tube(174.0), GEOM, start)
 
     def test_compressed_length_within_bounds(self):
         with pytest.raises(InvalidStateError, match="backbone length 10.0 outside"):
@@ -620,9 +614,7 @@ class TestDeterminism:
     def test_scan_logs_are_byte_identical(self):
         logs = []
         for _ in range(2):
-            log = MissionLog()
-            surface_scan(plateau_scene(40.0), GEOM, ScanConfig(), log)
-            logs.append(log.to_csv())
+            logs.append(surface_scan(plateau_scene(40.0), GEOM, ScanConfig()).log.to_csv())
         assert logs[0] == logs[1]
 
     def test_explore_logs_are_byte_identical(self):
@@ -631,9 +623,7 @@ class TestDeterminism:
         assert a == b
 
     def test_log_header(self):
-        log = MissionLog()
-        log.add((0.0, 0.0, 0.0), 0.0, 20.0)
-        text = log.to_csv()
+        text = one_ring(Tube(174.0)).log.to_csv()
         assert text.splitlines()[0] == LOG_HEADER
         assert text.endswith("\n")
 
