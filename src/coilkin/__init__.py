@@ -24,12 +24,9 @@ from .kinematics import (
     ArcState,
     TendonSet,
     arc_kernel,
-    attachment_points,
     fk_point,
     fk_tip,
-    fk_transform,
     ik,
-    is_rigid_transform,
     target_from_z_theta,
     tendon_lengths,
 )

@@ -29,7 +29,7 @@ from .simulator import (
     pressure_detections,
     surface_scan,
 )
-from .workspace import sample_workspace, workspace_extents, write_csv, write_ply
+from .workspace import DEFAULT_GRID, sample_workspace, workspace_extents, write_csv, write_ply
 
 # Radial offset of the canonical exploration obstacle: far enough off-axis
 # that descent never touches it, well inside the ring-scan sweep.
@@ -73,7 +73,7 @@ def _print_record(record):
 
 def cmd_fk(args) -> int:
     geom = _geometry(args)
-    state = ArcState.from_arc(math.radians(args.alpha), math.radians(args.theta), args.s)
+    state = ArcState(math.radians(args.alpha), math.radians(args.theta), args.s)
     u = fk_point(state, geom)
     e = fk_tip(state, geom)
     _print_record(
@@ -101,7 +101,7 @@ def cmd_ik(args) -> int:
 
 def cmd_tendons(args) -> int:
     geom = _geometry(args)
-    state = ArcState.from_arc(math.radians(args.alpha), math.radians(args.theta), args.s)
+    state = ArcState(math.radians(args.alpha), math.radians(args.theta), args.s)
     q = tendon_lengths(state, geom)
     _print_record({"q1": q.q1, "q2": q.q2, "q3": q.q3, "q4": q.q4})
     return 0
@@ -236,9 +236,8 @@ def _tendons_args(p):
 
 
 def _workspace_args(p):
-    p.add_argument("--n-alpha", type=int, default=72)
-    p.add_argument("--n-theta", type=int, default=19)
-    p.add_argument("--n-s", type=int, default=11)
+    for flag, count in zip(("--n-alpha", "--n-theta", "--n-s"), DEFAULT_GRID):
+        p.add_argument(flag, type=int, default=count)
     p.add_argument("--servo-range", type=float, default=None, help="servo range override, degrees")
     _add_geometry_arg(p)
     _add_out_args(p)

@@ -69,13 +69,17 @@ class RobotGeometry:
         bad = [k for k, v in doc.items() if not isinstance(v, (int, float)) or isinstance(v, bool)]
         if bad:
             raise ConfigError(f"geometry fields must be numbers: {sorted(bad)}")
-        return cls(**{k: float(v) for k, v in doc.items()})
+        try:
+            values = {k: float(v) for k, v in doc.items()}
+        except OverflowError as exc:  # an integer beyond float range
+            raise ConfigError(f"geometry field too large for a float: {exc}") from exc
+        return cls(**values)
 
     @classmethod
     def from_json(cls, text: str) -> "RobotGeometry":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
             raise ConfigError(f"geometry document is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("geometry document must be a JSON object")

@@ -1,14 +1,14 @@
 """Closed-form constant-curvature kinematics of the spring backbone.
 
 The backbone centerline is a circular arc: alpha rotates the bending plane
-about the base z axis, theta is the bend angle subtended at the arc center,
-r the arc radius and s = r*theta the backbone length. Frame D sits at the
-spring bottom, C at the arc center, U at the spring top, E at the tip.
-All lengths are millimeters, all angles radians.
+about the base z axis, theta is the bend angle subtended at the arc center
+and s the backbone length; the arc radius r = s/theta follows from them.
+Frame D sits at the spring bottom, U at the spring top, E at the tip. All
+lengths are millimeters, all angles radians.
 
 U, the tip tangent, E and the tendon lengths come from arc_kernel, which
-broadcasts over arrays; the scalar functions validate one ArcState and
-wrap it. fk_transform and attachment_points are the r-based test oracle.
+broadcasts over arrays. The scalar functions wrap it for one ArcState,
+which checks itself when built; they add only the geometry's length bound.
 """
 
 import math
@@ -35,38 +35,36 @@ ANCHOR_ANGLES = np.arange(4) * HALF_PI  # phi_i of tendons 1..4
 
 @dataclass(frozen=True, slots=True)
 class ArcState:
-    """One constant-curvature configuration.
+    """One constant-curvature configuration, checked on construction.
 
-    alpha is wrapped into [0, 2*pi). theta = 0 encodes pure compression,
-    where the arc radius is meaningless and stored as math.inf; otherwise
-    r and s must agree through s = r * theta.
+    alpha is wrapped into [0, 2*pi). theta must lie in [0, pi/2]; bend
+    angles below 1e-12 rad are stored as 0.0, pure compression, where the
+    implied arc radius would overflow well before it matters physically.
+    A non-finite field or a theta outside that range raises
+    InvalidStateError. The arc radius r = s / theta is derived, math.inf
+    for a straight backbone.
     """
 
     alpha: float
     theta: float
-    r: float
     s: float
 
     def __post_init__(self):
-        wrapped = float(self.alpha) % TWO_PI
-        if wrapped == TWO_PI:  # tiny negative angles round up to the excluded endpoint
-            wrapped = 0.0
-        object.__setattr__(self, "alpha", wrapped)
-
-    @classmethod
-    def from_arc(cls, alpha: float, theta: float, s: float) -> "ArcState":
-        """Build a state from bend-plane angle, bend angle and backbone length.
-
-        Bend angles below 1e-12 rad collapse to the straight branch; the
-        implied arc radius would overflow well before it matters physically.
-        """
-        if theta < 1e-12:
-            return cls(alpha, 0.0, math.inf, s)
-        return cls(alpha, theta, s / theta, s)
+        alpha, theta, s = float(self.alpha), float(self.theta), float(self.s)
+        if not all(map(math.isfinite, (alpha, theta, s))):
+            raise InvalidStateError(f"arc state must be finite, got {self}")
+        if not 0.0 <= theta <= HALF_PI:
+            raise InvalidStateError(f"bend angle {theta} outside [0, pi/2]")
+        alpha %= TWO_PI
+        if alpha == TWO_PI:  # tiny negative angles round up to the excluded endpoint
+            alpha = 0.0
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "theta", theta if theta >= 1e-12 else 0.0)
+        object.__setattr__(self, "s", s)
 
     @property
-    def straight(self) -> bool:
-        return self.theta == 0.0
+    def r(self) -> float:
+        return self.s / self.theta if self.theta else math.inf
 
 
 @dataclass(frozen=True)
@@ -82,23 +80,10 @@ class TendonSet:
         return (self.q1, self.q2, self.q3, self.q4)
 
 
-def _check_state(state: ArcState, geom: RobotGeometry | None = None):
-    """Reject non-finite or out-of-range states; the length bounds need geom."""
-    if not all(map(math.isfinite, (state.alpha, state.theta, state.s))):
-        raise InvalidStateError(f"arc state must be finite, got {state}")
-    if not 0.0 <= state.theta <= HALF_PI:
-        raise InvalidStateError(f"bend angle {state.theta} outside [0, pi/2]")
-    if geom is not None and not geom.s_min <= state.s <= geom.s_max:
-        raise InvalidStateError(
-            f"backbone length {state.s} outside [{geom.s_min}, {geom.s_max}]"
-        )
-    if state.theta > 0.0:
-        if not state.r > 0.0 or not math.isfinite(state.r):
-            raise InvalidStateError(f"arc radius {state.r} must be finite and > 0")
-        if abs(state.s - state.r * state.theta) >= 1e-9 * state.s:
-            raise InvalidStateError(
-                f"inconsistent arc: s={state.s} but r*theta={state.r * state.theta}"
-            )
+def _check_length(s: float, geom: RobotGeometry):
+    """Reject a backbone length outside the geometry's [s_min, s_max]."""
+    if not geom.s_min <= s <= geom.s_max:
+        raise InvalidStateError(f"backbone length {s} outside [{geom.s_min}, {geom.s_max}]")
 
 
 class ArcKinematics(NamedTuple):
@@ -146,7 +131,7 @@ def arc_kernel(alpha, theta, s, d: float, l: float) -> ArcKinematics:
 
 
 def _evaluate(state: ArcState, geom: RobotGeometry) -> ArcKinematics:
-    _check_state(state, geom)
+    _check_length(state.s, geom)
     return arc_kernel(state.alpha, state.theta, state.s, geom.d, geom.l)
 
 
@@ -161,8 +146,7 @@ def fk_tip(state: ArcState, geom: RobotGeometry) -> np.ndarray:
 
 
 def tip_tangent(state: ArcState) -> np.ndarray:
-    """Unit tangent of the backbone at the spring top (z column of the transform)."""
-    _check_state(state)
+    """Unit tangent of the backbone at the spring top."""
     return arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
 
 
@@ -170,60 +154,6 @@ def tendon_lengths(state: ArcState, geom: RobotGeometry) -> TendonSet:
     """Tendon lengths: an arc where the anchor faces the bend
     (cos(alpha - phi_i) > TIE_EPS), a straight chord otherwise."""
     return TendonSet(*_evaluate(state, geom).q.tolist())
-
-
-def rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array(
-        [[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-    )
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array(
-        [[c, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0], [-s, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0]]
-    )
-
-
-def translation(x: float, y: float, z: float) -> np.ndarray:
-    t = np.eye(4)
-    t[:3, 3] = (x, y, z)
-    return t
-
-
-def is_rigid_transform(t: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when the rotation block is orthonormal with unit determinant."""
-    if t.shape != (4, 4) or not np.array_equal(t[3], (0.0, 0.0, 0.0, 1.0)):
-        return False
-    r = t[:3, :3]
-    return (
-        float(np.abs(r.T @ r - np.eye(3)).max()) < tol
-        and abs(float(np.linalg.det(r)) - 1.0) < tol
-    )
-
-
-def fk_transform(state: ArcState, geom: RobotGeometry) -> np.ndarray:
-    """Frame D -> Frame U homogeneous transform of a valid arc state.
-
-    theta = 0 degenerates to a pure translation of s along z, the limit of
-    the arc expressions with r*theta held at s. Only the tests call it, as
-    the r-based oracle for arc_kernel.
-    """
-    _check_state(state, geom)
-    if state.straight:
-        return translation(0.0, 0.0, state.s)
-    ca, sa = math.cos(state.alpha), math.sin(state.alpha)
-    ct, st = math.cos(state.theta), math.sin(state.theta)
-    r = state.r
-    return np.array(
-        [
-            [ca * ca * ct + sa * sa, sa * ca * ct - sa * ca, ca * st, r * ca * (1.0 - ct)],
-            [sa * ca * ct - sa * ca, sa * sa * ct + ca * ca, sa * st, r * sa * (1.0 - ct)],
-            [-ca * st, -sa * st, ct, r * st],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
 
 
 def ik(target_u, geom: RobotGeometry) -> ArcState:
@@ -247,7 +177,7 @@ def ik(target_u, geom: RobotGeometry) -> ArcState:
             raise UnreachableTargetError(
                 f"compression length {z} outside [{geom.s_min}, {geom.s_max}]"
             )
-        return ArcState(0.0, 0.0, math.inf, min(max(z, geom.s_min), geom.s_max))
+        return ArcState(0.0, 0.0, min(max(z, geom.s_min), geom.s_max))
     if z < 0.0:
         raise UnreachableTargetError("targets below the base plane are unreachable")
     cos_theta = (z * z - x * x - y * y) / norm_sq
@@ -256,29 +186,12 @@ def ik(target_u, geom: RobotGeometry) -> ArcState:
         if theta > HALF_PI * (1.0 + 1e-12):
             raise UnreachableTargetError(f"required bend angle {theta} exceeds pi/2")
         theta = HALF_PI
-    r = norm_sq / (2.0 * planar)
-    s = r * theta
+    s = norm_sq / (2.0 * planar) * theta
     if not geom.s_min - slack <= s <= geom.s_max + slack:
         raise UnreachableTargetError(
             f"required backbone length {s} outside [{geom.s_min}, {geom.s_max}]"
         )
-    if not geom.s_min <= s <= geom.s_max:
-        s = min(max(s, geom.s_min), geom.s_max)
-        r = s / theta
-    return ArcState(math.atan2(y, x), theta, r, s)
-
-
-def attachment_points(state: ArcState, geom: RobotGeometry):
-    """Lower (base holder) and upper (top holder) tendon anchors in Frame D.
-
-    The four lower anchors sit on the axes at radius d; the upper ones are
-    the same points carried through the D->U transform (a test oracle).
-    """
-    d = geom.d
-    lower = [np.array(p) for p in ((d, 0.0, 0.0), (0.0, d, 0.0), (-d, 0.0, 0.0), (0.0, -d, 0.0))]
-    t = fk_transform(state, geom)
-    upper = [t[:3, :3] @ p + t[:3, 3] for p in lower]
-    return lower, upper
+    return ArcState(math.atan2(y, x), theta, min(max(s, geom.s_min), geom.s_max))
 
 
 _DIRECTIONS = {

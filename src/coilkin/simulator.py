@@ -19,7 +19,7 @@ from .actuation import step_count
 from .columns import check_node_count, write_rows
 from .errors import ArmTooLowError, ConfigError, SceneError
 from .geometry import RobotGeometry
-from .kinematics import TWO_PI, ArcState, _check_state, arc_kernel, ik
+from .kinematics import TWO_PI, ArcState, _check_length, arc_kernel, ik
 from .scenes import HeightField, Tube
 
 LOG_HEADER = "step_index,arm_x,arm_y,arm_z,alpha,s,contact,cx,cy,cz"
@@ -260,8 +260,8 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     kernel call gives the compressed and the goal tendon sets (row 0 and
     rows 1..n) and one every waypoint.
     """
-    compressed = ArcState.from_arc(0.0, 0.0, cfg.compressed_s)
-    _check_state(compressed, geom)  # arc_kernel itself checks no bounds
+    compressed = ArcState(0.0, 0.0, cfg.compressed_s)
+    _check_length(compressed.s, geom)  # arc_kernel itself checks no bounds
     alphas = [TWO_PI * k / cfg.n_directions for k in range(cfg.n_directions)]
     goals = [
         ik((cfg.target_radial * math.cos(a), cfg.target_radial * math.sin(a), cfg.target_z), geom)

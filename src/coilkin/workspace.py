@@ -53,7 +53,7 @@ class Workspace:
         if isinstance(rows, range):
             return [self[i] for i in rows]
         ok = bool(self.feasible[k])
-        state = ArcState.from_arc(float(self.alpha[k]), float(self.theta[k]), float(self.s[k]))
+        state = ArcState(self.alpha[k], self.theta[k], self.s[k])
         return WorkspaceSample(state, self.u[k], self.e[k], ok, REASON_OK if ok else REASON_SERVO)
 
     def __iter__(self):

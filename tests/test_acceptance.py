@@ -18,7 +18,6 @@ from coilkin import (
     ScanConfig,
     TendonSet,
     Tube,
-    attachment_points,
     error_stats,
     explore_tube,
     ik,
@@ -30,7 +29,8 @@ from coilkin import (
     to_feature,
 )
 from coilkin.cli import make_offset_tube
-from coilkin.kinematics import ArcState, fk_transform
+from coilkin.kinematics import ArcState
+from kinematics_oracle import fk_transform
 
 GEOM = RobotGeometry()
 
@@ -44,7 +44,7 @@ def test_c1_fk_ik_round_trip():
     """10k random states round-trip within 1e-9 relative in under 1 s."""
     rng = random.Random(101)
     states = [
-        ArcState.from_arc(
+        ArcState(
             rng.uniform(0.01, math.pi / 2),
             rng.uniform(0.01, math.pi / 2),
             rng.uniform(20.0, 70.0),
@@ -99,7 +99,7 @@ def test_c2_closed_form_identity():
 def test_c3_tendon_case_split():
     """Quarter bend, d = 12: inner tendon takes the arc branch, the opposite
     one the chord branch, matching hand-derived values within 0.01 mm."""
-    state = ArcState.from_arc(0.0, math.pi / 2, 70.0)
+    state = ArcState(0.0, math.pi / 2, 70.0)
     q = tendon_lengths(state, GEOM)
     # Independent oracle: direct evaluation of the anchor/center geometry.
     r, d, theta = 140.0 / math.pi, 12.0, math.pi / 2

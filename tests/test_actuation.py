@@ -132,7 +132,7 @@ class TestSharedRules:
         goal tendon set in step_count steps, endpoints exact."""
         cfg = ExploreConfig(max_step_mm=step, target_radial=radial)
         path = ring_path(GEOM, cfg)
-        q0 = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), GEOM).as_tuple()
+        q0 = tendon_lengths(ArcState(0.0, 0.0, cfg.compressed_s), GEOM).as_tuple()
         ends = np.append(path.starts[1:], len(path.t)) - 1
         for k, alpha in enumerate(path.alpha.tolist()):
             goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), GEOM)

@@ -222,6 +222,19 @@ class TestNonFiniteInputs:
         proc = run_cli(*command, *extra, "--geometry", geom, *writes)
         assert_rejected_as_input(proc, out)
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_integer_geometry_exits_2(self, tmp_path, digits):
+        # 400 digits overflow float(); 5000 exceed Python's int parsing
+        # limit, so the file is written as text (json.dumps raises too).
+        geom = tmp_path / "geom.json"
+        geom.write_text('{"d": 1' + "0" * digits + "}")
+        stdout, stderr, code, _ = run_main(
+            ["fk", "--alpha", "0", "--theta", "30", "--s", "50", "--geometry", str(geom)]
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ")
+        assert "Traceback" not in stderr
+
     def test_explore_height_field_scene_exits_2(self, tmp_path):
         scene = tmp_path / "scene.json"
         write_plateau_scene(scene)
@@ -469,16 +482,22 @@ class TestCommandParser:
 
 
 FUZZ_NUMBERS = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-5", "5e-324", "wide"]
+# Bend angles below the domain that argparse reads as values.
+NEGATIVE_THETAS = ["-30", "-0.5"]
 # Per command: flag -> values (None: a flag without value). The key None
 # holds ik's positional values, of which it takes three. Sizes stay small:
 # the node cap stops only grids above MAX_NODES nodes, so workspace counts
 # stay <= 4 and scans <= 50 mm wide with steps >= 5 mm unless an extreme
 # value sends them to the cap.
 ARGV_FLAGS = {
-    "fk": {f: FUZZ_NUMBERS + [v] * 3 for f, v in (("--alpha", "30"), ("--theta", "40"), ("--s", "50"))},
+    "fk": {
+        **{f: FUZZ_NUMBERS + [v] * 3 for f, v in (("--alpha", "30"), ("--s", "50"))},
+        "--theta": FUZZ_NUMBERS + NEGATIVE_THETAS + ["40"] * 3,
+    },
     "ik": {None: FUZZ_NUMBERS + ["0", "10", "45"] * 2},
     "tendons": {
-        **{f: FUZZ_NUMBERS + [v] * 3 for f, v in (("--alpha", "45"), ("--theta", "80"), ("--s", "40"))},
+        **{f: FUZZ_NUMBERS + [v] * 3 for f, v in (("--alpha", "45"), ("--s", "40"))},
+        "--theta": FUZZ_NUMBERS + NEGATIVE_THETAS + ["80"] * 3,
         "--d": FUZZ_NUMBERS + ["12"] * 3,
     },
     "workspace": {
@@ -521,19 +540,26 @@ UNKNOWN_FLAGS = [("--bogus", "1"), ("-q",), ("--geometry", "MISSING")]
 def argv_draws(draw, command):
     flags = ARGV_FLAGS[command]
     named = sorted(f for f in flags if f is not None)
-    items = []
+    # Fixed and base items first: hypothesis favours permutations near the
+    # identity, and argparse keeps a flag's last value, so drawn values
+    # usually override them.
+    items = list(ARGV_FIXED.get(command, []))
+    if draw(st.integers(0, 3)):
+        items += ARGV_BASE.get(command, [])
     if named:
         drawn = draw(st.lists(
             st.sampled_from(named).flatmap(lambda f: st.tuples(st.just(f), st.sampled_from(flags[f]))),
             max_size=4,
         ))
-        items += [tuple(t for t in pair if t is not None) for pair in drawn]
+        # "--flag=value" lets argparse take values such as -inf and -1e308,
+        # which it reads as options when they stand alone.
+        items += [
+            (f"{f}={v}",) if v is not None and draw(RARELY) else tuple(t for t in (f, v) if t is not None)
+            for f, v in drawn
+        ]
     if None in flags:
         count = draw(st.sampled_from([3, 3, 3, 2, 4]))
         items += [(draw(st.sampled_from(flags[None])),) for _ in range(count)]
-    items += ARGV_FIXED.get(command, [])
-    if draw(st.integers(0, 3)):
-        items += ARGV_BASE.get(command, [])
     unknown = draw(st.sampled_from([None] * 5 + UNKNOWN_FLAGS))
     if unknown:
         items.append(unknown)
@@ -551,7 +577,8 @@ def reject_constant(name):
 class TestArgvFuzz:
     """Extreme, malformed and reordered argv through main, in process: a
     documented exit code and no traceback; on success fk, ik and tendons
-    print strict JSON and no command prints a non-finite number."""
+    print strict JSON, fk and tendons had a bend angle of at least 0 and no
+    command prints a non-finite number."""
 
     @pytest.mark.parametrize("command", sorted(ARGV_FLAGS))
     @given(data=st.data())
@@ -576,6 +603,26 @@ class TestArgvFuzz:
             assert not NON_FINITE_TEXT.search(stdout), argv
             if command in ("fk", "ik", "tendons"):
                 json.loads(stdout, parse_constant=reject_constant)
+            if command in ("fk", "tendons"):
+                assert run_main(argv, build_parser(command))[3]["theta"] >= 0.0, argv
+
+    @given(
+        command=st.sampled_from(["fk", "tendons"]),
+        theta=st.floats(max_value=-1e-300),
+    )
+    @example(command="fk", theta=-30.0)
+    @example(command="fk", theta=-math.inf)
+    @example(command="tendons", theta=-1e-300)
+    @settings(max_examples=40, deadline=None)
+    def test_negative_bend_angle_never_succeeds(self, command, theta):
+        # A negative bend angle is not a straight backbone. The generic
+        # draws above rarely end on a negative --theta; this test always
+        # does. Degrees below about -3e-322 stay negative in radians;
+        # smaller ones round to -0.0, a straight backbone.
+        stdout, stderr, code, _ = run_main([command, "--alpha", "0", f"--theta={theta!r}", "--s", "50"])
+        assert (code, stdout) == (3, ""), (theta, stderr)
+        assert stderr.startswith("error: ")
+        assert "Traceback" not in stderr
 
 
 class TestWorkspaceCommand:

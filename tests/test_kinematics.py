@@ -3,11 +3,13 @@
 Frozen expected values come from independent oracles: the quarter-bend
 translation from numerically integrating the backbone's unit tangent, the
 tendon cases from direct evaluation of the anchor-point formulas, and the
-transform from recomposing the frame chain with primitive rotations.
+transform from recomposing the frame chain with primitive rotations. The
+r-based frame chain itself lives in kinematics_oracle, beside this file.
 """
 
 import math
-from dataclasses import replace
+import sys
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -20,21 +22,19 @@ from coilkin import (
     InvalidStateError,
     RobotGeometry,
     UnreachableTargetError,
-    attachment_points,
     fk_point,
     fk_tip,
     ik,
-    is_rigid_transform,
     target_from_z_theta,
     tendon_lengths,
 )
-from coilkin.kinematics import (
-    TIE_EPS,
-    arc_kernel,
+from coilkin.kinematics import HALF_PI, TIE_EPS, arc_kernel, tip_tangent
+from kinematics_oracle import (
+    attachment_points,
     fk_transform,
+    is_rigid_transform,
     rot_y,
     rot_z,
-    tip_tangent,
     translation,
 )
 
@@ -67,19 +67,19 @@ def angles_close(a, b, tol=1e-9):
 
 class TestFkTransform:
     def test_straight_is_pure_translation(self):
-        t = fk_transform(ArcState.from_arc(0.0, 0.0, 70.0), GEOM)
+        t = fk_transform(ArcState(0.0, 0.0, 70.0), GEOM)
         assert np.allclose(t[:3, :3], np.eye(3), atol=0.0)
         assert np.allclose(t[:3, 3], [0.0, 0.0, 70.0], atol=0.0)
 
     def test_quarter_bend_translation(self):
-        state = ArcState.from_arc(0.0, math.pi / 2, 70.0)
+        state = ArcState(0.0, math.pi / 2, 70.0)
         u = fk_transform(state, GEOM)[:3, 3]
         oracle = arc_integral_oracle(0.0, math.pi / 2, 70.0)
         assert np.allclose(oracle, [QUARTER, 0.0, QUARTER], atol=1e-8)
         assert u == pytest.approx([QUARTER, 0.0, QUARTER], abs=1e-9)
 
     def test_quarter_bend_y_plane(self):
-        state = ArcState.from_arc(math.pi / 2, math.pi / 2, 70.0)
+        state = ArcState(math.pi / 2, math.pi / 2, 70.0)
         u = fk_transform(state, GEOM)[:3, 3]
         oracle = arc_integral_oracle(math.pi / 2, math.pi / 2, 70.0)
         assert np.allclose(u, oracle, atol=1e-8)
@@ -94,7 +94,7 @@ class TestFkTransform:
     def test_matches_frame_composition(self, alpha, theta, s):
         # Below theta ~ 1e-3 the huge arc radius amplifies rounding in both
         # routes; the continuity test covers that regime instead.
-        state = ArcState.from_arc(alpha, theta, s)
+        state = ArcState(alpha, theta, s)
         assert np.allclose(fk_transform(state, GEOM), composed_transform(state), atol=1e-9)
 
     @given(
@@ -104,37 +104,35 @@ class TestFkTransform:
     )
     @settings(max_examples=200, deadline=None)
     def test_rotation_block_is_orthonormal(self, alpha, theta, s):
-        assert is_rigid_transform(fk_transform(ArcState.from_arc(alpha, theta, s), GEOM))
+        assert is_rigid_transform(fk_transform(ArcState(alpha, theta, s), GEOM))
 
     def test_continuity_at_small_theta(self):
-        state = ArcState.from_arc(1.3, 1e-6, 50.0)
+        state = ArcState(1.3, 1e-6, 50.0)
         assert fk_point(state, GEOM) == pytest.approx([0.0, 0.0, 50.0], abs=1e-3)
         q = tendon_lengths(state, GEOM)
         assert q.as_tuple() == pytest.approx((50.0,) * 4, abs=1e-3)
 
     def test_invalid_states_rejected(self):
         with pytest.raises(InvalidStateError):
-            fk_transform(ArcState.from_arc(0.0, math.pi / 2 + 0.01, 70.0), GEOM)
+            fk_transform(ArcState(0.0, math.pi / 2 + 0.01, 70.0), GEOM)
         with pytest.raises(InvalidStateError):
-            fk_transform(ArcState.from_arc(0.0, 0.1, 19.0), GEOM)
+            fk_transform(ArcState(0.0, 0.1, 19.0), GEOM)
         with pytest.raises(InvalidStateError):
-            fk_transform(ArcState.from_arc(0.0, 0.1, 71.0), GEOM)
-        with pytest.raises(InvalidStateError):
-            fk_transform(ArcState(0.0, 0.5, 60.0, 40.0), GEOM)  # r*theta != s
+            fk_transform(ArcState(0.0, 0.1, 71.0), GEOM)
 
 
 class TestFkTip:
     def test_straight_stack(self):
-        tip = fk_tip(ArcState.from_arc(0.0, 0.0, 70.0), GEOM)
+        tip = fk_tip(ArcState(0.0, 0.0, 70.0), GEOM)
         assert tip == pytest.approx([0.0, 0.0, 123.0], abs=0.0)
 
     def test_quarter_bend_tip(self):
-        tip = fk_tip(ArcState.from_arc(0.0, math.pi / 2, 70.0), GEOM)
+        tip = fk_tip(ArcState(0.0, math.pi / 2, 70.0), GEOM)
         assert tip == pytest.approx([QUARTER + 53.0, 0.0, QUARTER], abs=1e-9)
 
     def test_mirror_bend_reduces_to_spring_top(self):
         geom = replace(GEOM, l=0.0)
-        tip = fk_tip(ArcState.from_arc(math.pi, math.pi / 2, 70.0), geom)
+        tip = fk_tip(ArcState(math.pi, math.pi / 2, 70.0), geom)
         assert tip == pytest.approx([-QUARTER, 0.0, QUARTER], abs=1e-9)
 
     @given(
@@ -144,8 +142,8 @@ class TestFkTip:
     )
     @settings(max_examples=200, deadline=None)
     def test_half_turn_mirrors_through_z(self, alpha, theta, s):
-        a = fk_tip(ArcState.from_arc(alpha, theta, s), GEOM)
-        b = fk_tip(ArcState.from_arc(alpha + math.pi, theta, s), GEOM)
+        a = fk_tip(ArcState(alpha, theta, s), GEOM)
+        b = fk_tip(ArcState(alpha + math.pi, theta, s), GEOM)
         assert b == pytest.approx([-a[0], -a[1], a[2]], abs=1e-9)
 
 
@@ -194,7 +192,7 @@ class TestIk:
     )
     @settings(max_examples=300, deadline=None)
     def test_round_trip(self, alpha, theta, s):
-        state = ArcState.from_arc(alpha, theta, s)
+        state = ArcState(alpha, theta, s)
         back = ik(fk_point(state, GEOM), GEOM)
         assert angles_close(back.alpha, state.alpha)
         assert back.theta == pytest.approx(theta, rel=1e-9, abs=1e-9)
@@ -224,13 +222,13 @@ class TestIk:
 
 class TestAttachmentPoints:
     def test_straight_rigid_translation(self):
-        state = ArcState.from_arc(0.0, 0.0, 70.0)
+        state = ArcState(0.0, 0.0, 70.0)
         lower, upper = attachment_points(state, GEOM)
         for pl, ph in zip(lower, upper):
             assert ph == pytest.approx(pl + np.array([0.0, 0.0, 70.0]), abs=0.0)
 
     def test_quarter_bend_third_and_first(self):
-        state = ArcState.from_arc(0.0, math.pi / 2, 70.0)
+        state = ArcState(0.0, math.pi / 2, 70.0)
         _, upper = attachment_points(state, GEOM)
         assert upper[2] == pytest.approx([QUARTER, 0.0, 12.0 + QUARTER], abs=1e-9)
         assert upper[0] == pytest.approx([QUARTER, 0.0, QUARTER - 12.0], abs=1e-9)
@@ -243,7 +241,7 @@ class TestAttachmentPoints:
     @settings(max_examples=200, deadline=None)
     def test_upper_points_match_branch_formulas(self, alpha, theta, s):
         # Independent evaluation of the four per-tendon expansions.
-        state = ArcState.from_arc(alpha, theta, s)
+        state = ArcState(alpha, theta, s)
         d = GEOM.d
         ca, sa = math.cos(alpha), math.sin(alpha)
         ct, st_ = math.cos(theta), math.sin(theta)
@@ -262,24 +260,24 @@ class TestAttachmentPoints:
 
 class TestTendonLengths:
     def test_straight_all_equal_backbone(self):
-        q = tendon_lengths(ArcState.from_arc(0.0, 0.0, 45.0), GEOM)
+        q = tendon_lengths(ArcState(0.0, 0.0, 45.0), GEOM)
         assert q.as_tuple() == (45.0, 45.0, 45.0, 45.0)
 
     def test_quarter_bend_inner_arc(self):
-        q = tendon_lengths(ArcState.from_arc(0.0, math.pi / 2, 70.0), GEOM)
+        q = tendon_lengths(ArcState(0.0, math.pi / 2, 70.0), GEOM)
         # (r - d) * theta = 70 - 6*pi
         assert q.q1 == pytest.approx(70.0 - 6.0 * math.pi, abs=1e-9)
         assert q.q1 == pytest.approx(51.15044407846124, abs=1e-9)
 
     def test_quarter_bend_outer_chord(self):
-        q = tendon_lengths(ArcState.from_arc(0.0, math.pi / 2, 70.0), GEOM)
+        q = tendon_lengths(ArcState(0.0, math.pi / 2, 70.0), GEOM)
         oracle = math.dist((-12.0, 0.0, 0.0), (QUARTER, 0.0, 12.0 + QUARTER))
         assert q.q3 == pytest.approx(oracle, abs=1e-9)
         assert q.q3 == pytest.approx(79.99270487947457, abs=1e-9)
 
     def test_boundary_tie_takes_chord(self):
         # At alpha = 0 tendons 2 and 4 sit exactly on the case boundary.
-        state = ArcState.from_arc(0.0, math.pi / 2, 70.0)
+        state = ArcState(0.0, math.pi / 2, 70.0)
         q = tendon_lengths(state, GEOM)
         _, upper = attachment_points(state, GEOM)
         chord2 = math.dist((0.0, 12.0, 0.0), tuple(upper[1]))
@@ -299,8 +297,8 @@ class TestTendonLengths:
         # the boundary (alpha at a multiple of pi/2); stay off it.
         off_boundary = abs(math.remainder(alpha, math.pi / 2))
         assume(off_boundary > 1e-6)
-        qa = tendon_lengths(ArcState.from_arc(alpha, theta, s), GEOM)
-        qb = tendon_lengths(ArcState.from_arc(alpha + math.pi, theta, s), GEOM)
+        qa = tendon_lengths(ArcState(alpha, theta, s), GEOM)
+        qb = tendon_lengths(ArcState(alpha + math.pi, theta, s), GEOM)
         assert qb.q1 == pytest.approx(qa.q3, abs=1e-9)
         assert qb.q3 == pytest.approx(qa.q1, abs=1e-9)
         assert qb.q2 == pytest.approx(qa.q4, abs=1e-9)
@@ -313,7 +311,7 @@ class TestTendonLengths:
     )
     @settings(max_examples=200, deadline=None)
     def test_all_positive(self, alpha, theta, s):
-        q = tendon_lengths(ArcState.from_arc(alpha, theta, s), GEOM)
+        q = tendon_lengths(ArcState(alpha, theta, s), GEOM)
         assert all(v > 0.0 for v in q.as_tuple())
 
 
@@ -340,14 +338,14 @@ class TestTieRule:
     @settings(max_examples=300, deadline=None)
     def test_quarter_turn_permutes_tendons(self, alpha, theta, s):
         # Tendon i+1 faces alpha + pi/2 the way tendon i faces alpha.
-        q = tendon_lengths(ArcState.from_arc(alpha, theta, s), GEOM).as_tuple()
-        turned = tendon_lengths(ArcState.from_arc(alpha + math.pi / 2, theta, s), GEOM).as_tuple()
+        q = tendon_lengths(ArcState(alpha, theta, s), GEOM).as_tuple()
+        turned = tendon_lengths(ArcState(alpha + math.pi / 2, theta, s), GEOM).as_tuple()
         assert turned == pytest.approx(q[-1:] + q[:-1], abs=1e-12)
 
     def test_rounding_of_alpha_does_not_switch_branch(self):
         # theta = 1 rad, s = 60: arc and chord of tendon 2 differ by 3.66 mm here.
-        at_zero = tendon_lengths(ArcState.from_arc(0.0, 1.0, 60.0), GEOM)
-        nudged = tendon_lengths(ArcState.from_arc(1e-13, 1.0, 60.0), GEOM)
+        at_zero = tendon_lengths(ArcState(0.0, 1.0, 60.0), GEOM)
+        nudged = tendon_lengths(ArcState(1e-13, 1.0, 60.0), GEOM)
         assert nudged.as_tuple() == pytest.approx(at_zero.as_tuple(), abs=1e-9)
 
 
@@ -374,7 +372,7 @@ class TestArcKernel:
         s = rng.uniform(20.0, 70.0, 64)
         kin = arc_kernel(alpha, theta, s, GEOM.d, GEOM.l)
         for i in range(64):
-            state = ArcState.from_arc(alpha[i], theta[i], s[i])
+            state = ArcState(alpha[i], theta[i], s[i])
             assert fk_point(state, GEOM) == pytest.approx(kin.u[i], abs=1e-12)
             assert fk_tip(state, GEOM) == pytest.approx(kin.e[i], abs=1e-12)
             assert tip_tangent(state) == pytest.approx(kin.tangent[i], abs=1e-12)
@@ -387,7 +385,7 @@ class TestArcKernel:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_frame_chain_oracle(self, alpha, theta, s):
-        state = ArcState.from_arc(alpha, theta, s)
+        state = ArcState(alpha, theta, s)
         kin = arc_kernel(state.alpha, state.theta, state.s, GEOM.d, GEOM.l)
         t = fk_transform(state, GEOM)
         assert kin.u == pytest.approx(t[:3, 3], abs=1e-9)
@@ -417,15 +415,10 @@ class TestArcKernel:
         ],
     )
     def test_wrappers_reject_non_finite_states(self, alpha, theta, s):
-        state = ArcState.from_arc(alpha, theta, s)
-        for call in (
-            lambda: fk_point(state, GEOM),
-            lambda: fk_tip(state, GEOM),
-            lambda: tendon_lengths(state, GEOM),
-            lambda: tip_tangent(state),
-        ):
-            with pytest.raises(InvalidStateError):
-                call()
+        # The wrappers take only an ArcState, and one with a non-finite
+        # field cannot be built.
+        with pytest.raises(InvalidStateError, match="finite"):
+            ArcState(alpha, theta, s)
 
 
 class TestTargetFromZTheta:
@@ -453,9 +446,55 @@ class TestTargetFromZTheta:
             target_from_z_theta(60.0, 0.1, "+Z", GEOM)
 
 
+# Floats at the edges of ArcState's domain: signed zeros, subnormals, the
+# collapse threshold of theta and its neighbours, tiny negatives, the pi/2
+# bound and the float just above it, the float extremes and the non-finite.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, -1e-12,
+    math.nextafter(1e-12, 0.0), 1e-12, 1.0, HALF_PI, math.nextafter(HALF_PI, math.inf),
+    1e308, -1e308, math.inf, -math.inf, math.nan,
+]
+any_float = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+
+
+class TestArcStateDomain:
+    @given(alpha=any_float, theta=any_float, s=any_float)
+    @example(alpha=0.0, theta=-0.0, s=50.0)
+    @example(alpha=0.0, theta=-1e-300, s=50.0)
+    @example(alpha=0.0, theta=math.nextafter(HALF_PI, math.inf), s=50.0)
+    @example(alpha=-1e-20, theta=5e-324, s=-0.0)
+    @example(alpha=math.inf, theta=0.5, s=50.0)
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_exactly_its_domain(self, alpha, theta, s):
+        if not (math.isfinite(alpha) and math.isfinite(s) and 0.0 <= theta <= HALF_PI):
+            with pytest.raises(InvalidStateError):
+                ArcState(alpha, theta, s)
+            return
+        state = ArcState(alpha, theta, s)
+        assert 0.0 <= state.alpha < 2.0 * math.pi
+        assert state.s == s
+        if theta < 1e-12:
+            assert state.theta == 0.0 and math.copysign(1.0, state.theta) == 1.0
+            assert state.r == math.inf
+            return
+        assert state.theta == theta
+        # Division can be undone to 1e-15 only away from overflow of r and
+        # from the subnormal range of r and s.
+        normal = sys.float_info.min
+        if math.isfinite(state.r) and (s == 0.0 or min(abs(s), abs(state.r)) >= normal):
+            assert state.r * theta == pytest.approx(s, rel=1e-15, abs=0.0)
+
+    def test_is_frozen_with_three_fields(self):
+        state = ArcState(0.5, 0.25, 40.0)
+        assert [f.name for f in fields(ArcState)] == ["alpha", "theta", "s"]
+        assert state.r == 160.0
+        with pytest.raises(FrozenInstanceError):
+            state.s = 1.0
+
+
 def test_alpha_wraps_into_range():
-    state = ArcState.from_arc(-math.pi / 2, 0.1, 50.0)
+    state = ArcState(-math.pi / 2, 0.1, 50.0)
     assert state.alpha == pytest.approx(1.5 * math.pi)
-    assert 0.0 <= ArcState.from_arc(7.0 * math.pi, 0.1, 50.0).alpha < 2.0 * math.pi
+    assert 0.0 <= ArcState(7.0 * math.pi, 0.1, 50.0).alpha < 2.0 * math.pi
     # -1e-20 % 2*pi rounds to the excluded 2*pi endpoint; must land on 0
-    assert ArcState.from_arc(-1e-20, 0.1, 50.0).alpha == 0.0
+    assert ArcState(-1e-20, 0.1, 50.0).alpha == 0.0

@@ -427,7 +427,7 @@ class TestRingPath:
         columns = zip(path.row.tolist(), path.t.tolist(), path.theta.tolist(), path.s.tolist())
         assert list(columns) == expected
         for (k, _, theta, s), q, tip in zip(expected, path.q, path.tip):
-            state = ArcState.from_arc(path.alpha[k], theta, s)
+            state = ArcState(path.alpha[k], theta, s)
             d = fk_point(state, GEOM) + GEOM.probe_offset * tip_tangent(state)
             assert tip == pytest.approx((d[0], -d[1], -d[2]), abs=1e-9)
             assert q == pytest.approx(tendon_lengths(state, GEOM).as_tuple(), abs=1e-9)
@@ -444,7 +444,7 @@ def reference_mission(scene, geom, start, cfg):
     """explore_tube as a per-depth, per-waypoint loop over the scalar API:
     the probe rows (alpha, extension, contact, point or None), the log rows
     (arm, alpha, s, contact, point or None) and the stop depth."""
-    q0 = tendon_lengths(ArcState.from_arc(0.0, 0.0, cfg.compressed_s), geom).as_tuple()
+    q0 = tendon_lengths(ArcState(0.0, 0.0, cfg.compressed_s), geom).as_tuple()
     probes, log, depth = [], [], 0.0
     for _ in range(cfg.max_steps):
         depth += cfg.descent_step
@@ -461,7 +461,7 @@ def reference_mission(scene, geom, start, cfg):
             for step in range(n + 1):
                 t = step / n
                 s = cfg.compressed_s + t * (goal.s - cfg.compressed_s)
-                state = ArcState.from_arc(alpha, t * goal.theta, s)
+                state = ArcState(alpha, t * goal.theta, s)
                 d = fk_point(state, geom) + geom.probe_offset * tip_tangent(state)
                 tip = (arm[0] + d[0], arm[1] - d[1], arm[2] - d[2])
                 wall = math.hypot(tip[0] - arm[0], tip[1] - arm[1]) >= scene.inner_radius_mm
