@@ -4,7 +4,7 @@ missions for a spring-backbone continuum robot."""
 from .actuation import (
     ServoCommand,
     max_payout,
-    servo_to_tendon,
+    servo_angles,
     tendon_to_servo,
 )
 from .errors import (

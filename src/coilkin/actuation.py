@@ -12,11 +12,7 @@ from .kinematics import TendonSet
 
 @dataclass(frozen=True)
 class ServoCommand:
-    """Pulley angles in degrees, one per tendon, with slack payout flags.
-
-    A slack flag marks a tendon that must run longer than its home length;
-    the pulley stays at 0 degrees and the line pays out freely.
-    """
+    """Pulley angles in degrees, one per tendon, and slack flags: one row of servo_angles."""
 
     angle1: float
     angle2: float
@@ -35,11 +31,6 @@ class ServoCommand:
     def slack(self) -> tuple:
         return (self.slack1, self.slack2, self.slack3, self.slack4)
 
-    def to_csv_line(self) -> str:
-        """One-line record: angle1..angle4, then slack flags as 0/1."""
-        parts = [repr(a) for a in self.angles] + ["1" if f else "0" for f in self.slack]
-        return ",".join(parts)
-
 
 def max_payout(geom: RobotGeometry) -> float:
     """Largest tendon shortening the servo travel allows, in mm."""
@@ -47,8 +38,12 @@ def max_payout(geom: RobotGeometry) -> float:
 
 
 def pulley_angle(shortening_mm, geom: RobotGeometry):
-    """Pulley winding in degrees for a tendon shortening in mm; broadcasts."""
-    return shortening_mm * (360.0 / (math.pi * geom.pulley_diameter))
+    """Pulley winding in degrees for a tendon shortening in mm, 0 where the
+    shortening is not positive; broadcasts. An angle that overflows, as on a
+    subnormal pulley, is inf, without a warning."""
+    per_mm = 360.0 / (math.pi * geom.pulley_diameter)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf where not taken
+        return np.where(np.greater(shortening_mm, 0.0), np.multiply(shortening_mm, per_mm), 0.0)
 
 
 def beyond_servo_range(angle_deg, geom: RobotGeometry):
@@ -56,37 +51,31 @@ def beyond_servo_range(angle_deg, geom: RobotGeometry):
     return angle_deg > geom.servo_range + 1e-9
 
 
-def tendon_to_servo(target: TendonSet, home: TendonSet, geom: RobotGeometry) -> ServoCommand:
-    """Map tendon lengths to pulley angles relative to the home lengths.
+def servo_angles(q, home, geom: RobotGeometry):
+    """The servo rule: (angles, slack) of tendon lengths q, shape (..., 4),
+    against home lengths that broadcast with q; raises nothing.
 
-    Shortening winds the pulley by angle = delta / (pi * diameter) * 360;
-    tendons longer than home clamp to 0 degrees with a slack flag. Raises
-    ServoRangeError when a required angle exceeds the servo range.
+    angles is pulley_angle(home - q); a slack tendon, longer than home,
+    stays at 0 degrees and pays out freely. beyond_servo_range bounds the
+    angles. The home is an argument, not a geometry field: the workspace
+    and the ring path pass geom.s_max, the straight, fully extended backbone.
     """
-    angles = []
-    slack = []
-    for q_home, q_target in zip(home.as_tuple(), target.as_tuple()):
-        delta = q_home - q_target
-        if delta <= 0.0:
-            angles.append(0.0)
-            slack.append(delta < 0.0)
-            continue
-        angle = pulley_angle(delta, geom)
-        if beyond_servo_range(angle, geom):
-            raise ServoRangeError(
-                f"tendon needs {delta:.3f} mm of shortening ({angle:.2f} deg), "
-                f"servo range is {geom.servo_range} deg"
-            )
-        angles.append(angle)
-        slack.append(False)
-    return ServoCommand(*angles, *slack)
+    shortening = np.subtract(home, q)
+    return pulley_angle(shortening, geom), shortening < 0.0
 
 
-def servo_to_tendon(command: ServoCommand, home: TendonSet, geom: RobotGeometry) -> TendonSet:
-    """Tendon lengths produced by a servo command (slack tendons stay at home)."""
-    mm_per_deg = math.pi * geom.pulley_diameter / 360.0
-    qs = [q - a * mm_per_deg for q, a in zip(home.as_tuple(), command.angles)]
-    return TendonSet(*qs)
+def tendon_to_servo(target: TendonSet, home: TendonSet, geom: RobotGeometry) -> ServoCommand:
+    """servo_angles of one tendon set as a ServoCommand. Raises
+    ServoRangeError for the first tendon beyond the servo range."""
+    angles, slack = servo_angles(target.as_tuple(), home.as_tuple(), geom)
+    beyond = np.flatnonzero(beyond_servo_range(angles, geom))
+    if beyond.size:
+        k = beyond[0]
+        raise ServoRangeError(
+            f"tendon needs {home.as_tuple()[k] - target.as_tuple()[k]:.3f} mm of shortening "
+            f"({angles[k]:.2f} deg), servo range is {geom.servo_range} deg"
+        )
+    return ServoCommand(*angles.tolist(), *slack.tolist())
 
 
 def step_count(start, stop, max_step_mm: float):

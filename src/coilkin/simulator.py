@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuation import step_count
+from .actuation import beyond_servo_range, servo_angles, step_count
 from .columns import check_node_count, write_rows
-from .errors import ArmTooLowError, ConfigError, SceneError
+from .errors import ArmTooLowError, ConfigError, SceneError, ServoRangeError
 from .geometry import RobotGeometry
 from .kinematics import TWO_PI, ArcState, _check_length, arc_kernel, ik
 from .scenes import HeightField, Tube
@@ -258,7 +258,9 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     Its tendon set is the servo command of that step; step_count bounds
     only the change between the endpoints, not between waypoints. One
     kernel call gives the compressed and the goal tendon sets (row 0 and
-    rows 1..n) and one every waypoint.
+    rows 1..n) and one every waypoint. One servo_angles call from the s_max
+    home checks them all: the first azimuth beyond the servo range raises
+    ServoRangeError.
     """
     compressed = ArcState(0.0, 0.0, cfg.compressed_s)
     _check_length(compressed.s, geom)  # arc_kernel itself checks no bounds
@@ -279,6 +281,12 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     theta = t * goal_theta[row]
     s = cfg.compressed_s + t * (goal_s[row] - cfg.compressed_s)
     kin = arc_kernel(np.take(alphas, row), theta, s, geom.d, geom.probe_offset)
+    needed = np.maximum.reduceat(servo_angles(kin.q, geom.s_max, geom)[0], starts).max(axis=-1)
+    beyond = beyond_servo_range(needed, geom)
+    if beyond.any():
+        k = beyond.argmax()
+        raise ServoRangeError(f"ring path azimuth {math.degrees(alphas[k]):g} deg needs {needed[k]:.2f} "
+                              f"deg of pulley winding, servo range is {geom.servo_range} deg")
     # Frame D point (x, y, z) sits at arm + (x, -y, -z).
     return RingPath(np.array(alphas), goal_s, starts, row, t, theta, s, kin.q, kin.e * (1.0, -1.0, -1.0))
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuation import beyond_servo_range, pulley_angle
+from .actuation import beyond_servo_range, servo_angles
 from .columns import check_node_count, write_rows
 from .errors import ConfigError, EmptyWorkspaceError
 from .geometry import RobotGeometry
@@ -66,10 +66,9 @@ def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> Workspace:
     alpha spans [0, 2*pi) without its endpoint, theta [0, pi/2] and s
     [s_min, s_max] inclusive; alpha is the outer loop, s the inner one.
     Each row holds the spring-top and tip positions plus a feasibility
-    verdict: the shortening from the s_max home lengths must fit the servo
-    travel (grid states always satisfy the other bounds). A grid of more
-    than columns.MAX_NODES samples raises ConfigError before anything is
-    built.
+    verdict: servo_angles from the s_max home must fit the servo travel
+    (grid states always satisfy the other bounds). A grid of more than
+    columns.MAX_NODES samples raises ConfigError before anything is built.
     """
     n_alpha, n_theta, n_s = grid
     if min(grid) < 1:
@@ -80,8 +79,8 @@ def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> Workspace:
     lengths = np.linspace(geom.s_min, geom.s_max, n_s)
     alpha, theta, s = (a.ravel() for a in np.meshgrid(alphas, thetas, lengths, indexing="ij"))
     kin = arc_kernel(alpha, theta, s, geom.d, geom.l)
-    shortening = (geom.s_max - kin.q).max(axis=-1)
-    feasible = ~beyond_servo_range(pulley_angle(shortening, geom), geom)
+    angles, _ = servo_angles(kin.q, geom.s_max, geom)
+    feasible = ~beyond_servo_range(angles.max(axis=-1), geom)
     return Workspace(alpha, theta, s, kin.u, kin.e, feasible)
 
 

@@ -1,6 +1,7 @@
 """Servo mapping, the servo bound and the step rule."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from coilkin import (
     ServoRangeError,
     TendonSet,
     max_payout,
-    servo_to_tendon,
+    servo_angles,
     tendon_to_servo,
 )
 from coilkin.actuation import beyond_servo_range, pulley_angle, step_count
@@ -59,9 +60,10 @@ class TestTendonToServo:
         assert cmd.slack1 is False
 
     def test_out_of_range(self):
+        # Tendons 2 and 3 are both beyond range; the error names tendon 2.
         small = replace(GEOM, servo_range=10.0)
-        with pytest.raises(ServoRangeError):
-            tendon_to_servo(TendonSet(20.0, 70.0, 70.0, 70.0), HOME, small)
+        with pytest.raises(ServoRangeError, match=r"needs 40\.000 mm of shortening \(65\.48 deg\)"):
+            tendon_to_servo(TendonSet(70.0, 30.0, 20.0, 70.0), HOME, small)
 
     @given(q=st.floats(1.0, 70.0), shorter=st.floats(0.0, 5.0))
     @settings(max_examples=100, deadline=None)
@@ -70,24 +72,49 @@ class TestTendonToServo:
         b = tendon_to_servo(TendonSet(max(q - shorter, 0.5), 70.0, 70.0, 70.0), HOME, GEOM).angle1
         assert b >= a
 
-    @given(target=tendon_sets)
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_non_slack(self, target):
-        try:
-            cmd = tendon_to_servo(target, HOME, GEOM)
-        except ServoRangeError:
-            return
-        back = servo_to_tendon(cmd, HOME, GEOM)
-        for q_t, q_b, is_slack in zip(target.as_tuple(), back.as_tuple(), cmd.slack):
-            if not is_slack:
-                assert q_b == pytest.approx(q_t, abs=1e-9)
 
-    def test_csv_line(self):
-        cmd = tendon_to_servo(TendonSet(20.0, 70.0, 80.0, 70.0), HOME, GEOM)
-        cells = cmd.to_csv_line().split(",")
-        assert len(cells) == 8
-        assert float(cells[0]) == pytest.approx(81.85, abs=0.01)
-        assert cells[4:] == ["0", "0", "1", "0"]
+class TestServoAngles:
+    @given(
+        targets=st.lists(tendon_sets, min_size=1, max_size=8),
+        home=tendon_sets,
+        servo_range=st.floats(0.0, 360.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tendon_to_servo_is_one_row(self, targets, home, servo_range):
+        """One batched call gives, row for row, the angles and slack flags of
+        tendon_to_servo, which raises exactly where a tendon is beyond range."""
+        geom = replace(GEOM, servo_range=servo_range)
+        angles, slack = servo_angles([t.as_tuple() for t in targets], home.as_tuple(), geom)
+        assert angles.shape == slack.shape == (len(targets), 4)
+        for target, row_angles, row_slack in zip(targets, angles, slack):
+            if beyond_servo_range(row_angles, geom).any():
+                with pytest.raises(ServoRangeError):
+                    tendon_to_servo(target, home, geom)
+                continue
+            cmd = tendon_to_servo(target, home, geom)
+            assert cmd.angles == tuple(row_angles.tolist())
+            assert cmd.slack == tuple(row_slack.tolist())
+
+    def test_broadcasts_home(self):
+        q = np.array([[[70.0, 60.0, 80.0, 70.0]], [[20.0, 20.0, 20.0, 20.0]]])
+        angles, slack = servo_angles(q, 70.0, GEOM)
+        assert angles.shape == slack.shape == (2, 1, 4)
+        assert angles[0, 0].tolist() == [0.0, pulley_angle(10.0, GEOM), 0.0, 0.0]
+        assert slack[0, 0].tolist() == [False, False, True, False]
+        assert not slack[1].any()
+
+    @pytest.mark.parametrize("diameter", [5e-324, 1e-310, 1e-307, 1e-306])
+    def test_tiny_pulley_gives_zero_or_out_of_range(self, diameter):
+        """Zero and slack shortenings wind 0 degrees, positive ones land out
+        of range, and an overflowing product is inf; nothing warns."""
+        geom = replace(GEOM, pulley_diameter=diameter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            angles, slack = servo_angles([[70.0, 69.0, 71.0, 20.0]], 70.0, geom)
+            beyond = beyond_servo_range(angles, geom)
+        assert angles[0, [0, 2, 3]].tolist() == [0.0, 0.0, math.inf]
+        assert slack.tolist() == [[False, False, True, False]]
+        assert beyond.tolist() == [[False, True, False, True]]
 
 
 class TestMaxPayout:

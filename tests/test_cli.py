@@ -793,6 +793,44 @@ class TestExploreCommand:
         assert proc.returncode == 4
 
 
+class TestServoRange:
+    def test_explore_beyond_servo_range_exits_3(self, tmp_path):
+        # The ring path needs 40.93 degrees of winding; this servo turns 10.
+        geom = tmp_path / "geom.json"
+        geom.write_text(json.dumps({"servo_range": 10}))
+        out = tmp_path / "run"
+        proc = run_cli("explore", "--obstacle-offset", 55, "--geometry", geom, "--out", out)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "azimuth 0 deg needs 40.93 deg" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,code",
+        [
+            (["workspace", "--n-alpha", "4", "--n-theta", "3", "--n-s", "2"], 0),
+            (["explore", "--no-obstacle"], 3),
+        ],
+    )
+    def test_subnormal_pulley_never_warns(self, tmp_path, command, code):
+        """A subnormal pulley_diameter winds 0 degrees for no shortening and
+        is out of range for any other: only the straight, fully extended
+        samples are feasible, and the ring path cannot be driven."""
+        geom = tmp_path / "geom.json"
+        geom.write_text(json.dumps({"pulley_diameter": 5e-324}))
+        argv = [*command, "--geometry", str(geom), "--out", str(tmp_path / "run")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, err, exit_code, _ = run_main(argv)
+        assert exit_code == code, err
+        if code == 0:
+            assert "feasible=4 " in out and err == ""
+        else:
+            assert out == "" and err.startswith("error: ")
+
+
 class TestReproducibility:
     def test_env_var_overrides_out(self, tmp_path):
         flag_dir = tmp_path / "flagged"

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from coilkin import (
     ArcState,
     ArmTooLowError,
+    CoilkinError,
     ConfigError,
     Cube,
     EmptyCloudError,
@@ -19,6 +21,7 @@ from coilkin import (
     InvalidStateError,
     RobotGeometry,
     ScanConfig,
+    ServoRangeError,
     Tube,
     explore_tube,
     fk_point,
@@ -27,12 +30,14 @@ from coilkin import (
     probe_columns,
     reconstruct,
     ring_path,
+    servo_angles,
     surface_scan,
     tendon_lengths,
 )
 import coilkin.columns
 import coilkin.kinematics
 import coilkin.simulator
+from coilkin.actuation import beyond_servo_range
 from coilkin.cli import _write_pressure, make_offset_tube
 from coilkin.columns import MAX_NODES
 from coilkin.kinematics import tip_tangent
@@ -438,6 +443,51 @@ class TestRingPath:
         steps = np.abs(np.diff(path.q, axis=0))[same_azimuth]
         assert steps.max() == pytest.approx(1.962, abs=5e-4)
         assert steps.max() <= ExploreConfig().max_step_mm
+
+
+    def test_servo_range_10_raises_naming_the_azimuth(self):
+        # The default ring path needs 40.93 degrees of winding at azimuth 0.
+        with pytest.raises(ServoRangeError, match=r"azimuth 0 deg needs 40\.93 deg"):
+            explore_tube(make_offset_tube(55.0, GEOM), replace(GEOM, servo_range=10.0))
+        assert servo_angles(ring_path(GEOM).q, GEOM.s_max, GEOM)[0].max() == pytest.approx(40.93, abs=5e-3)
+
+    @given(
+        servo_range=st.floats(0.0, 120.0),
+        pulley_diameter=st.one_of(st.floats(1.0, 140.0), st.sampled_from([5e-324, 1e-300])),
+        d=st.floats(4.0, 20.0),
+        compressed_s=st.floats(20.0, 70.0),
+        target_radial=st.floats(0.0, 30.0),
+        target_z=st.floats(45.0, 100.0),
+        n_directions=st.integers(1, 12),
+        max_step_mm=st.floats(0.5, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_explore_raises_exactly_when_a_waypoint_is_beyond_range(
+        self, servo_range, pulley_diameter, d, compressed_s, target_radial, target_z,
+        n_directions, max_step_mm,
+    ):
+        """explore_tube raises ServoRangeError, naming the first azimuth
+        beyond range, or every waypoint of its ring path is within range.
+        The path does not depend on the servo, so it is built with a servo
+        that reaches every waypoint."""
+        geom = RobotGeometry(d=d, servo_range=servo_range, pulley_diameter=pulley_diameter)
+        cfg = ExploreConfig(max_steps=2, compressed_s=compressed_s, target_radial=target_radial,
+                            target_z=target_z, n_directions=n_directions, max_step_mm=max_step_mm)
+        try:
+            path = ring_path(replace(geom, servo_range=360.0, pulley_diameter=1e6), cfg)
+        except CoilkinError as exc:
+            with pytest.raises(type(exc)):
+                explore_tube(Tube(174.0), geom, cfg=cfg)
+            return
+        angles, _ = servo_angles(path.q, geom.s_max, geom)
+        beyond = beyond_servo_range(angles.max(axis=-1), geom)
+        if not beyond.any():
+            assert angles.max() <= servo_range + 1e-9
+            explore_tube(Tube(174.0), geom, cfg=cfg)
+            return
+        azimuth = math.degrees(path.alpha[path.row[beyond.argmax()]])
+        with pytest.raises(ServoRangeError, match=rf"azimuth {azimuth:g} deg needs"):
+            explore_tube(Tube(174.0), geom, cfg=cfg)
 
 
 def reference_mission(scene, geom, start, cfg):
