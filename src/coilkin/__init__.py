@@ -27,7 +27,7 @@ from .kinematics import (
     fk_point,
     fk_tip,
     ik,
-    target_from_z_theta,
+    ik_kernel,
     tendon_lengths,
 )
 from .perception import (

@@ -50,6 +50,9 @@ class RobotGeometry:
         # Bounds every length formed: a tendon s + d*theta (theta <= pi/2), the tip s + l + bristle.
         if not math.isfinite(self.s_max + self.l + self.bristle_length + self.d * math.pi / 2.0):
             raise ConfigError("geometry too large: s_max + l + bristle_length + d*pi/2 overflows")
+        # The servo's largest payout, as actuation.max_payout forms it.
+        if not math.isfinite(self.servo_range / 360.0 * math.pi * self.pulley_diameter):
+            raise ConfigError("geometry too large: servo_range / 360 * pi * pulley_diameter overflows")
 
     @property
     def probe_offset(self) -> float:

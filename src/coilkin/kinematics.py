@@ -6,9 +6,11 @@ and s the backbone length; the arc radius r = s/theta follows from them.
 Frame D sits at the spring bottom, U at the spring top, E at the tip. All
 lengths are millimeters, all angles radians.
 
-U, the tip tangent, E and the tendon lengths come from arc_kernel, which
-broadcasts over arrays. The scalar functions wrap it for one ArcState,
-which checks itself when built; they add only the geometry's length bound.
+U, the tip tangent, E and the tendon lengths come from arc_kernel, and the
+inverse map from a target to (alpha, theta, s) from ik_kernel; both
+broadcast over arrays. The scalar functions wrap them for one ArcState,
+which checks itself when built; they add only the geometry's length bound
+and, in ik, the typed error of a failing status.
 """
 
 import math
@@ -145,87 +147,78 @@ def fk_tip(state: ArcState, geom: RobotGeometry) -> np.ndarray:
     return _evaluate(state, geom).e
 
 
-def tip_tangent(state: ArcState) -> np.ndarray:
-    """Unit tangent of the backbone at the spring top."""
-    return arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
-
-
 def tendon_lengths(state: ArcState, geom: RobotGeometry) -> TendonSet:
     """Tendon lengths: an arc where the anchor faces the bend
     (cos(alpha - phi_i) > TIE_EPS), a straight chord otherwise."""
     return TendonSet(*_evaluate(state, geom).q.tolist())
 
 
+# ik_kernel's status codes, which its docstring and the README give as
+# numbers. A row takes the first test it fails, in this order.
+_IK_OK, _IK_DEGENERATE, _IK_BELOW_BASE, _IK_BEND, _IK_LENGTH = range(5)
+
+
+def ik_kernel(x, y, z, s_min: float, s_max: float):
+    """Arc states whose spring-top center lands on the targets (x, y, z),
+    in closed form; x, y and z broadcast. Returns (alpha, theta, s, status).
+
+    status is 0 where the target is reachable, else the first test failed:
+    1 at the base (|target| < ORIGIN_EPS); then, within PLANAR_EPS of the z
+    axis, pure compression (alpha = theta = 0, s = z) with 4 for z out of
+    bounds; elsewhere 2 below the base plane (z < 0), 3 for a bend angle
+    beyond pi/2, and 4 for a length s = |target|^2 / (2 planar) * theta
+    outside [s_min, s_max], which a non-finite target or one whose squared
+    norm overflows always is. A bend angle within 1e-12 relative of pi/2,
+    or a length within 1e-9 * s_max of a bound, as fk round trips give,
+    passes and is clamped back inside. alpha is wrapped into [0, 2*pi) and
+    a theta below 1e-12 is 0.0, as ArcState stores them. A failing row
+    keeps its unclamped s. Nothing warns.
+    """
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    slack = 1e-9 * s_max
+    with np.errstate(all="ignore"):  # overflow, inf - inf and 0 / 0 land in failing rows
+        xx, yy, zz = x * x, y * y, z * z
+        norm_sq = xx + yy + zz
+        planar = np.hypot(x, y)
+        straight = planar < PLANAR_EPS
+        # Rounding is monotone, so the cosine stays in [-1, 1] without a clip.
+        theta = np.where(straight, 0.0, np.arccos((zz - xx - yy) / norm_sq))
+        bend = theta > HALF_PI * (1.0 + 1e-12)
+        np.minimum(theta, HALF_PI, out=theta)
+        s = np.where(straight, z, norm_sq / (2.0 * planar) * theta)
+        status = np.where((s_min - slack <= s) & (s <= s_max + slack), _IK_OK, _IK_LENGTH)
+        status[bend] = _IK_BEND
+        status[(z < 0.0) & ~straight] = _IK_BELOW_BASE
+        status[np.sqrt(norm_sq) < ORIGIN_EPS] = _IK_DEGENERATE
+        ok = status == _IK_OK
+        np.maximum(s, s_min, out=s, where=ok)
+        np.minimum(s, s_max, out=s, where=ok)
+        theta[theta < 1e-12] = 0.0
+        alpha = np.zeros_like(s)  # the full shape: arctan2(y, x) lacks z's axes
+        np.mod(np.arctan2(y, x), TWO_PI, out=alpha, where=~straight)
+        alpha[alpha == TWO_PI] = 0.0  # a tiny negative angle rounds up to 2*pi
+    return alpha, theta, s, status
+
+
 def ik(target_u, geom: RobotGeometry) -> ArcState:
-    """Recover the arc state whose spring-top center lands on target_u.
-
-    Targets within PLANAR_EPS of the z axis take the pure-compression
-    branch (theta = 0, s = z). Raises UnreachableTargetError when the bend
-    angle leaves [0, pi/2] or the backbone length leaves its bounds, and
-    DegenerateTargetError for targets at the base.
+    """Recover the arc state whose spring-top center lands on target_u:
+    ik_kernel on one row. Raises DegenerateTargetError for a target at the
+    base and UnreachableTargetError for every other failing status.
     """
-    x, y, z = (float(v) for v in target_u)
-    norm_sq = x * x + y * y + z * z
-    if math.sqrt(norm_sq) < ORIGIN_EPS:
+    target = tuple(float(v) for v in target_u)
+    alpha, theta, s, status = ik_kernel(*target, geom.s_min, geom.s_max)
+    if status == _IK_OK:
+        return ArcState(alpha, theta, s)
+    if status == _IK_DEGENERATE:
         raise DegenerateTargetError("target coincides with the backbone base")
-    # Boundary targets produced by fk round-trips may overshoot the bounds
-    # by rounding; accept within this window and clamp back inside.
-    slack = 1e-9 * geom.s_max
-    planar = math.hypot(x, y)
-    if planar < PLANAR_EPS:
-        if not geom.s_min - slack <= z <= geom.s_max + slack:
-            raise UnreachableTargetError(
-                f"compression length {z} outside [{geom.s_min}, {geom.s_max}]"
-            )
-        return ArcState(0.0, 0.0, min(max(z, geom.s_min), geom.s_max))
-    if z < 0.0:
-        raise UnreachableTargetError("targets below the base plane are unreachable")
-    cos_theta = (z * z - x * x - y * y) / norm_sq
-    theta = math.acos(max(-1.0, min(1.0, cos_theta)))
-    if theta > HALF_PI:
-        if theta > HALF_PI * (1.0 + 1e-12):
-            raise UnreachableTargetError(f"required bend angle {theta} exceeds pi/2")
-        theta = HALF_PI
-    s = norm_sq / (2.0 * planar) * theta
-    if not geom.s_min - slack <= s <= geom.s_max + slack:
-        raise UnreachableTargetError(
-            f"required backbone length {s} outside [{geom.s_min}, {geom.s_max}]"
-        )
-    return ArcState(math.atan2(y, x), theta, min(max(s, geom.s_min), geom.s_max))
-
-
-_DIRECTIONS = {
-    "+X": (1.0, 0.0),
-    "-X": (-1.0, 0.0),
-    "+Y": (0.0, 1.0),
-    "-Y": (0.0, -1.0),
-}
-
-
-def target_from_z_theta(z: float, theta: float, direction: str, geom: RobotGeometry) -> np.ndarray:
-    """Spring-top target at height z bending by theta in an axis plane.
-
-    Solves z = r*sin(theta) for the arc radius and places the in-plane
-    displacement r*(1 - cos(theta)) along the chosen axis; the implied
-    backbone length r*theta must stay within the geometry bounds.
-    theta = 0 returns the pure-compression point (0, 0, z).
-    """
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
-    if not 0.0 <= theta <= HALF_PI:
-        raise InvalidStateError(f"bend angle {theta} outside [0, pi/2]")
-    ux, uy = _DIRECTIONS[direction]
-    if theta == 0.0:
-        if not geom.s_min <= z <= geom.s_max:
-            raise UnreachableTargetError(
-                f"compression length {z} outside [{geom.s_min}, {geom.s_max}]"
-            )
-        return np.array([0.0, 0.0, z])
-    r = z / math.sin(theta)
-    s = r * theta
-    if not geom.s_min <= s <= geom.s_max:
-        raise UnreachableTargetError(
-            f"required backbone length {s} outside [{geom.s_min}, {geom.s_max}]"
-        )
-    disp = r * (1.0 - math.cos(theta))
-    return np.array([disp * ux, disp * uy, z])
+    if not all(map(math.isfinite, target)):
+        reason = "target coordinates must be finite"
+    elif status == _IK_BELOW_BASE:
+        reason = "targets below the base plane are unreachable"
+    elif status == _IK_BEND:
+        reason = "required bend angle exceeds pi/2"
+    elif math.isfinite(s):
+        reason = f"required backbone length {s} outside [{geom.s_min}, {geom.s_max}]"
+    else:
+        reason = "target out of reach: its squared distance from the base overflows"
+    raise UnreachableTargetError(reason)

@@ -19,7 +19,7 @@ from .actuation import beyond_servo_range, servo_angles, step_count
 from .columns import check_node_count, write_rows
 from .errors import ArmTooLowError, ConfigError, SceneError, ServoRangeError
 from .geometry import RobotGeometry
-from .kinematics import TWO_PI, ArcState, _check_length, arc_kernel, ik
+from .kinematics import TWO_PI, _check_length, arc_kernel, ik, ik_kernel
 from .scenes import HeightField, Tube
 
 LOG_HEADER = "step_index,arm_x,arm_y,arm_z,alpha,s,contact,cx,cy,cz"
@@ -257,22 +257,22 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     theta = t * goal theta, s = compressed_s + t * (goal s - compressed_s).
     Its tendon set is the servo command of that step; step_count bounds
     only the change between the endpoints, not between waypoints. One
-    kernel call gives the compressed and the goal tendon sets (row 0 and
-    rows 1..n) and one every waypoint. One servo_angles call from the s_max
-    home checks them all: the first azimuth beyond the servo range raises
-    ServoRangeError.
+    ik_kernel call gives every goal; the first azimuth whose goal fails
+    raises the error of ik. One arc_kernel call gives the goal tendon sets
+    and one every waypoint; the compressed backbone is straight, so each of
+    its tendons measures compressed_s. One servo_angles call from the s_max
+    home checks every waypoint: the first azimuth beyond the servo range
+    raises ServoRangeError.
     """
-    compressed = ArcState(0.0, 0.0, cfg.compressed_s)
-    _check_length(compressed.s, geom)  # arc_kernel itself checks no bounds
-    alphas = [TWO_PI * k / cfg.n_directions for k in range(cfg.n_directions)]
-    goals = [
-        ik((cfg.target_radial * math.cos(a), cfg.target_radial * math.sin(a), cfg.target_z), geom)
-        for a in alphas
-    ]
-    kin_alpha, kin_theta, kin_s = np.array([(g.alpha, g.theta, g.s) for g in (compressed, *goals)]).T
-    q = arc_kernel(kin_alpha, kin_theta, kin_s, geom.d, geom.l).q
-    goal_theta, goal_s = kin_theta[1:], kin_s[1:]
-    steps = step_count(q[0], q[1:], cfg.max_step_mm)
+    _check_length(cfg.compressed_s, geom)  # arc_kernel itself checks no bounds
+    alphas = TWO_PI * np.arange(cfg.n_directions) / cfg.n_directions
+    x, y = cfg.target_radial * np.cos(alphas), cfg.target_radial * np.sin(alphas)
+    goal_alpha, goal_theta, goal_s, status = ik_kernel(x, y, cfg.target_z, geom.s_min, geom.s_max)
+    failed = np.flatnonzero(status)
+    if failed.size:
+        ik((x[failed[0]], y[failed[0]], cfg.target_z), geom)  # raises that azimuth's error
+    goal_q = arc_kernel(goal_alpha, goal_theta, goal_s, geom.d, geom.l).q
+    steps = step_count(cfg.compressed_s, goal_q, cfg.max_step_mm)
     check_node_count((steps + 1.0).sum(), "ring path")
     steps = steps.astype(int)
     starts = np.cumsum(steps + 1) - (steps + 1)
@@ -280,7 +280,7 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     t = (np.arange(row.size) - starts[row]) / steps[row]
     theta = t * goal_theta[row]
     s = cfg.compressed_s + t * (goal_s[row] - cfg.compressed_s)
-    kin = arc_kernel(np.take(alphas, row), theta, s, geom.d, geom.probe_offset)
+    kin = arc_kernel(alphas[row], theta, s, geom.d, geom.probe_offset)
     needed = np.maximum.reduceat(servo_angles(kin.q, geom.s_max, geom)[0], starts).max(axis=-1)
     beyond = beyond_servo_range(needed, geom)
     if beyond.any():
@@ -288,7 +288,7 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
         raise ServoRangeError(f"ring path azimuth {math.degrees(alphas[k]):g} deg needs {needed[k]:.2f} "
                               f"deg of pulley winding, servo range is {geom.servo_range} deg")
     # Frame D point (x, y, z) sits at arm + (x, -y, -z).
-    return RingPath(np.array(alphas), goal_s, starts, row, t, theta, s, kin.q, kin.e * (1.0, -1.0, -1.0))
+    return RingPath(alphas, goal_s, starts, row, t, theta, s, kin.q, kin.e * (1.0, -1.0, -1.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -625,6 +625,49 @@ class TestArgvFuzz:
         assert "Traceback" not in stderr
 
 
+# Any float, often one near the reachable set.
+ik_coordinate = st.one_of(st.floats(), st.floats(-80.0, 80.0))
+
+
+class TestIkArgv:
+    @given(x=ik_coordinate, y=ik_coordinate, z=ik_coordinate)
+    @example(x=math.nan, y=0.0, z=50.0)
+    @example(x=math.inf, y=0.0, z=50.0)
+    @example(x=1e308, y=1e308, z=1e308)
+    @example(x=5e-324, y=0.0, z=1e300)
+    @example(x=15.0, y=0.0, z=60.0)
+    @example(x=0.0, y=0.0, z=50.0)
+    @settings(max_examples=200, deadline=None)
+    def test_any_target_exits_0_or_3(self, x, y, z):
+        """ik prints finite JSON, or one error line that names no NaN."""
+        # "--" lets argparse read a negative number such as -1e1 as a value.
+        stdout, stderr, code, _ = run_main(["ik", "--", repr(x), repr(y), repr(z)])
+        assert code in (0, 3), stderr
+        assert "Traceback" not in stderr
+        if code == 0:
+            record = json.loads(stdout, parse_constant=reject_constant)
+            assert all(v is None or math.isfinite(v) for v in record.values())
+            assert stderr == ""
+        else:
+            assert stdout == ""
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert "nan" not in stderr.lower()
+
+    @pytest.mark.parametrize(
+        "target,reason",
+        [
+            (("nan", "0", "50"), "target coordinates must be finite"),
+            (("inf", "0", "50"), "target coordinates must be finite"),
+            (("1e308", "1e308", "1e308"), "target out of reach"),
+            (("70", "0", "70"), "required backbone length 109.95574287564276 outside [20.0, 70.0]"),
+        ],
+    )
+    def test_error_names_the_cause(self, target, reason):
+        stdout, stderr, code, _ = run_main(["ik", *target])
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith(f"error: {reason}")
+
+
 class TestWorkspaceCommand:
     def test_defaults_summary_and_files(self, tmp_path):
         out = tmp_path / "ws"
@@ -806,6 +849,19 @@ class TestServoRange:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "azimuth 0 deg needs 40.93 deg" in proc.stderr
         assert not out.exists()
+
+    def test_overflowing_payout_exits_2(self, tmp_path):
+        # 360 degrees of a 1.7e308 mm pulley pay out more than a float holds.
+        geom = tmp_path / "geom.json"
+        geom.write_text(json.dumps({"pulley_diameter": 1.7e308, "servo_range": 360}))
+        argv = ["workspace", "--n-alpha", "4", "--n-theta", "3", "--n-s", "2",
+                "--geometry", str(geom), "--out", str(tmp_path / "run")]
+        out, err, code, _ = run_main(argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not NON_FINITE_TEXT.search(out)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "command,code",

@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from coilkin import (
@@ -25,13 +25,14 @@ from coilkin import (
     fk_point,
     fk_tip,
     ik,
-    target_from_z_theta,
+    ik_kernel,
     tendon_lengths,
 )
-from coilkin.kinematics import HALF_PI, TIE_EPS, arc_kernel, tip_tangent
+from coilkin.kinematics import HALF_PI, PLANAR_EPS, TIE_EPS, arc_kernel
 from kinematics_oracle import (
     attachment_points,
     fk_transform,
+    ik_reference,
     is_rigid_transform,
     rot_y,
     rot_z,
@@ -161,6 +162,20 @@ class TestIk:
         assert state.theta == pytest.approx(math.pi / 2, rel=1e-12)
         assert state.r == pytest.approx(QUARTER, rel=1e-12)
         assert state.s == pytest.approx(70.0, rel=1e-12)
+
+    def test_mirror_quarter_bend(self):
+        # A quarter bend toward -X at s = 70 lands on (-r, 0, r), r = 140/pi.
+        state = ik((-44.56338406573069, 0.0, QUARTER), GEOM)
+        assert state.alpha == pytest.approx(math.pi, rel=1e-12)
+        assert state.theta == pytest.approx(math.pi / 2, rel=1e-12)
+        assert state.s == pytest.approx(70.0, rel=1e-9)
+
+    def test_shallow_bend_plus_y(self):
+        # 10 degrees toward +Y at z = 60: r = 60 / sin(10 deg), s = r * 10 deg.
+        state = ik((0.0, 5.249319811555455, 60.0), GEOM)
+        assert state.alpha == pytest.approx(math.pi / 2, rel=1e-12)
+        assert state.theta == pytest.approx(math.radians(10.0), rel=1e-9)
+        assert state.s == pytest.approx(60.30570347851262, rel=1e-9)
 
     def test_exploration_target(self):
         target = (15.0 * math.cos(math.pi / 4), 15.0 * math.sin(math.pi / 4), 60.0)
@@ -375,7 +390,8 @@ class TestArcKernel:
             state = ArcState(alpha[i], theta[i], s[i])
             assert fk_point(state, GEOM) == pytest.approx(kin.u[i], abs=1e-12)
             assert fk_tip(state, GEOM) == pytest.approx(kin.e[i], abs=1e-12)
-            assert tip_tangent(state) == pytest.approx(kin.tangent[i], abs=1e-12)
+            tangent = arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
+            assert tangent == pytest.approx(kin.tangent[i], abs=1e-12)
             assert tendon_lengths(state, GEOM).as_tuple() == pytest.approx(kin.q[i], abs=1e-12)
 
     @given(
@@ -419,31 +435,6 @@ class TestArcKernel:
         # field cannot be built.
         with pytest.raises(InvalidStateError, match="finite"):
             ArcState(alpha, theta, s)
-
-
-class TestTargetFromZTheta:
-    def test_full_quarter_is_unreachable(self):
-        with pytest.raises(UnreachableTargetError):
-            target_from_z_theta(70.0, math.pi / 2, "+X", GEOM)
-
-    def test_mirror_direction(self):
-        point = target_from_z_theta(QUARTER, math.pi / 2, "-X", GEOM)
-        assert point == pytest.approx([-QUARTER, 0.0, QUARTER], abs=1e-9)
-        state = ik(point, GEOM)
-        assert state.s == pytest.approx(70.0, rel=1e-9)
-
-    def test_shallow_bend_plus_y(self):
-        point = target_from_z_theta(60.0, math.radians(10.0), "+Y", GEOM)
-        assert point == pytest.approx([0.0, 5.249319811555455, 60.0], abs=1e-9)
-        state = ik(point, GEOM)
-        assert state.s == pytest.approx(60.30570347851262, rel=1e-9)
-
-    def test_zero_theta_is_pure_compression(self):
-        assert target_from_z_theta(55.0, 0.0, "+X", GEOM) == pytest.approx([0.0, 0.0, 55.0])
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            target_from_z_theta(60.0, 0.1, "+Z", GEOM)
 
 
 # Floats at the edges of ArcState's domain: signed zeros, subnormals, the
@@ -498,3 +489,120 @@ def test_alpha_wraps_into_range():
     assert 0.0 <= ArcState(7.0 * math.pi, 0.1, 50.0).alpha < 2.0 * math.pi
     # -1e-20 % 2*pi rounds to the excluded 2*pi endpoint; must land on 0
     assert ArcState(-1e-20, 0.1, 50.0).alpha == 0.0
+
+
+# Statuses of ik_kernel and the error that coilkin.ik raises for each.
+IK_ERRORS = {
+    0: None,
+    1: DegenerateTargetError,
+    2: UnreachableTargetError,
+    3: UnreachableTargetError,
+    4: UnreachableTargetError,
+}
+# z of the targets (QUARTER, 0, z) whose bend angle is the float just
+# below HALF_PI * (1 + 1e-12), the limit itself and the float just above.
+BEND_LIMIT_Z = (44.5633840656607, 44.56338406566069, 44.56338406566068)
+LENGTH_LIMIT = GEOM.s_max + 1e-9 * GEOM.s_max
+target_coordinate = st.one_of(
+    st.floats(-80.0, 80.0), st.floats(), st.sampled_from(EDGE_FLOATS + [PLANAR_EPS])
+)
+
+
+@st.composite
+def ik_targets(draw):
+    """Half the time the spring top of an arc state whose length lies near
+    the default bounds, in math; else any three coordinates."""
+    if draw(st.booleans()):
+        return tuple(draw(target_coordinate) for _ in range(3))
+    alpha = draw(st.floats(0.0, 2.0 * math.pi))
+    theta = draw(st.floats(0.0, math.pi / 2))
+    s = draw(st.floats(15.0, 75.0))
+    if theta == 0.0:
+        return (0.0, 0.0, s)
+    r = s / theta
+    lean = r * (1.0 - math.cos(theta))
+    return (lean * math.cos(alpha), lean * math.sin(alpha), r * math.sin(theta))
+
+
+def ulps_apart(a, b) -> int:
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+class TestIkKernel:
+    @given(target=ik_targets())
+    @example(target=(QUARTER, 0.0, BEND_LIMIT_Z[0]))
+    @example(target=(QUARTER, 0.0, BEND_LIMIT_Z[1]))
+    @example(target=(QUARTER, 0.0, BEND_LIMIT_Z[2]))
+    @example(target=(0.0, 0.0, math.nextafter(LENGTH_LIMIT, 0.0)))
+    @example(target=(0.0, 0.0, LENGTH_LIMIT))
+    @example(target=(0.0, 0.0, math.nextafter(LENGTH_LIMIT, math.inf)))
+    @example(target=(PLANAR_EPS, 0.0, 50.0))
+    @example(target=(math.nextafter(PLANAR_EPS, 0.0), 0.0, 50.0))
+    @example(target=(1e-7, -1e-7, -1e-7))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, target):
+        """The kernel's status names the error of the math reference, and
+        where both succeed they agree within 4 ulps."""
+        x, y, z = target
+        try:
+            expected = ik_reference((x, y, z), GEOM)
+        except (DegenerateTargetError, UnreachableTargetError) as exc:
+            expected = exc
+        alpha, theta, s, status = ik_kernel(x, y, z, GEOM.s_min, GEOM.s_max)
+        error = IK_ERRORS[int(status)]
+        event(f"status {int(status)}")
+        if error is not None:
+            assert type(expected) is error, expected
+            with pytest.raises(error):
+                ik((x, y, z), GEOM)
+            return
+        assert isinstance(expected, ArcState), expected
+        assert ulps_apart(alpha, expected.alpha) <= 4
+        assert ulps_apart(theta, expected.theta) <= 4
+        assert ulps_apart(s, expected.s) <= 4
+        assert ik((x, y, z), GEOM) == ArcState(alpha, theta, s)
+
+    def test_boundary_examples_land_on_both_sides(self):
+        statuses = [int(ik_kernel(QUARTER, 0.0, z, GEOM.s_min, GEOM.s_max)[3]) for z in BEND_LIMIT_Z]
+        assert statuses == [0, 0, 3]
+        length = [math.nextafter(LENGTH_LIMIT, 0.0), LENGTH_LIMIT, math.nextafter(LENGTH_LIMIT, math.inf)]
+        assert ik_kernel(0.0, 0.0, length, GEOM.s_min, GEOM.s_max)[3].tolist() == [0, 0, 4]
+        planar = [PLANAR_EPS, math.nextafter(PLANAR_EPS, 0.0)]
+        _, theta, s, status = ik_kernel(planar, 0.0, 50.0, GEOM.s_min, GEOM.s_max)
+        assert status.tolist() == [0, 0]
+        assert theta[0] > 0.0 and theta[1] == 0.0 and s[1] == 50.0
+
+    @pytest.mark.parametrize(
+        "target,status",
+        [
+            ((15.0, 0.0, 60.0), 0),
+            ((0.0, 0.0, 0.0), 1),
+            ((10.0, 0.0, -30.0), 2),
+            ((50.0, 0.0, 10.0), 3),
+            ((70.0, 0.0, 70.0), 4),
+            ((0.0, 0.0, 80.0), 4),
+            ((0.0, 0.0, -30.0), 4),  # pure compression is never below the base
+            ((math.nan, 0.0, 50.0), 4),
+            ((1e308, 1e308, 1e308), 4),
+        ],
+    )
+    def test_status_codes(self, target, status):
+        assert ik_kernel(*target, GEOM.s_min, GEOM.s_max)[3] == status
+
+    def test_broadcasts_rows_as_scalar_calls(self):
+        x = np.array([15.0, 0.0, 70.0, -1e-300, 10.0, -20.0])
+        y = np.array([[0.0], [-1e-20]])
+        z = np.array([[[60.0]], [[45.0]], [[-5.0]]])
+        alpha, theta, s, status = ik_kernel(x, y, z, GEOM.s_min, GEOM.s_max)
+        assert alpha.shape == theta.shape == s.shape == status.shape == (3, 2, 6)
+        for index in np.ndindex(status.shape):
+            target = (x[index[2]], y[index[1], 0], z[index[0], 0, 0])
+            row = ik_kernel(*target, GEOM.s_min, GEOM.s_max)
+            assert row[3] == status[index]
+            if status[index] == 0:
+                assert (alpha[index], theta[index], s[index]) == tuple(row[:3])
+                assert 0.0 <= alpha[index] < 2.0 * math.pi
+
+    def test_tiny_negative_angle_wraps_to_zero(self):
+        alpha, _, _, status = ik_kernel(15.0, -1e-20, 60.0, GEOM.s_min, GEOM.s_max)
+        assert status == 0 and alpha == 0.0 and not np.signbit(alpha)

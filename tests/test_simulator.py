@@ -23,6 +23,8 @@ from coilkin import (
     ScanConfig,
     ServoRangeError,
     Tube,
+    UnreachableTargetError,
+    arc_kernel,
     explore_tube,
     fk_point,
     ik,
@@ -40,7 +42,6 @@ import coilkin.simulator
 from coilkin.actuation import beyond_servo_range
 from coilkin.cli import _write_pressure, make_offset_tube
 from coilkin.columns import MAX_NODES
-from coilkin.kinematics import tip_tangent
 from coilkin.simulator import LOG_ARM, LOG_CONTACT, LOG_HEADER, LOG_POINT
 
 GEOM = RobotGeometry()
@@ -433,9 +434,26 @@ class TestRingPath:
         assert list(columns) == expected
         for (k, _, theta, s), q, tip in zip(expected, path.q, path.tip):
             state = ArcState(path.alpha[k], theta, s)
-            d = fk_point(state, GEOM) + GEOM.probe_offset * tip_tangent(state)
+            tangent = arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
+            d = fk_point(state, GEOM) + GEOM.probe_offset * tangent
             assert tip == pytest.approx((d[0], -d[1], -d[2]), abs=1e-9)
             assert q == pytest.approx(tendon_lengths(state, GEOM).as_tuple(), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExploreConfig(target_z=120.0),  # length beyond s_max
+            ExploreConfig(target_radial=0.0, target_z=10.0),  # compression below s_min
+            ExploreConfig(target_radial=60.0, target_z=10.0),  # bend beyond pi/2
+        ],
+    )
+    def test_unreachable_goal_raises_the_error_of_ik(self, cfg):
+        # Every azimuth fails alike, so the error is azimuth 0's.
+        with pytest.raises(UnreachableTargetError) as expected:
+            ik((cfg.target_radial, 0.0, cfg.target_z), GEOM)
+        with pytest.raises(UnreachableTargetError) as raised:
+            ring_path(GEOM, cfg)
+        assert str(raised.value) == str(expected.value)
 
     def test_default_servo_step_within_max_step(self):
         path = ring_path(GEOM)
@@ -512,7 +530,8 @@ def reference_mission(scene, geom, start, cfg):
                 t = step / n
                 s = cfg.compressed_s + t * (goal.s - cfg.compressed_s)
                 state = ArcState(alpha, t * goal.theta, s)
-                d = fk_point(state, geom) + geom.probe_offset * tip_tangent(state)
+                tangent = arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
+                d = fk_point(state, geom) + geom.probe_offset * tangent
                 tip = (arm[0] + d[0], arm[1] - d[1], arm[2] - d[2])
                 wall = math.hypot(tip[0] - arm[0], tip[1] - arm[1]) >= scene.inner_radius_mm
                 if wall or (scene.obstacle is not None and scene.obstacle.contains(tip)):
@@ -570,8 +589,8 @@ def test_batched_ring_matches_waypoint_loop(radius, offset):
 )
 @pytest.mark.parametrize("n_directions", [8, 5])
 def test_one_path_per_mission(monkeypatch, scene, rings, n_directions):
-    """ik runs once per azimuth and the kernel twice, however deep."""
-    calls = {"ik": 0, "arc_kernel": 0}
+    """The ik kernel runs once and the arc kernel twice, however deep."""
+    calls = {"ik_kernel": 0, "arc_kernel": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -583,10 +602,10 @@ def test_one_path_per_mission(monkeypatch, scene, rings, n_directions):
     kernel = counted("arc_kernel", coilkin.kinematics.arc_kernel)
     monkeypatch.setattr(coilkin.kinematics, "arc_kernel", kernel)
     monkeypatch.setattr(coilkin.simulator, "arc_kernel", kernel)
-    monkeypatch.setattr(coilkin.simulator, "ik", counted("ik", coilkin.simulator.ik))
+    monkeypatch.setattr(coilkin.simulator, "ik_kernel", counted("ik_kernel", coilkin.simulator.ik_kernel))
     result = explore_tube(scene, GEOM, cfg=ExploreConfig(n_directions=n_directions))
     assert len(result.alpha) == rings * n_directions
-    assert calls == {"ik": n_directions, "arc_kernel": 2}
+    assert calls == {"ik_kernel": 1, "arc_kernel": 2}
 
 
 class TestExploreTube:
