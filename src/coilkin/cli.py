@@ -29,7 +29,7 @@ from .simulator import (
     pressure_detections,
     surface_scan,
 )
-from .workspace import DEFAULT_GRID, sample_workspace, workspace_extents, write_csv, write_ply
+from .workspace import DEFAULT_GRID, sample_workspace, workspace_extents, write_files
 
 # Radial offset of the canonical exploration obstacle: far enough off-axis
 # that descent never touches it, well inside the ring-scan sweep.
@@ -110,11 +110,10 @@ def cmd_tendons(args) -> int:
 def cmd_workspace(args) -> int:
     geom = _geometry(args)
     ws = sample_workspace(geom, (args.n_alpha, args.n_theta, args.n_s))
+    extents = workspace_extents(ws)  # before any output, so that an empty workspace writes nothing
     out = _out_dir(args)
-    write_csv(ws, os.path.join(out, "workspace.csv"))
-    write_ply(ws, os.path.join(out, "workspace.ply"))
+    write_files(ws, os.path.join(out, "workspace.csv"), os.path.join(out, "workspace.ply"))
     _write_manifest(out, "workspace", args, ["workspace.csv", "workspace.ply"])
-    extents = workspace_extents(ws)
     print(
         f"samples={len(ws)} feasible={ws.feasible.sum()} "
         f"z_min={extents['z_min']:.3f} z_max={extents['z_max']:.3f} "

@@ -6,8 +6,10 @@ import numpy as np
 from .errors import ConfigError
 
 # The node cap of every grid a call builds (scan nodes, workspace samples,
-# explore depth x waypoint tips): a scan peaks at about 400 bytes of arrays
-# per node, a workspace at about 210, so 512 bytes a node fits 1 GiB.
+# explore depth x waypoint tips). Under tracemalloc a 1 mm scan command
+# (40,401 nodes) peaks at about 150 bytes per node and a workspace command
+# at about 230, so 512 bytes a node fits 1 GiB; a scan with pressure
+# synthesis peaks at about 710.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
 # Below this many values one repr per value costs less than finding the

@@ -1,8 +1,18 @@
-"""ASCII PLY point clouds: the one writer behind every .ply output."""
+"""ASCII PLY point clouds: the one header and writer behind every .ply output."""
 
 import numpy as np
 
 from .columns import write_rows
+
+
+def header(n: int) -> str:
+    """The ASCII PLY header of n (x, y, z) float vertices."""
+    return (
+        "ply\nformat ascii 1.0\n"
+        f"element vertex {n}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "end_header\n"
+    )
 
 
 def write_points(points, path):
@@ -10,10 +20,5 @@ def write_points(points, path):
     ASCII PLY vertex list."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "ply\nformat ascii 1.0\n"
-            f"element vertex {len(pts)}\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "end_header\n"
-        )
+        fh.write(header(len(pts)))
         write_rows(fh, [pts], sep=" ")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actuation import beyond_servo_range, servo_angles, step_count
-from .columns import check_node_count, write_rows
+from .columns import CHUNK_ROWS, check_node_count, write_rows
 from .errors import ArmTooLowError, ConfigError, SceneError, ServoRangeError
 from .geometry import RobotGeometry
 from .kinematics import TWO_PI, _check_length, arc_kernel, ik, ik_kernel
@@ -31,15 +31,48 @@ LOG_ARM, LOG_ALPHA, LOG_S, LOG_CONTACT, LOG_POINT = slice(0, 3), 3, 4, 5, slice(
 
 @dataclass(frozen=True, eq=False)
 class MissionLog:
-    """A mission's event log; rows are arm moves and probe results.
+    """A mission's event log: each arm move, made with the backbone at
+    move_s and logged without contact, then the n probes made from that arm
+    position.
 
-    rows is one (n, 9) float array laid out as LOG_ARM, LOG_ALPHA, LOG_S,
-    LOG_CONTACT (1.0 or 0.0) and LOG_POINT; the step index is the row
-    number. A row without a contact point holds NaN there; NaN is written
-    as an empty cell.
+    move_arm is (m, 3); s and contact are (k, n) and point (k, n, 3), NaN
+    without a contact point, the probes after move i in row i, with k = m,
+    or m - 1 when the last move has no probes; alpha is one value or a
+    column of n. The log keeps these columns, views of the mission's own,
+    and lays them out as rows only when asked: write and to_csv lay out
+    and write a block of whole moves at a time, at most CHUNK_ROWS rows
+    unless one move alone has more, and rows lays out the whole log.
     """
 
-    rows: np.ndarray
+    move_arm: np.ndarray
+    move_s: float
+    alpha: float | np.ndarray
+    s: np.ndarray
+    contact: np.ndarray
+    point: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The whole log as one (m + k * n, 9) float array laid out as
+        LOG_ARM, LOG_ALPHA, LOG_S, LOG_CONTACT (1.0 or 0.0) and LOG_POINT;
+        the step index is the row number. A row without a contact point
+        holds NaN there; NaN is written as an empty cell."""
+        return self._rows(0, len(self.move_arm))
+
+    def _rows(self, start, stop) -> np.ndarray:
+        """The rows of moves start to stop - 1 and of their probes."""
+        move_arm = self.move_arm[start:stop]
+        s = self.s[start:stop]
+        (k, n), m = np.shape(s), len(move_arm)
+        rows = np.empty((m + k * n, 9))
+        moves = rows[:: n + 1]
+        moves[:, LOG_ARM], moves[:, LOG_ALPHA], moves[:, LOG_S] = move_arm, 0.0, self.move_s
+        moves[:, LOG_CONTACT], moves[:, LOG_POINT] = 0.0, np.nan
+        probes = rows[: k * (n + 1)].reshape(k, n + 1, 9)[:, 1:]
+        probes[..., LOG_ARM], probes[..., LOG_ALPHA], probes[..., LOG_S] = move_arm[:k, None], self.alpha, s
+        probes[..., LOG_CONTACT] = self.contact[start:stop]
+        probes[..., LOG_POINT] = self.point[start:stop]
+        return rows
 
     def to_csv(self) -> str:
         """The events.csv text."""
@@ -52,30 +85,14 @@ class MissionLog:
             self._write_csv(fh)
 
     def _write_csv(self, fh):
-        rows = self.rows
-        flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0")
+        width = np.shape(self.s)[1] + 1  # rows per move with its probes
+        moves = max(1, CHUNK_ROWS // width)
         fh.write(LOG_HEADER + "\n")
-        write_rows(fh, [np.arange(len(rows)), rows[:, :LOG_CONTACT], flags, rows[:, LOG_POINT]], nan="")
-
-
-def _log_rows(move_arm, move_s, alpha, s, contact, point) -> np.ndarray:
-    """A mission's log in the LOG_* layout: each arm move, made with the
-    backbone at move_s and logged without contact, then the n probes made
-    from that arm position.
-
-    move_arm is (m, 3); s and contact are (k, n) and point (k, n, 3), the
-    probes after move i in row i, with k = m, or m - 1 when the last move
-    has no probes; alpha is one value or a column of n.
-    """
-    (k, n), m = np.shape(s), len(move_arm)
-    rows = np.empty((m + k * n, 9))
-    moves = rows[:: n + 1]
-    moves[:, LOG_ARM], moves[:, LOG_ALPHA], moves[:, LOG_S] = move_arm, 0.0, move_s
-    moves[:, LOG_CONTACT], moves[:, LOG_POINT] = 0.0, np.nan
-    probes = rows[: k * (n + 1)].reshape(k, n + 1, 9)[:, 1:]
-    probes[..., LOG_ARM], probes[..., LOG_ALPHA], probes[..., LOG_S] = move_arm[:k, None], alpha, s
-    probes[..., LOG_CONTACT], probes[..., LOG_POINT] = contact, point
-    return rows
+        for start in range(0, len(self.move_arm), moves):
+            rows = self._rows(start, start + moves)
+            steps = np.arange(start * width, start * width + len(rows))
+            flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0")
+            write_rows(fh, [steps, rows[:, :LOG_CONTACT], flags, rows[:, LOG_POINT]], nan="")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +214,8 @@ def surface_scan(scene: HeightField, geom: RobotGeometry, cfg: ScanConfig = Scan
     ext, contact, contact_z = probe_columns(scene, arms, geom, cfg.quantum)
     points = np.where(contact[:, None], np.column_stack([arms[:, :2], contact_z]), np.nan)
     # Each node logs its move, made with the backbone retracted, then its probe.
-    rows = _log_rows(arms, geom.s_min, 0.0, ext[:, None], contact[:, None], points[:, None])
-    return ContactCloud(arms, ext, contact, contact_z, cfg.step_mm, cfg.origin, MissionLog(rows))
+    log = MissionLog(arms, geom.s_min, 0.0, ext[:, None], contact[:, None], points[:, None])
+    return ContactCloud(arms, ext, contact, contact_z, cfg.step_mm, cfg.origin, log)
 
 
 @dataclass(frozen=True)
@@ -358,7 +375,7 @@ def explore_tube(
     # Each ring logs its descent, then one row per azimuth; after a contact
     # the return to the start follows. Every arm move is made compressed.
     moves = np.vstack([arms[:rings], origin])[: rings + any_contact]
-    log = MissionLog(_log_rows(moves, cfg.compressed_s, path.alpha, ext, contact, points))
+    log = MissionLog(moves, cfg.compressed_s, path.alpha, ext, contact, points)
     return ExploreResult(
         depths[rings - 1], any_contact, np.tile(path.alpha, rings),
         ext.ravel(), contact.ravel(), points.reshape(-1, 3), log,

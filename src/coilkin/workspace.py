@@ -5,11 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actuation import beyond_servo_range, servo_angles
-from .columns import check_node_count, write_rows
+from .columns import CHUNK_ROWS, check_node_count, repr_column, write_rows
 from .errors import ConfigError, EmptyWorkspaceError
 from .geometry import RobotGeometry
 from .kinematics import HALF_PI, TWO_PI, ArcState, arc_kernel
-from .ply import write_points
+from .ply import header
 
 REASON_OK = "ok"
 REASON_SERVO = "servo-out-of-range"
@@ -96,15 +96,23 @@ def workspace_extents(ws: Workspace) -> dict:
     }
 
 
-def write_csv(ws: Workspace, path):
-    """alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason rows, angles in radians."""
+def write_files(ws: Workspace, csv_path, ply_path):
+    """workspace.csv and the ASCII PLY cloud of the feasible spring tops, in
+    one pass of CHUNK_ROWS rows.
+
+    The CSV holds alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason rows,
+    angles in radians; the PLY holds u[feasible]. Each chunk's u is
+    formatted once, and the same text goes to both files.
+    """
     flags = np.where(ws.feasible, "1", "0")
     reasons = np.array([REASON_SERVO, REASON_OK], dtype=object)[ws.feasible.view(np.int8)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason\n")
-        write_rows(fh, [ws.alpha, ws.theta, ws.s, ws.u, ws.e, flags, reasons])
-
-
-def write_ply(ws: Workspace, path):
-    """ASCII PLY point cloud of the feasible spring-top positions."""
-    write_points(ws.u[ws.feasible], path)
+    with (open(csv_path, "w", encoding="utf-8", newline="\n") as csv,
+          open(ply_path, "w", encoding="utf-8", newline="\n") as ply):
+        csv.write("alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason\n")
+        ply.write(header(np.count_nonzero(ws.feasible)))
+        for start in range(0, len(ws), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            u = np.array(repr_column(ws.u[rows]), dtype=object).reshape(-1, 3)
+            write_rows(csv, [ws.alpha[rows], ws.theta[rows], ws.s[rows], u, ws.e[rows], flags[rows],
+                             reasons[rows]])
+            write_rows(ply, [u[ws.feasible[rows]]], sep=" ")

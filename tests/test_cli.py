@@ -576,7 +576,8 @@ def reject_constant(name):
 
 class TestArgvFuzz:
     """Extreme, malformed and reordered argv through main, in process: a
-    documented exit code and no traceback; on success fk, ik and tendons
+    documented exit code and no traceback; a failed workspace, scan or
+    explore leaves no file under --out; on success fk, ik and tendons
     print strict JSON, fk and tendons had a bend angle of at least 0 and no
     command prints a non-finite number."""
 
@@ -596,6 +597,8 @@ class TestArgvFuzz:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 stdout, stderr, code, _ = run_main(argv)
+            if code != 0 and command in ("workspace", "scan", "explore"):
+                assert not any((tmp / "run").rglob("*")), (argv, stderr)
         event(f"exit {code}")
         assert code in (0, 2, 3, 4), (argv, stderr)
         assert "Traceback" not in stderr, argv
@@ -709,6 +712,14 @@ class TestWorkspaceCommand:
         )
         assert proc.returncode == 0
         assert "feasible=6 " in proc.stdout  # one per alpha: theta=0 at s=s_max
+
+    def test_empty_workspace_exits_3_before_output(self, tmp_path):
+        # One length, s_min, and a servo that cannot pay out its shortening.
+        out = tmp_path / "ws"
+        stdout, stderr, code, _ = run_main(["workspace", "--n-s", "1", "--servo-range", "10", "--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: no feasible samples\n"
+        assert not out.exists()
 
 
 class TestScanCommand:

@@ -36,7 +36,9 @@ def synthetic_cloud(height_grid, step=10.0, contact_mask=None):
     hit = np.ones(i.size, bool) if contact_mask is None else np.asarray(contact_mask, bool)[i, j]
     extension = np.where(hit, 50.0, 70.0)
     contact_z = np.where(hit, grid[i, j], np.nan)
-    return ContactCloud(arm, extension, hit, contact_z, step, (0.0, 0.0), MissionLog(np.empty((0, 9))))
+    points = np.where(hit[:, None], np.column_stack([arm[:, :2], contact_z]), np.nan)
+    log = MissionLog(arm, 20.0, 0.0, extension[:, None], hit[:, None], points[:, None])
+    return ContactCloud(arm, extension, hit, contact_z, step, (0.0, 0.0), log)
 
 
 def stamped_scene(pattern, at_i, at_j, size=21):

@@ -1,6 +1,7 @@
 """Mission simulation: vertical probes, surface scans, tube exploration."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from coilkin import (
     ExploreConfig,
     HeightField,
     InvalidStateError,
+    MissionLog,
     RobotGeometry,
     ScanConfig,
     ServoRangeError,
@@ -41,8 +43,8 @@ import coilkin.kinematics
 import coilkin.simulator
 from coilkin.actuation import beyond_servo_range
 from coilkin.cli import _write_pressure, make_offset_tube
-from coilkin.columns import MAX_NODES
-from coilkin.simulator import LOG_ARM, LOG_CONTACT, LOG_HEADER, LOG_POINT
+from coilkin.columns import CHUNK_ROWS, MAX_NODES
+from coilkin.simulator import LOG_ARM, LOG_CONTACT, LOG_HEADER, LOG_POINT, LOG_S
 
 GEOM = RobotGeometry()
 FLAT = HeightField((0.0, 0.0), 10.0, np.zeros((21, 21)))
@@ -695,6 +697,80 @@ class TestDeterminism:
         text = one_ring(Tube(174.0)).log.to_csv()
         assert text.splitlines()[0] == LOG_HEADER
         assert text.endswith("\n")
+
+
+# Values whose text is easy to get wrong: signed zeros, NaN (an empty
+# cell), inf, and extremes of repr's notation.
+SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 2.0**60, 0.1, 1 / 3]
+
+
+def mixed_values(rng, shape):
+    """Normal draws, a third of them, on average, replaced by special values."""
+    values = rng.normal(scale=100.0, size=shape)
+    pick = rng.random(shape) < 1 / 3
+    values[pick] = rng.choice(SPECIAL_VALUES, size=int(pick.sum()))
+    return values
+
+
+def reference_log_csv(rows):
+    """events.csv as a per-row repr loop over the laid-out log."""
+    lines = [LOG_HEADER]
+    for step, row in enumerate(rows.tolist()):
+        cells = ["" if v != v else repr(v) for v in row]
+        cells[LOG_CONTACT] = "1" if row[LOG_CONTACT] != 0.0 else "0"
+        lines.append(",".join([str(step), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+# n probes per move and m moves, with m * (n + 1) log rows on both sides of
+# the writer's CHUNK_ROWS.
+log_shapes = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.integers(1, 2 * CHUNK_ROWS // (n + 1) + 2), st.just(n))
+)
+
+
+class TestMissionLog:
+    @given(shape=log_shapes, last_probes=st.booleans(), alpha_column=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(1024, 1), last_probes=True, alpha_column=False, seed=0)  # exactly CHUNK_ROWS
+    @example(shape=(1025, 1), last_probes=False, alpha_column=False, seed=1)  # CHUNK_ROWS + 1
+    @example(shape=(228, 8), last_probes=False, alpha_column=True, seed=2)
+    @example(shape=(1, 3), last_probes=False, alpha_column=True, seed=3)  # only the return move
+    @settings(max_examples=30, deadline=None)
+    def test_csv_is_repr_of_rows(self, shape, last_probes, alpha_column, seed):
+        """to_csv is the laid-out rows formatted one by one with repr, NaN
+        as an empty cell; k = m - 1 probe rows leave the last move, as
+        explore's return, without probes."""
+        (m, n), rng = shape, np.random.default_rng(seed)
+        k = m if last_probes else m - 1
+        move_arm, move_s = mixed_values(rng, (m, 3)), float(mixed_values(rng, ())[()])
+        alpha = mixed_values(rng, n) if alpha_column else -0.0
+        s, point = mixed_values(rng, (k, n)), mixed_values(rng, (k, n, 3))
+        contact = rng.random((k, n)) < 0.5
+        log = MissionLog(move_arm, move_s, alpha, s, contact, point)
+        rows = log.rows
+        assert rows.shape == (m + k * n, 9)
+        np.testing.assert_array_equal(rows[:: n + 1, LOG_ARM], move_arm)
+        probes = rows[: k * (n + 1)].reshape(k, n + 1, 9)[:, 1:]
+        np.testing.assert_array_equal(probes[..., LOG_S], s)
+        np.testing.assert_array_equal(probes[..., LOG_POINT], point)
+        assert log.to_csv().splitlines(keepends=True) == reference_log_csv(rows).splitlines(keepends=True)
+
+    def test_scan_and_write_memory_per_node(self, tmp_path):
+        """surface_scan and MissionLog.write on a 201 x 201, 1 mm field stay
+        below 140 traced bytes per node: the log is laid out a block at a
+        time, never as one (2N, 9) array."""
+        grid = np.zeros((201, 201))
+        grid[50:150, 50:150] = 40.0
+        scene = HeightField((0.0, 0.0), 1.0, grid)
+        cfg = ScanConfig(200.0, 200.0, 1.0)
+        tracemalloc.start()
+        try:
+            surface_scan(scene, GEOM, cfg).log.write(tmp_path / "events.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / grid.size < 140
 
 
 def reference_pressure_csv(contact, seed, threshold_hpa):

@@ -21,7 +21,8 @@ from coilkin import (
     workspace_extents,
 )
 import coilkin.columns
-from coilkin.workspace import REASON_OK, REASON_SERVO, write_csv, write_ply
+from coilkin.columns import CHUNK_ROWS
+from coilkin.workspace import REASON_OK, REASON_SERVO, write_files
 
 GEOM = RobotGeometry()
 
@@ -123,8 +124,7 @@ def test_csv_and_ply_exports(tmp_path, default_samples):
     samples = sample_workspace(GEOM, (2, 2, 2))
     csv_path = tmp_path / "ws.csv"
     ply_path = tmp_path / "ws.ply"
-    write_csv(samples, csv_path)
-    write_ply(samples, ply_path)
+    write_files(samples, csv_path, ply_path)
 
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason"
@@ -196,15 +196,60 @@ def reference_csv(samples, path):
             )
 
 
+def reference_ply(samples, path):
+    """The workspace.ply writer as a per-row repr loop over the feasible samples."""
+    feasible = [smp for smp in samples if smp.feasible]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            "ply\nformat ascii 1.0\n"
+            f"element vertex {len(feasible)}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n"
+        )
+        for smp in feasible:
+            fh.write(" ".join(repr(float(v)) for v in smp.u) + "\n")
+
+
 @pytest.mark.parametrize(
     "grid, servo_range",
-    [((24, 7, 6), 95.0), ((1, 1, 1), 120.0), ((30, 9, 9), 80.0)],  # the last crosses a chunk
+    [
+        ((24, 7, 6), 95.0),
+        ((1, 1, 1), 120.0),
+        ((30, 9, 9), 80.0),
+        # CHUNK_ROWS - 1, CHUNK_ROWS and CHUNK_ROWS + 1 rows, every chunk
+        # with feasible and infeasible rows; at 105 the last chunk of the
+        # third grid holds one PLY vertex instead of none.
+        ((23, 89, 1), 95.0),
+        ((2, 32, 32), 95.0),
+        ((3, 683, 1), 95.0),
+        ((3, 683, 1), 105.0),
+    ],
 )
 def test_csv_matches_per_row_writer(tmp_path, grid, servo_range):
+    """write_files against the per-row CSV and PLY writers."""
     samples = sample_workspace(replace(GEOM, servo_range=servo_range), grid)
-    write_csv(samples, tmp_path / "ws.csv")
+    write_files(samples, tmp_path / "ws.csv", tmp_path / "ws.ply")
     reference_csv(samples, tmp_path / "ref.csv")
+    reference_ply(samples, tmp_path / "ref.ply")
     assert (tmp_path / "ws.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "ws.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid, servo_range, last_vertices",
+    [((23, 89, 1), 95.0, None), ((2, 32, 32), 95.0, None), ((3, 683, 1), 95.0, 0),
+     ((3, 683, 1), 105.0, 1)],
+)
+def test_chunk_boundary_grids(grid, servo_range, last_vertices):
+    """The boundary grids above cover what their comments say."""
+    feasible = sample_workspace(replace(GEOM, servo_range=servo_range), grid).feasible
+    assert len(feasible) - CHUNK_ROWS in (-1, 0, 1)
+    chunks = [feasible[k : k + CHUNK_ROWS] for k in range(0, len(feasible), CHUNK_ROWS)]
+    if last_vertices is None:
+        assert all(c.any() and not c.all() for c in chunks)
+    else:
+        assert all(c.any() and not c.all() for c in chunks[:-1])
+        assert chunks[-1].sum() == last_vertices
 
 
 def test_bad_grid():
