@@ -1,12 +1,7 @@
 """coilkin: constant-curvature kinematics, tendon actuation and contact
 missions for a spring-backbone continuum robot."""
 
-from .actuation import (
-    ServoCommand,
-    max_payout,
-    servo_angles,
-    tendon_to_servo,
-)
+from .actuation import max_payout, servo_angles
 from .errors import (
     ArmTooLowError,
     CoilkinError,
@@ -34,7 +29,6 @@ from .perception import (
     ErrorReport,
     FeatureVector,
     HeightMap,
-    bubble_aggregate,
     error_stats,
     reconstruct,
     resample_average,

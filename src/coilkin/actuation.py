@@ -1,35 +1,10 @@
 """Tendon-space actuation: servo pulley mapping, the servo bound and the step rule."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ServoRangeError
 from .geometry import RobotGeometry
-from .kinematics import TendonSet
-
-
-@dataclass(frozen=True)
-class ServoCommand:
-    """Pulley angles in degrees, one per tendon, and slack flags: one row of servo_angles."""
-
-    angle1: float
-    angle2: float
-    angle3: float
-    angle4: float
-    slack1: bool = False
-    slack2: bool = False
-    slack3: bool = False
-    slack4: bool = False
-
-    @property
-    def angles(self) -> tuple:
-        return (self.angle1, self.angle2, self.angle3, self.angle4)
-
-    @property
-    def slack(self) -> tuple:
-        return (self.slack1, self.slack2, self.slack3, self.slack4)
 
 
 def max_payout(geom: RobotGeometry) -> float:
@@ -62,20 +37,6 @@ def servo_angles(q, home, geom: RobotGeometry):
     """
     shortening = np.subtract(home, q)
     return pulley_angle(shortening, geom), shortening < 0.0
-
-
-def tendon_to_servo(target: TendonSet, home: TendonSet, geom: RobotGeometry) -> ServoCommand:
-    """servo_angles of one tendon set as a ServoCommand. Raises
-    ServoRangeError for the first tendon beyond the servo range."""
-    angles, slack = servo_angles(target.as_tuple(), home.as_tuple(), geom)
-    beyond = np.flatnonzero(beyond_servo_range(angles, geom))
-    if beyond.size:
-        k = beyond[0]
-        raise ServoRangeError(
-            f"tendon needs {home.as_tuple()[k] - target.as_tuple()[k]:.3f} mm of shortening "
-            f"({angles[k]:.2f} deg), servo range is {geom.servo_range} deg"
-        )
-    return ServoCommand(*angles.tolist(), *slack.tolist())
 
 
 def step_count(start, stop, max_step_mm: float):

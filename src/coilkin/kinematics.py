@@ -78,9 +78,6 @@ class TendonSet:
     q3: float
     q4: float
 
-    def as_tuple(self) -> tuple:
-        return (self.q1, self.q2, self.q3, self.q4)
-
 
 def _check_length(s: float, geom: RobotGeometry):
     """Reject a backbone length outside the geometry's [s_min, s_max]."""

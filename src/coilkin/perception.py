@@ -1,6 +1,5 @@
 """Contact clouds to height maps, fixed-size feature vectors and error stats."""
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -33,20 +32,12 @@ class HeightMap:
     def contact_mask(self) -> np.ndarray:
         return ~np.isnan(self.heights)
 
-    def to_csv(self) -> str:
-        """The height-map CSV text: an origin and cell-size comment, then one
-        line per row of heights."""
-        with io.StringIO() as buf:
-            self._write_csv(buf)
-            return buf.getvalue()
-
     def write_csv(self, path):
+        """The height-map CSV: an origin and cell-size comment, then one line
+        per row of heights."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            self._write_csv(fh)
-
-    def _write_csv(self, fh):
-        fh.write(f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r} cell_mm={self.cell_mm!r}\n")
-        write_rows(fh, [self.heights])
+            fh.write(f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r} cell_mm={self.cell_mm!r}\n")
+            write_rows(fh, [self.heights])
 
     def write_ply(self, path):
         """ASCII PLY of the contacted cells."""
@@ -69,7 +60,12 @@ class FeatureVector:
             raise ValueError("feature vector values must be finite")
 
     def to_csv_row(self) -> str:
-        return ",".join([self.provenance] + [repr(float(v)) for v in self.values])
+        """provenance, then the 300 values; the provenance cell is quoted as
+        RFC 4180 asks when it holds a comma, a quote or a line break."""
+        name = self.provenance
+        if any(c in name for c in ',"\r\n'):
+            name = '"' + name.replace('"', '""') + '"'
+        return ",".join([name] + [repr(float(v)) for v in self.values])
 
 
 def reconstruct(cloud: ContactCloud) -> HeightMap:
@@ -96,11 +92,9 @@ def reconstruct(cloud: ContactCloud) -> HeightMap:
 def _overlap_weights(n_in: int, n_out: int) -> np.ndarray:
     """Row-stochastic matrix averaging n_in cells into n_out covering bins."""
     edges = np.linspace(0.0, n_in, n_out + 1)
-    w = np.zeros((n_out, n_in))
-    for o in range(n_out):
-        a, b = edges[o], edges[o + 1]
-        for i in range(int(math.floor(a)), min(n_in, int(math.ceil(b)))):
-            w[o, i] = max(0.0, min(b, i + 1.0) - max(a, float(i)))
+    i = np.arange(n_in)
+    # Overlap of bin [edges[o], edges[o + 1]) with cell [i, i + 1), 0 if none.
+    w = np.maximum(np.minimum(edges[1:, None], i + 1.0) - np.maximum(edges[:-1, None], i), 0.0)
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -164,10 +158,6 @@ class ErrorReport:
             "SD (mm)," + ",".join(repr(float(v)) for v in sd) + "\n"
         )
 
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
-
 
 def error_stats(pairs) -> ErrorReport:
     """Euclidean and per-axis absolute errors for (desired, actual) pairs."""
@@ -178,19 +168,3 @@ def error_stats(pairs) -> ErrorReport:
     actual = np.asarray([p[1] for p in pairs], dtype=float)
     diff = actual - desired
     return ErrorReport(np.linalg.norm(diff, axis=1), np.abs(diff))
-
-
-def bubble_aggregate(records) -> list:
-    """Average Euclidean errors over directions sharing a commanded cell.
-
-    records are (axis_displacement_mm, z_mm, dis_mm) triples, one per
-    direction; the output is (displacement, z, mean_dis) ordered by
-    (z, displacement).
-    """
-    cells = {}
-    for disp, z, dis in records:
-        cells.setdefault((float(z), float(disp)), []).append(float(dis))
-    return [
-        (disp, z, sum(vals) / len(vals))
-        for (z, disp), vals in sorted(cells.items())
-    ]

@@ -8,7 +8,6 @@ as one mission log whose CSV serialization is byte-stable, so identical
 configurations replay identically.
 """
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,9 +38,9 @@ class MissionLog:
     without a contact point, the probes after move i in row i, with k = m,
     or m - 1 when the last move has no probes; alpha is one value or a
     column of n. The log keeps these columns, views of the mission's own,
-    and lays them out as rows only when asked: write and to_csv lay out
-    and write a block of whole moves at a time, at most CHUNK_ROWS rows
-    unless one move alone has more, and rows lays out the whole log.
+    and lays them out as rows only when asked: write lays out and writes a
+    block of whole moves at a time, at most CHUNK_ROWS rows unless one move
+    alone has more, and rows lays out the whole log.
     """
 
     move_arm: np.ndarray
@@ -74,25 +73,17 @@ class MissionLog:
         probes[..., LOG_POINT] = self.point[start:stop]
         return rows
 
-    def to_csv(self) -> str:
-        """The events.csv text."""
-        with io.StringIO() as buf:
-            self._write_csv(buf)
-            return buf.getvalue()
-
     def write(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            self._write_csv(fh)
-
-    def _write_csv(self, fh):
+        """The events.csv file."""
         width = np.shape(self.s)[1] + 1  # rows per move with its probes
         moves = max(1, CHUNK_ROWS // width)
-        fh.write(LOG_HEADER + "\n")
-        for start in range(0, len(self.move_arm), moves):
-            rows = self._rows(start, start + moves)
-            steps = np.arange(start * width, start * width + len(rows))
-            flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0")
-            write_rows(fh, [steps, rows[:, :LOG_CONTACT], flags, rows[:, LOG_POINT]], nan="")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(LOG_HEADER + "\n")
+            for start in range(0, len(self.move_arm), moves):
+                rows = self._rows(start, start + moves)
+                steps = np.arange(start * width, start * width + len(rows))
+                flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0")
+                write_rows(fh, [steps, rows[:, :LOG_CONTACT], flags, rows[:, LOG_POINT]], nan="")
 
 
 @dataclass(frozen=True, eq=False)

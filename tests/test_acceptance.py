@@ -16,18 +16,18 @@ from coilkin import (
     HeightField,
     RobotGeometry,
     ScanConfig,
-    TendonSet,
     Tube,
     error_stats,
     explore_tube,
     ik,
     max_payout,
     reconstruct,
+    servo_angles,
     surface_scan,
     tendon_lengths,
-    tendon_to_servo,
     to_feature,
 )
+from coilkin.actuation import beyond_servo_range
 from coilkin.cli import make_offset_tube
 from coilkin.kinematics import ArcState
 from kinematics_oracle import fk_transform
@@ -125,18 +125,17 @@ def test_c3_tendon_case_split():
 def test_c4_actuation_feasibility():
     """Servo travel covers the full 50 mm compression within the 120 deg range."""
     payout = max_payout(GEOM)
-    home = TendonSet(70.0, 70.0, 70.0, 70.0)
-    cmd = tendon_to_servo(TendonSet(20.0, 20.0, 20.0, 20.0), home, GEOM)
+    angles, _ = servo_angles((20.0, 20.0, 20.0, 20.0), 70.0, GEOM)
     ok = (
         abs(payout - 73.30) <= 0.01
         and payout >= 50.0
-        and all(abs(a - 81.9) <= 0.1 for a in cmd.angles)
-        and all(a <= GEOM.servo_range for a in cmd.angles)
+        and all(abs(a - 81.9) <= 0.1 for a in angles.tolist())
+        and not beyond_servo_range(angles, GEOM).any()
     )
     report(
         "C4 feasibility figures",
         ok,
-        f"max payout {payout:.2f} mm, compression angle {cmd.angle1:.2f} deg",
+        f"max payout {payout:.2f} mm, compression angle {angles[0]:.2f} deg",
     )
 
 
@@ -328,17 +327,20 @@ def test_c8_error_statistics():
     )
 
 
-def test_c9_determinism():
+def test_c9_determinism(tmp_path):
     """Identical config and seed produce byte-identical mission logs."""
     grid = np.zeros((21, 21))
     grid[5:10, 5:10] = 40.0
-    scan_logs = []
-    for _ in range(2):
-        cloud = surface_scan(HeightField((0.0, 0.0), 10.0, grid), GEOM, ScanConfig())
-        scan_logs.append(cloud.log.to_csv().encode())
-    explore_logs = [
-        explore_tube(make_offset_tube(55.0, GEOM), GEOM).log.to_csv().encode() for _ in range(2)
+
+    def log_bytes(log):
+        log.write(tmp_path / "events.csv")
+        return (tmp_path / "events.csv").read_bytes()
+
+    scan_logs = [
+        log_bytes(surface_scan(HeightField((0.0, 0.0), 10.0, grid), GEOM, ScanConfig()).log)
+        for _ in range(2)
     ]
+    explore_logs = [log_bytes(explore_tube(make_offset_tube(55.0, GEOM), GEOM).log) for _ in range(2)]
     ok = scan_logs[0] == scan_logs[1] and explore_logs[0] == explore_logs[1]
     report(
         "C9 determinism",

@@ -2,21 +2,14 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coilkin import (
-    RobotGeometry,
-    ServoRangeError,
-    TendonSet,
-    max_payout,
-    servo_angles,
-    tendon_to_servo,
-)
+from coilkin import RobotGeometry, TendonSet, max_payout, servo_angles
 from coilkin.actuation import beyond_servo_range, pulley_angle, step_count
 from coilkin.kinematics import ArcState, ik, tendon_lengths
 from coilkin.simulator import ExploreConfig, ring_path
@@ -33,43 +26,53 @@ tendon_sets = st.builds(
 )
 
 
+def one_row(target, home=HOME, geom=GEOM):
+    """Angles, slack flags and the servo bound of one tendon set, as lists."""
+    angles, slack = servo_angles(astuple(target), astuple(home), geom)
+    return angles.tolist(), slack.tolist(), beyond_servo_range(angles, geom).tolist()
+
+
 class TestTendonToServo:
+    """The servo rule on one row: servo_angles of one tendon set, bounded by
+    beyond_servo_range."""
+
     def test_home_needs_no_actuation(self):
-        cmd = tendon_to_servo(HOME, HOME, GEOM)
-        assert cmd.angles == (0.0, 0.0, 0.0, 0.0)
-        assert cmd.slack == (False, False, False, False)
+        angles, slack, beyond = one_row(HOME)
+        assert angles == [0.0, 0.0, 0.0, 0.0]
+        assert slack == beyond == [False, False, False, False]
 
     def test_full_compression(self):
         # 50 mm of shortening on every 70 mm pulley
-        cmd = tendon_to_servo(TendonSet(20.0, 20.0, 20.0, 20.0), HOME, GEOM)
+        angles, _, beyond = one_row(TendonSet(20.0, 20.0, 20.0, 20.0))
         expected = 50.0 / (math.pi * 70.0) * 360.0
         assert expected == pytest.approx(81.85, abs=0.01)
-        assert cmd.angles == pytest.approx((expected,) * 4)
-        assert all(a <= GEOM.servo_range for a in cmd.angles)
+        assert angles == pytest.approx([expected] * 4)
+        assert not any(beyond)
 
     def test_quarter_bend_inner_tendon(self):
         q1 = 51.15044407846124
-        cmd = tendon_to_servo(TendonSet(q1, 70.0, 70.0, 70.0), HOME, GEOM)
-        assert cmd.angle1 == pytest.approx((70.0 - q1) / (math.pi * 70.0) * 360.0)
-        assert cmd.angle1 == pytest.approx(30.857142857142858, abs=1e-9)
+        angles, _, _ = one_row(TendonSet(q1, 70.0, 70.0, 70.0))
+        assert angles[0] == pytest.approx((70.0 - q1) / (math.pi * 70.0) * 360.0)
+        assert angles[0] == pytest.approx(30.857142857142858, abs=1e-9)
 
     def test_slack_tendon_clamps_to_zero(self):
-        cmd = tendon_to_servo(TendonSet(70.0, 70.0, 80.0, 70.0), HOME, GEOM)
-        assert cmd.angle3 == 0.0
-        assert cmd.slack3 is True
-        assert cmd.slack1 is False
+        angles, slack, _ = one_row(TendonSet(70.0, 70.0, 80.0, 70.0))
+        assert angles[2] == 0.0
+        assert slack[2] is True
+        assert slack[0] is False
 
     def test_out_of_range(self):
-        # Tendons 2 and 3 are both beyond range; the error names tendon 2.
+        # 40 and 50 mm of shortening on tendons 2 and 3, both beyond 10 deg.
         small = replace(GEOM, servo_range=10.0)
-        with pytest.raises(ServoRangeError, match=r"needs 40\.000 mm of shortening \(65\.48 deg\)"):
-            tendon_to_servo(TendonSet(70.0, 30.0, 20.0, 70.0), HOME, small)
+        angles, _, beyond = one_row(TendonSet(70.0, 30.0, 20.0, 70.0), geom=small)
+        assert angles[1:3] == pytest.approx([65.48, 81.85], abs=0.01)
+        assert beyond == [False, True, True, False]
 
     @given(q=st.floats(1.0, 70.0), shorter=st.floats(0.0, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_shortening(self, q, shorter):
-        a = tendon_to_servo(TendonSet(q, 70.0, 70.0, 70.0), HOME, GEOM).angle1
-        b = tendon_to_servo(TendonSet(max(q - shorter, 0.5), 70.0, 70.0, 70.0), HOME, GEOM).angle1
+        a = one_row(TendonSet(q, 70.0, 70.0, 70.0))[0][0]
+        b = one_row(TendonSet(max(q - shorter, 0.5), 70.0, 70.0, 70.0))[0][0]
         assert b >= a
 
 
@@ -82,18 +85,17 @@ class TestServoAngles:
     @settings(max_examples=200, deadline=None)
     def test_tendon_to_servo_is_one_row(self, targets, home, servo_range):
         """One batched call gives, row for row, the angles and slack flags of
-        tendon_to_servo, which raises exactly where a tendon is beyond range."""
+        a one-row call, and both follow the pulley formula
+        (home - q) * 360 / (pi * D) of the shortening, 0 where slack."""
         geom = replace(GEOM, servo_range=servo_range)
-        angles, slack = servo_angles([t.as_tuple() for t in targets], home.as_tuple(), geom)
+        angles, slack = servo_angles([astuple(t) for t in targets], astuple(home), geom)
         assert angles.shape == slack.shape == (len(targets), 4)
         for target, row_angles, row_slack in zip(targets, angles, slack):
-            if beyond_servo_range(row_angles, geom).any():
-                with pytest.raises(ServoRangeError):
-                    tendon_to_servo(target, home, geom)
-                continue
-            cmd = tendon_to_servo(target, home, geom)
-            assert cmd.angles == tuple(row_angles.tolist())
-            assert cmd.slack == tuple(row_slack.tolist())
+            assert one_row(target, home, geom)[:2] == (row_angles.tolist(), row_slack.tolist())
+            shortening = [h - q for h, q in zip(astuple(home), astuple(target))]
+            oracle = [max(v, 0.0) * 360 / (math.pi * geom.pulley_diameter) for v in shortening]
+            assert row_angles.tolist() == pytest.approx(oracle, rel=1e-12)
+            assert row_slack.tolist() == [v < 0.0 for v in shortening]
 
     def test_broadcasts_home(self):
         q = np.array([[[70.0, 60.0, 80.0, 70.0]], [[20.0, 20.0, 20.0, 20.0]]])
@@ -133,10 +135,10 @@ class TestMaxPayout:
 
 class TestStepCount:
     def test_equal_endpoints_single_step(self):
-        assert step_count(HOME.as_tuple(), HOME.as_tuple(), 2.0) == 1
+        assert step_count(astuple(HOME), astuple(HOME), 2.0) == 1
 
     def test_uniform_compression(self):
-        assert step_count(HOME.as_tuple(), (20.0, 20.0, 20.0, 20.0), 2.0) == 25
+        assert step_count(astuple(HOME), (20.0, 20.0, 20.0, 20.0), 2.0) == 25
 
     def test_remainder_takes_a_step(self):
         assert step_count((50.0, 60.0, 60.0, 60.0), (60.0, 60.0, 60.0, 60.0), 3.0) == 4
@@ -144,8 +146,8 @@ class TestStepCount:
     @given(start=tendon_sets, stop=tendon_sets, max_step=st.floats(0.1, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_fewest_steps_within_max_step(self, start, stop, max_step):
-        n = step_count(start.as_tuple(), stop.as_tuple(), max_step)
-        biggest = max(abs(b - a) for a, b in zip(start.as_tuple(), stop.as_tuple()))
+        n = step_count(astuple(start), astuple(stop), max_step)
+        biggest = max(abs(b - a) for a, b in zip(astuple(start), astuple(stop)))
         assert n >= 1
         assert biggest / n <= max_step * (1 + 1e-12)
         assert n == 1 or biggest / (n - 1) > max_step * (1 - 1e-12)
@@ -159,31 +161,30 @@ class TestSharedRules:
         goal tendon set in step_count steps, endpoints exact."""
         cfg = ExploreConfig(max_step_mm=step, target_radial=radial)
         path = ring_path(GEOM, cfg)
-        q0 = tendon_lengths(ArcState(0.0, 0.0, cfg.compressed_s), GEOM).as_tuple()
+        q0 = astuple(tendon_lengths(ArcState(0.0, 0.0, cfg.compressed_s), GEOM))
         ends = np.append(path.starts[1:], len(path.t)) - 1
         for k, alpha in enumerate(path.alpha.tolist()):
             goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), GEOM)
-            q1 = tendon_lengths(goal, GEOM).as_tuple()
+            q1 = astuple(tendon_lengths(goal, GEOM))
             assert ends[k] - path.starts[k] == step_count(q0, q1, step)
             assert path.q[path.starts[k]] == pytest.approx(q0, abs=1e-9)
             assert path.q[ends[k]] == pytest.approx(q1, abs=1e-9)
 
     def test_step_count_batches(self):
         stops = [(70.0, 70.0, 70.0, 70.0), (60.0, 70.0, 70.0, 70.0), (70.0, 70.0, 70.0, 19.5)]
-        assert step_count(HOME.as_tuple(), stops, 2.0).tolist() == [1, 5, 26]
+        assert step_count(astuple(HOME), stops, 2.0).tolist() == [1, 5, 26]
 
     def test_step_count_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
-            step_count(HOME.as_tuple(), HOME.as_tuple(), 0.0)
+            step_count(astuple(HOME), astuple(HOME), 0.0)
 
     @given(tendon_sets, st.floats(0.0, 360.0))
     @settings(max_examples=300, deadline=None)
     def test_batched_bound_agrees_with_tendon_to_servo(self, target, servo_range):
+        """One row is beyond the servo range exactly when its largest
+        shortening is."""
         geom = replace(GEOM, servo_range=servo_range)
-        shortening = max(h - q for h, q in zip(HOME.as_tuple(), target.as_tuple()))
-        try:
-            tendon_to_servo(target, HOME, geom)
-            raised = False
-        except ServoRangeError:
-            raised = True
-        assert bool(beyond_servo_range(pulley_angle(shortening, geom), geom)) == raised
+        shortening = max(h - q for h, q in zip(astuple(HOME), astuple(target)))
+        assert any(one_row(target, geom=geom)[2]) == bool(
+            beyond_servo_range(pulley_angle(shortening, geom), geom)
+        )

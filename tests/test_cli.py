@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -15,7 +16,6 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -754,6 +754,17 @@ class TestScanCommand:
             "heightmap.csv",
             "heightmap.ply",
         ]
+
+    def test_feature_row_quotes_scene_name(self, tmp_path):
+        """A scene file name with a comma and quotes stays one provenance cell."""
+        scene = tmp_path / 'a,b "c".json'
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        assert run_main(["scan", "--scene", str(scene), "--out", str(out)])[2] == 0
+        with open(out / "features.csv", encoding="utf-8", newline="") as fh:
+            (row,) = csv.reader(fh)
+        assert len(row) == 301
+        assert row[0] == scene.name
 
     def test_no_contact_scan_still_succeeds(self, tmp_path):
         scene = tmp_path / "scene.json"

@@ -9,7 +9,7 @@ r-based frame chain itself lives in kinematics_oracle, beside this file.
 
 import math
 import sys
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -111,7 +111,7 @@ class TestFkTransform:
         state = ArcState(1.3, 1e-6, 50.0)
         assert fk_point(state, GEOM) == pytest.approx([0.0, 0.0, 50.0], abs=1e-3)
         q = tendon_lengths(state, GEOM)
-        assert q.as_tuple() == pytest.approx((50.0,) * 4, abs=1e-3)
+        assert astuple(q) == pytest.approx((50.0,) * 4, abs=1e-3)
 
     def test_invalid_states_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -276,7 +276,7 @@ class TestAttachmentPoints:
 class TestTendonLengths:
     def test_straight_all_equal_backbone(self):
         q = tendon_lengths(ArcState(0.0, 0.0, 45.0), GEOM)
-        assert q.as_tuple() == (45.0, 45.0, 45.0, 45.0)
+        assert astuple(q) == (45.0, 45.0, 45.0, 45.0)
 
     def test_quarter_bend_inner_arc(self):
         q = tendon_lengths(ArcState(0.0, math.pi / 2, 70.0), GEOM)
@@ -327,7 +327,7 @@ class TestTendonLengths:
     @settings(max_examples=200, deadline=None)
     def test_all_positive(self, alpha, theta, s):
         q = tendon_lengths(ArcState(alpha, theta, s), GEOM)
-        assert all(v > 0.0 for v in q.as_tuple())
+        assert all(v > 0.0 for v in astuple(q))
 
 
 # Generic bend-plane angles plus the quadrant angles and their 1e-13 rad
@@ -353,15 +353,15 @@ class TestTieRule:
     @settings(max_examples=300, deadline=None)
     def test_quarter_turn_permutes_tendons(self, alpha, theta, s):
         # Tendon i+1 faces alpha + pi/2 the way tendon i faces alpha.
-        q = tendon_lengths(ArcState(alpha, theta, s), GEOM).as_tuple()
-        turned = tendon_lengths(ArcState(alpha + math.pi / 2, theta, s), GEOM).as_tuple()
+        q = astuple(tendon_lengths(ArcState(alpha, theta, s), GEOM))
+        turned = astuple(tendon_lengths(ArcState(alpha + math.pi / 2, theta, s), GEOM))
         assert turned == pytest.approx(q[-1:] + q[:-1], abs=1e-12)
 
     def test_rounding_of_alpha_does_not_switch_branch(self):
         # theta = 1 rad, s = 60: arc and chord of tendon 2 differ by 3.66 mm here.
         at_zero = tendon_lengths(ArcState(0.0, 1.0, 60.0), GEOM)
         nudged = tendon_lengths(ArcState(1e-13, 1.0, 60.0), GEOM)
-        assert nudged.as_tuple() == pytest.approx(at_zero.as_tuple(), abs=1e-9)
+        assert astuple(nudged) == pytest.approx(astuple(at_zero), abs=1e-9)
 
 
 class TestArcKernel:
@@ -392,7 +392,7 @@ class TestArcKernel:
             assert fk_tip(state, GEOM) == pytest.approx(kin.e[i], abs=1e-12)
             tangent = arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
             assert tangent == pytest.approx(kin.tangent[i], abs=1e-12)
-            assert tendon_lengths(state, GEOM).as_tuple() == pytest.approx(kin.q[i], abs=1e-12)
+            assert astuple(tendon_lengths(state, GEOM)) == pytest.approx(kin.q[i], abs=1e-12)
 
     @given(
         alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True),

@@ -1,10 +1,12 @@
 """Height-map reconstruction, feature vectors and error statistics."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coilkin import (
@@ -14,7 +16,6 @@ from coilkin import (
     MissionLog,
     RobotGeometry,
     ScanConfig,
-    bubble_aggregate,
     error_stats,
     reconstruct,
     resample_average,
@@ -22,6 +23,7 @@ from coilkin import (
     to_feature,
 )
 from coilkin.columns import CHUNK_ROWS, DEDUPE_MIN_SIZE, repr_column
+from coilkin.perception import _overlap_weights
 from coilkin.ply import write_points
 
 GEOM = RobotGeometry()
@@ -138,6 +140,17 @@ class TestReconstruct:
         assert len(ply) == ply.index("end_header") + 1 + int(mask.sum())
 
 
+def overlap_weights_loop(n_in, n_out):
+    """_overlap_weights as a loop over bins and the cells each one covers."""
+    edges = np.linspace(0.0, n_in, n_out + 1)
+    w = np.zeros((n_out, n_in))
+    for o in range(n_out):
+        a, b = edges[o], edges[o + 1]
+        for i in range(int(math.floor(a)), min(n_in, int(math.ceil(b)))):
+            w[o, i] = max(0.0, min(b, i + 1.0) - max(a, float(i)))
+    return w / w.sum(axis=1, keepdims=True)
+
+
 class TestResample:
     def test_uniform_stays_uniform(self):
         out = resample_average(np.full((7, 9), 3.25), 20, 15)
@@ -157,6 +170,16 @@ class TestResample:
         out = resample_average(np.array([[5.0]]), 20, 15)
         assert out.shape == (20, 15)
         assert np.allclose(out, 5.0)
+
+    @given(n_in=st.integers(1, 300), n_out=st.integers(1, 256))
+    @example(n_in=259, n_out=201)
+    @example(n_in=7, n_out=20)
+    @example(n_in=1, n_out=1)
+    @settings(max_examples=200, deadline=None)
+    def test_overlap_weights_match_loop(self, n_in, n_out):
+        """The broadcast weights are bit for bit those of the per-cell loop."""
+        expected = overlap_weights_loop(n_in, n_out)
+        assert _overlap_weights(n_in, n_out).tobytes() == expected.tobytes()
 
     @given(scale=st.floats(0.1, 10.0))
     @settings(max_examples=50, deadline=None)
@@ -195,6 +218,15 @@ class TestToFeature:
         row = vec.to_csv_row().split(",")
         assert row[0] == "trial-1"
         assert len(row) == 301
+
+    @pytest.mark.parametrize("name", ["a,b.json", 'say "hi".json', "two\nlines.json", "cr\rlf\r\n", '"'])
+    def test_provenance_is_quoted(self, name):
+        """A name with a comma, a quote or a line break is one quoted cell."""
+        vec = to_feature(reconstruct(synthetic_cloud(np.zeros((4, 4)))), provenance=name)
+        (row,) = csv.reader(io.StringIO(vec.to_csv_row() + "\n", newline=""))
+        assert len(row) == 301
+        assert row[0] == name
+        assert [float(v) for v in row[1:]] == list(vec.values)
 
 
 class TestErrorStats:
@@ -245,23 +277,3 @@ class TestErrorStats:
         assert lines[1].startswith("Mean (mm),")
         assert lines[2].startswith("SD (mm),")
         assert [float(v) for v in lines[1].split(",")[1:]] == pytest.approx([5.0, 3.0, 0.0, 4.0])
-
-
-class TestBubbleAggregate:
-    def test_single_direction_passthrough(self):
-        assert bubble_aggregate([(10.0, 40.0, 2.5)]) == [(10.0, 40.0, 2.5)]
-
-    def test_four_directions_average(self):
-        records = [(10.0, 40.0, e) for e in (2.0, 4.0, 4.0, 6.0)]
-        assert bubble_aggregate(records) == [(10.0, 40.0, 4.0)]
-
-    def test_cell_count_and_ordering(self):
-        records = []
-        for z in (60.0, 40.0, 50.0):
-            for disp in (5.0, 15.0, 10.0):
-                for _ in range(4):
-                    records.append((disp, z, 1.0))
-        out = bubble_aggregate(records)
-        assert len(out) == 9
-        keys = [(z, disp) for disp, z, _ in out]
-        assert keys == sorted(keys)

@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -44,7 +44,7 @@ import coilkin.simulator
 from coilkin.actuation import beyond_servo_range
 from coilkin.cli import _write_pressure, make_offset_tube
 from coilkin.columns import CHUNK_ROWS, MAX_NODES
-from coilkin.simulator import LOG_ARM, LOG_CONTACT, LOG_HEADER, LOG_POINT, LOG_S
+from coilkin.simulator import LOG_ALPHA, LOG_ARM, LOG_CONTACT, LOG_HEADER, LOG_POINT, LOG_S
 
 GEOM = RobotGeometry()
 FLAT = HeightField((0.0, 0.0), 10.0, np.zeros((21, 21)))
@@ -56,19 +56,29 @@ def plateau_scene(height=40.0, i0=5, i1=10, j0=5, j1=10):
     return HeightField((0.0, 0.0), 10.0, grid)
 
 
-def parse_log_rows(log):
-    rows = []
-    for line in log.to_csv().splitlines()[1:]:
-        cells = line.split(",")
-        rows.append(
-            {
-                "arm": (float(cells[1]), float(cells[2]), float(cells[3])),
-                "alpha": float(cells[4]),
-                "s": float(cells[5]),
-                "contact": cells[6] == "1",
-            }
-        )
-    return rows
+def log_rows(log):
+    """The log's rows as dicts of arm, alpha, s and contact."""
+    return [
+        {
+            "arm": tuple(row[LOG_ARM]),
+            "alpha": row[LOG_ALPHA],
+            "s": row[LOG_S],
+            "contact": row[LOG_CONTACT] != 0.0,
+        }
+        for row in log.rows.tolist()
+    ]
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("logs")
+
+
+def log_text(log, directory):
+    """The events.csv text that MissionLog.write puts in directory."""
+    path = directory / "events.csv"
+    log.write(path)
+    return path.read_bytes().decode("utf-8")
 
 
 def probe(scene, arm, quantum=0.5):
@@ -152,14 +162,14 @@ class TestSurfaceScan:
 
     def test_retract_before_move(self):
         cloud = surface_scan(plateau_scene(40.0), GEOM, ScanConfig(width=50.0, height=50.0))
-        rows = parse_log_rows(cloud.log)
+        rows = log_rows(cloud.log)
         for prev, row in zip(rows, rows[1:]):
             if row["arm"] != prev["arm"]:
                 assert row["s"] == GEOM.s_min
 
     def test_arm_stays_in_scan_plane(self):
         cloud = surface_scan(FLAT, GEOM, ScanConfig(width=40.0, height=40.0))
-        zs = {row["arm"][2] for row in parse_log_rows(cloud.log)}
+        zs = {row["arm"][2] for row in log_rows(cloud.log)}
         assert len(zs) == 1
 
     def test_completeness_reachable_cells_contact(self):
@@ -336,7 +346,7 @@ heights = st.one_of(st.floats(0.0, 60.0), st.integers(0, 600).map(lambda k: k / 
 # 41 x 41 nodes: 3,362 log rows, across the writer's 2,048-row chunks.
 @example(MIXED, 2.5, (-1.0, 3.0), (40.0, 40.0), 1.0, (-3.0, 0.5), 0.5, 0.3)
 def test_array_scan_matches_node_loop(
-    grid, cell, scene_origin, size, step, scan_origin, lift, quantum
+    log_dir, grid, cell, scene_origin, size, step, scan_origin, lift, quantum
 ):
     """The arm sits `lift` times the tallest cell above floor reach (None:
     at floor reach), so that some nodes miss the surface or are too low."""
@@ -359,7 +369,7 @@ def test_array_scan_matches_node_loop(
     np.testing.assert_array_equal(cloud.contact_z, [np.nan if z is None else z for z in contact_z])
     # Line lists, not one string: a failing 3,362-row example then reports
     # its first differing line at once instead of diffing the whole text.
-    assert cloud.log.to_csv().splitlines(keepends=True) == expected_csv.splitlines(keepends=True)
+    assert log_text(cloud.log, log_dir).splitlines(keepends=True) == expected_csv.splitlines(keepends=True)
     if cloud.contact_count:
         np.testing.assert_array_equal(reconstruct(cloud).heights, reference_heights(expected, cfg))
     else:
@@ -426,7 +436,7 @@ class TestRingPath:
             alpha = 2.0 * math.pi * k / cfg.n_directions
             radial = cfg.target_radial
             goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), GEOM)
-            q1 = tendon_lengths(goal, GEOM).as_tuple()
+            q1 = astuple(tendon_lengths(goal, GEOM))
             m = max(1, math.ceil(max(abs(b - a) for a, b in zip(q0, q1)) / cfg.max_step_mm))
             for j in range(m + 1):
                 t = j / m
@@ -439,7 +449,7 @@ class TestRingPath:
             tangent = arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
             d = fk_point(state, GEOM) + GEOM.probe_offset * tangent
             assert tip == pytest.approx((d[0], -d[1], -d[2]), abs=1e-9)
-            assert q == pytest.approx(tendon_lengths(state, GEOM).as_tuple(), abs=1e-9)
+            assert q == pytest.approx(astuple(tendon_lengths(state, GEOM)), abs=1e-9)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -514,7 +524,7 @@ def reference_mission(scene, geom, start, cfg):
     """explore_tube as a per-depth, per-waypoint loop over the scalar API:
     the probe rows (alpha, extension, contact, point or None), the log rows
     (arm, alpha, s, contact, point or None) and the stop depth."""
-    q0 = tendon_lengths(ArcState(0.0, 0.0, cfg.compressed_s), geom).as_tuple()
+    q0 = astuple(tendon_lengths(ArcState(0.0, 0.0, cfg.compressed_s), geom))
     probes, log, depth = [], [], 0.0
     for _ in range(cfg.max_steps):
         depth += cfg.descent_step
@@ -525,7 +535,7 @@ def reference_mission(scene, geom, start, cfg):
             alpha = 2.0 * math.pi * k / cfg.n_directions
             radial = cfg.target_radial
             goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), geom)
-            q1 = tendon_lengths(goal, geom).as_tuple()
+            q1 = astuple(tendon_lengths(goal, geom))
             n = max(1, math.ceil(max(abs(b - a) for a, b in zip(q0, q1)) / cfg.max_step_mm))
             probe = (alpha, goal.s, False, None)
             for step in range(n + 1):
@@ -664,37 +674,37 @@ class TestExploreTube:
 
     def test_arm_moves_only_compressed(self):
         result = explore_tube(make_offset_tube(55.0, GEOM), GEOM)
-        rows = parse_log_rows(result.log)
+        rows = log_rows(result.log)
         for prev, row in zip(rows, rows[1:]):
             if row["arm"] != prev["arm"]:
                 assert row["s"] == 45.0
 
     def test_arm_moves_only_vertically(self):
         result = explore_tube(Tube(174.0), GEOM, start=(2.0, -1.0, 0.0))
-        rows = parse_log_rows(result.log)
+        rows = log_rows(result.log)
         assert {(row["arm"][0], row["arm"][1]) for row in rows} == {(2.0, -1.0)}
 
     def test_returns_to_start_after_contact(self):
         result = explore_tube(make_offset_tube(55.0, GEOM), GEOM, start=(3.0, 4.0, 5.0))
-        rows = parse_log_rows(result.log)
+        rows = log_rows(result.log)
         assert rows[-1]["arm"] == (3.0, 4.0, 5.0)
         assert rows[-1]["s"] == 45.0
 
 
 class TestDeterminism:
-    def test_scan_logs_are_byte_identical(self):
+    def test_scan_logs_are_byte_identical(self, tmp_path):
         logs = []
         for _ in range(2):
-            logs.append(surface_scan(plateau_scene(40.0), GEOM, ScanConfig()).log.to_csv())
+            logs.append(log_text(surface_scan(plateau_scene(40.0), GEOM, ScanConfig()).log, tmp_path))
         assert logs[0] == logs[1]
 
-    def test_explore_logs_are_byte_identical(self):
-        a = explore_tube(make_offset_tube(55.0, GEOM), GEOM).log.to_csv()
-        b = explore_tube(make_offset_tube(55.0, GEOM), GEOM).log.to_csv()
+    def test_explore_logs_are_byte_identical(self, tmp_path):
+        a = log_text(explore_tube(make_offset_tube(55.0, GEOM), GEOM).log, tmp_path)
+        b = log_text(explore_tube(make_offset_tube(55.0, GEOM), GEOM).log, tmp_path)
         assert a == b
 
-    def test_log_header(self):
-        text = one_ring(Tube(174.0)).log.to_csv()
+    def test_log_header(self, tmp_path):
+        text = log_text(one_ring(Tube(174.0)).log, tmp_path)
         assert text.splitlines()[0] == LOG_HEADER
         assert text.endswith("\n")
 
@@ -737,8 +747,8 @@ class TestMissionLog:
     @example(shape=(228, 8), last_probes=False, alpha_column=True, seed=2)
     @example(shape=(1, 3), last_probes=False, alpha_column=True, seed=3)  # only the return move
     @settings(max_examples=30, deadline=None)
-    def test_csv_is_repr_of_rows(self, shape, last_probes, alpha_column, seed):
-        """to_csv is the laid-out rows formatted one by one with repr, NaN
+    def test_csv_is_repr_of_rows(self, shape, last_probes, alpha_column, seed, log_dir):
+        """write puts the laid-out rows formatted one by one with repr, NaN
         as an empty cell; k = m - 1 probe rows leave the last move, as
         explore's return, without probes."""
         (m, n), rng = shape, np.random.default_rng(seed)
@@ -754,7 +764,8 @@ class TestMissionLog:
         probes = rows[: k * (n + 1)].reshape(k, n + 1, 9)[:, 1:]
         np.testing.assert_array_equal(probes[..., LOG_S], s)
         np.testing.assert_array_equal(probes[..., LOG_POINT], point)
-        assert log.to_csv().splitlines(keepends=True) == reference_log_csv(rows).splitlines(keepends=True)
+        expected = reference_log_csv(rows)
+        assert log_text(log, log_dir).splitlines(keepends=True) == expected.splitlines(keepends=True)
 
     def test_scan_and_write_memory_per_node(self, tmp_path):
         """surface_scan and MissionLog.write on a 201 x 201, 1 mm field stay

@@ -1,7 +1,7 @@
 """Workspace sampling, feasibility classification and exports."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,17 +10,16 @@ from coilkin import (
     ConfigError,
     EmptyWorkspaceError,
     RobotGeometry,
-    ServoRangeError,
-    TendonSet,
     fk_point,
     fk_tip,
     ik,
     sample_workspace,
+    servo_angles,
     tendon_lengths,
-    tendon_to_servo,
     workspace_extents,
 )
 import coilkin.columns
+from coilkin.actuation import beyond_servo_range
 from coilkin.columns import CHUNK_ROWS
 from coilkin.workspace import REASON_OK, REASON_SERVO, write_files
 
@@ -154,25 +153,22 @@ def reference_extents(samples):
 
 
 def test_matches_per_sample_loop():
-    # The scalar API sample by sample, with the servo check of tendon_to_servo.
+    # The scalar API sample by sample, with the servo rule on each sample's
+    # tendon set against the s_max home.
     cases = [
         (replace(GEOM, d=13.0, servo_range=95.0), (24, 7, 6)),
         (replace(GEOM, d=10.5, s_min=25.0, s_max=60.0, l=40.0, servo_range=60.0), (10, 5, 4)),
         (replace(GEOM, servo_range=0.0), (6, 4, 1)),  # nothing feasible
     ]
     for geom, grid in cases:
-        home = TendonSet(geom.s_max, geom.s_max, geom.s_max, geom.s_max)
         samples = sample_workspace(geom, grid)
         assert len(samples) == math.prod(grid)
         assert sum(not s.feasible for s in samples) > 0
         for smp in samples:
             assert smp.u == pytest.approx(fk_point(smp.state, geom), abs=1e-12)
             assert smp.e == pytest.approx(fk_tip(smp.state, geom), abs=1e-12)
-            try:
-                tendon_to_servo(tendon_lengths(smp.state, geom), home, geom)
-                reason = REASON_OK
-            except ServoRangeError:
-                reason = REASON_SERVO
+            angles, _ = servo_angles(astuple(tendon_lengths(smp.state, geom)), geom.s_max, geom)
+            reason = REASON_SERVO if beyond_servo_range(angles, geom).any() else REASON_OK
             assert (smp.feasible, smp.reason) == (reason == REASON_OK, reason)
         try:
             expected = reference_extents(samples)
