@@ -134,8 +134,15 @@ def cmd_scan(args) -> int:
         quantum=args.quantum,
     )
     cloud = surface_scan(scene, geom, cfg)
-    if args.pressure_synth:  # before any output, so that a bad seed writes nothing
+    # Everything that can fail on the input comes before any output: a bad
+    # seed, and the features row, whose provenance is the scene file name
+    # as UTF-8, with the bytes of a name that is not UTF-8 escaped.
+    if args.pressure_synth:
         detected = pressure_detections(cloud.contact, args.seed, geom.contact_threshold)
+    if cloud.contact_count > 0:
+        hmap = reconstruct(cloud)
+        name = os.fsencode(os.path.basename(args.scene)).decode("utf-8", "backslashreplace")
+        features = (to_feature(hmap, provenance=name).to_csv_row() + "\n").encode()
     out = _out_dir(args)
     outputs = ["events.csv"]
     cloud.log.write(os.path.join(out, "events.csv"))
@@ -143,12 +150,10 @@ def cmd_scan(args) -> int:
         outputs.append("pressure.csv")
         _write_pressure(os.path.join(out, "pressure.csv"), cloud.contact, detected)
     if cloud.contact_count > 0:
-        hmap = reconstruct(cloud)
         hmap.write_csv(os.path.join(out, "heightmap.csv"))
         hmap.write_ply(os.path.join(out, "heightmap.ply"))
-        feature = to_feature(hmap, provenance=os.path.basename(args.scene))
-        with open(os.path.join(out, "features.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(feature.to_csv_row() + "\n")
+        with open(os.path.join(out, "features.csv"), "wb") as fh:
+            fh.write(features)
         outputs += ["heightmap.csv", "heightmap.ply", "features.csv"]
     _write_manifest(out, "scan", args, outputs)
     print(f"nodes={len(cloud.contact)} contacts={cloud.contact_count}")
@@ -158,10 +163,10 @@ def cmd_scan(args) -> int:
 def _write_pressure(path, contact, detected):
     """Per probe its contact flag and the sample at which its synthetic
     pressure trace crossed the threshold, empty where it never did."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("event_index,contact,detected_sample\n")
+    with open(path, "wb") as fh:
+        fh.write(b"event_index,contact,detected_sample\n")
         hit = np.where(detected >= 0, detected.astype(str), "")
-        write_rows(fh, [np.arange(len(hit)), np.where(contact, "1", "0"), hit])
+        write_rows(fh, [np.arange(len(hit)), contact, hit])
 
 
 def make_offset_tube(offset_mm: float, geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig(),

@@ -1,22 +1,30 @@
 """Columns: the node cap of every grid, and as text the number format and
 the row writer of every CSV and PLY table."""
 
+import itertools
+
 import numpy as np
 
 from .errors import ConfigError
 
 # The node cap of every grid a call builds (scan nodes, workspace samples,
-# explore depth x waypoint tips). Under tracemalloc a 1 mm scan command
-# (40,401 nodes) peaks at about 150 bytes per node and a workspace command
-# at about 230, so 512 bytes a node fits 1 GiB; a scan with pressure
-# synthesis peaks at about 710.
+# explore depth x waypoint tips). Under tracemalloc a whole 1 mm scan
+# command (40,401 nodes) peaks at about 150 bytes per node and a workspace
+# command on the default grid at about 285 per sample, writers included
+# (tests/test_cli.py bounds them at 180 and 320), so 512 bytes a node fits
+# 1 GiB; a scan with pressure synthesis peaks at about 710.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
-# Below this many values one repr per value costs less than finding the
-# distinct values first (np.unique has a fixed cost of about 15 us).
+# A float array of this many values or more is deduplicated column by
+# column; smaller ones share one sort, whose fixed cost (about 15 us) would
+# dominate a sort per column. From this size on, integers are written as
+# digits by numpy rather than by one str per value.
 DEDUPE_MIN_SIZE = 128
-# Rows formatted per write, which bounds the text held in memory.
+# Rows assembled per write, which bounds the text held in memory.
 CHUNK_ROWS = 2048
+
+# The text of False and True.
+_FLAGS = np.array([b"0", b"1"])
 
 
 def check_node_count(count, what: str):
@@ -25,41 +33,155 @@ def check_node_count(count, what: str):
         raise ConfigError(f"{what} exceeds the cap of {MAX_NODES} nodes")
 
 
-def repr_column(values, nan="nan") -> list:
-    """repr(float(v)) of each value of an array, flattened, with `nan` for NaN.
+def _distinct(bits):
+    """np.unique(bits, return_inverse=True) for a 1-D int64 array, with int32
+    codes and about half the scratch memory."""
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.empty(bits.size, bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    del ordered
+    codes = np.empty(bits.size, np.int32)
+    codes[order] = np.cumsum(first, dtype=np.int32)
+    codes -= 1
+    return distinct, codes
 
-    From DEDUPE_MIN_SIZE values on, each distinct bit pattern is formatted
-    once and the text looked up per value, so a column with few distinct
-    values (grid coordinates, quantized heights) costs one sort rather than
-    a repr per value. Bit patterns keep -0.0 apart from 0.0, so the text is
-    exactly what repr gives.
-    """
-    values = np.ascontiguousarray(values, dtype=float).ravel()
+
+def _digits(values) -> np.ndarray:
+    """The decimal text of each integer: a minus sign or NUL, then the
+    digits right-aligned behind NULs."""
+    magnitude = np.abs(values).astype(np.uint64)  # abs(int64 min) wraps to 2**63
+    width = len(str(int(magnitude.max())))
+    table = np.zeros((magnitude.size, width + 1), np.uint8)
+    table[values < 0, 0] = ord("-")
+    for place in range(width, 0, -1):
+        # A place before the first digit stays NUL; 0 has the one digit 0.
+        np.copyto(table[:, place], magnitude % 10 + ord("0"), casting="unsafe",
+                  where=(magnitude > 0) | (place == width))
+        magnitude //= 10
+    return table.view(f"S{width + 1}")[:, 0]
+
+
+def _float_codes(values):
+    """(distinct, codes) of a float array of DEDUPE_MIN_SIZE values or more:
+    per column (last axis) its distinct values, and the codes that index
+    the columns' distinct values laid end to end; (values, None) for a
+    smaller array."""
     if values.size < DEDUPE_MIN_SIZE:
-        return [nan if v != v else repr(v) for v in values.tolist()]
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [nan if v != v else repr(v) for v in distinct.view(float).tolist()]
-    return list(map(text.__getitem__, inverse.tolist()))
+        return values, None
+    columns = values.reshape(-1, values.shape[-1] if values.ndim > 1 else 1)
+    distinct, codes, size = [], np.empty(columns.shape, np.int32), 0
+    for j in range(columns.shape[1]):
+        bits, codes[:, j] = _distinct(columns[:, j].astype(float, copy=False).view(np.int64))
+        codes[:, j] += size
+        distinct.append(bits)
+        size += len(bits)
+    return np.concatenate(distinct).view(float), codes.reshape(values.shape)
+
+
+def _text_codes(values):
+    """(table, codes) of an array of integers, booleans or text."""
+    if values.dtype.kind == "b":
+        return _FLAGS, values.astype(np.int32)
+    flat = values.ravel()
+    if values.dtype.kind in "iu":
+        table = _digits(flat) if flat.size >= DEDUPE_MIN_SIZE else np.array(list(map(str, flat.tolist())), "S")
+        codes = np.arange(flat.size, dtype=np.int32)
+        return table, codes if values.ndim == 1 else codes.reshape(values.shape)
+    index = {}
+    codes = np.array([index.setdefault(cell, len(index)) for cell in flat.tolist()], np.int32)
+    text = [cell.encode() for cell in index]
+    if b"\0" in b"".join(text):
+        raise ValueError("a text cell holds NUL")
+    return np.array(text, dtype="S"), codes.reshape(values.shape)
+
+
+def text_column(*arrays, nan="nan"):
+    """The text of every value of one or more arrays as (table, codes, ...):
+    table is a 1-D bytes array of texts, NUL-padded to its width, and
+    table[codes[i]] is the text of values.flat[i]; each array gets int32
+    codes of its own shape, and all share the table.
+
+    Floats are written as repr(float(v)), with `nan` for NaN, integers as
+    str(int(v)), booleans as 1 and 0 and text as UTF-8; text holding NUL
+    raises ValueError. Each distinct float bit pattern is formatted once,
+    found by sorting, so a column with few distinct values (grid
+    coordinates, quantized heights) costs a sort rather than a repr per
+    value, and bit patterns keep -0.0 apart from 0.0. A float array of
+    DEDUPE_MIN_SIZE values or more is sorted one column (last axis) at a
+    time, which bounds the scratch memory; the smaller ones are pooled
+    into one sort. All floats are then formatted in one pass, CHUNK_ROWS
+    values at a time (which bounds the Python objects held), and large
+    integer arrays as digits by numpy.
+    """
+    # Per array: whether it is float, its shape, its texts (a table, or the
+    # floats to format) and its codes, None for a small float array.
+    parts, tables, pool, floats = [], [], [], []
+    for values in map(np.asarray, arrays):
+        is_float = values.dtype.kind == "f"
+        texts, codes = (_float_codes if is_float else _text_codes)(values)
+        (tables if not is_float else pool if codes is None else floats).append(texts)
+        parts.append((is_float, values.shape, texts, codes))
+    # The texts of floats come after all others, the pooled ones first.
+    next_text = 0
+    next_float = other = sum(map(len, tables))
+    if pool:
+        distinct, pool_codes = _distinct(np.concatenate(pool, axis=None, dtype=float).view(np.int64))
+        pool_codes += other
+        next_float += len(distinct)
+        floats.insert(0, distinct.view(float))
+    if floats:
+        floats = np.concatenate(floats)
+        tables += [np.array([nan if v != v else repr(v) for v in floats[i : i + CHUNK_ROWS].tolist()], "S")
+                   for i in range(0, floats.size, CHUNK_ROWS)]
+    out, pooled = [], 0
+    for is_float, shape, texts, codes in parts:
+        if codes is None:
+            codes = pool_codes[pooled : pooled + texts.size]
+            codes = codes if len(shape) == 1 else codes.reshape(shape)
+            pooled += texts.size
+        elif is_float:
+            codes += next_float
+            next_float += len(texts)
+        else:
+            codes += next_text
+            next_text += len(texts)
+        out.append(codes)
+    return (tables[0] if len(tables) == 1 else np.concatenate(tables or [np.zeros(0, "S1")]), *out)
 
 
 def write_rows(fh, columns, sep=",", nan="nan"):
-    """Write one `sep`-delimited, newline-ended line per row of `columns`.
+    """Write one `sep`-delimited, newline-ended line per row of `columns` to
+    the binary file fh; sep is one ASCII character.
 
-    Every column is an array of the same length N; a 2-D (N, k) one gives k
-    cells per row. Float columns are formatted by repr_column, with `nan`
-    for NaN, and integer columns by str; text columns (str or object
-    arrays, such as flags from np.where(mask, "1", "0")) are written as
-    they are. CHUNK_ROWS rows are formatted and written at a time.
+    Every column holds N rows: a (table, codes) pair as text_column returns
+    it, with codes (N,) or (N, k) for k cells a row, or an array, 1-D or
+    (N, k). A run of array columns is encoded by one text_column call, with
+    `nan` for NaN. Each block of CHUNK_ROWS rows is assembled as bytes in a
+    (rows, width) buffer: one gather per table puts each cell's text in
+    place, a separator byte follows every cell and a newline the last, and
+    the NUL padding is dropped as the block is written.
     """
-    for start in range(0, len(columns[0]), CHUNK_ROWS):
-        cells = []
-        for col in columns:
-            chunk = col[start : start + CHUNK_ROWS]
-            for part in chunk.T if chunk.ndim == 2 else [chunk]:
-                if part.dtype.kind == "f":
-                    cells.append(repr_column(part, nan))
-                elif part.dtype.kind in "iu":
-                    cells.append(list(map(str, part.tolist())))
-                else:
-                    cells.append(part.tolist())
-        fh.write("\n".join([*map(sep.join, zip(*cells)), ""]))
+    groups = []
+    for encoded, run in itertools.groupby(columns, lambda col: isinstance(col, tuple)):
+        if encoded:
+            groups += run
+        else:
+            table, *codes = text_column(*run, nan=nan)
+            groups.append((table, codes[0] if len(codes) == 1 else np.column_stack(codes)))
+    n = len(groups[0][1])
+    counts = [codes.shape[1] if codes.ndim == 2 else 1 for _, codes in groups]  # cells per row
+    widths = [(table.itemsize + 1) * k for (table, _), k in zip(groups, counts)]
+    # A row of every cell's NUL padding, then its separator or the newline.
+    row = b"".join((b"\0" * table.itemsize + sep.encode()) * k for (table, _), k in zip(groups, counts))
+    buf = np.empty((min(n, CHUNK_ROWS), len(row)), np.uint8)
+    buf[:] = np.frombuffer(row[:-1] + b"\n", np.uint8)
+    for first in range(0, n, CHUNK_ROWS):
+        block = buf[: n - first]
+        for (table, codes), k, end, width in zip(groups, counts, itertools.accumulate(widths), widths):
+            text = table.take(codes[first : first + CHUNK_ROWS]).view(np.uint8)
+            cells = block[:, end - width : end].reshape(-1, k, table.itemsize + 1)
+            cells[:, :, :-1] = text.reshape(len(block), k, table.itemsize)
+        fh.write(block[block != 0])

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import write_rows
+from .columns import text_column, write_rows
 from .errors import EmptyCloudError
 from .ply import write_points
 from .simulator import ContactCloud
@@ -35,15 +35,18 @@ class HeightMap:
     def write_csv(self, path):
         """The height-map CSV: an origin and cell-size comment, then one line
         per row of heights."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r} cell_mm={self.cell_mm!r}\n")
-            write_rows(fh, [self.heights])
+        with open(path, "wb") as fh:
+            fh.write(f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r} cell_mm={self.cell_mm!r}\n".encode())
+            table, codes = text_column(self.heights.ravel())  # one sort for the whole map
+            write_rows(fh, [(table, codes.reshape(self.heights.shape))])
 
     def write_ply(self, path):
         """ASCII PLY of the contacted cells."""
         i, j = np.nonzero(self.contact_mask)
-        x, y = self.origin[0] + i * self.cell_mm, self.origin[1] + j * self.cell_mm
-        write_points(np.column_stack([x, y, self.heights[i, j]]), path)
+        points = np.column_stack([self.origin[0] + i * self.cell_mm, self.origin[1] + j * self.cell_mm,
+                                  self.heights[i, j]])
+        del i, j  # freed before the writer allocates its scratch memory
+        write_points(points, path)
 
 
 @dataclass(frozen=True)

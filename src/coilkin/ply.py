@@ -19,6 +19,6 @@ def write_points(points, path):
     """Write (x, y, z) points, an (N, 3) array or a sequence of triples, as an
     ASCII PLY vertex list."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header(len(pts)))
+    with open(path, "wb") as fh:
+        fh.write(header(len(pts)).encode())
         write_rows(fh, [pts], sep=" ")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actuation import beyond_servo_range, servo_angles, step_count
-from .columns import CHUNK_ROWS, check_node_count, write_rows
+from .columns import CHUNK_ROWS, check_node_count, text_column, write_rows
 from .errors import ArmTooLowError, ConfigError, SceneError, ServoRangeError
 from .geometry import RobotGeometry
 from .kinematics import TWO_PI, _check_length, arc_kernel, ik, ik_kernel
@@ -38,9 +38,10 @@ class MissionLog:
     without a contact point, the probes after move i in row i, with k = m,
     or m - 1 when the last move has no probes; alpha is one value or a
     column of n. The log keeps these columns, views of the mission's own,
-    and lays them out as rows only when asked: write lays out and writes a
-    block of whole moves at a time, at most CHUNK_ROWS rows unless one move
-    alone has more, and rows lays out the whole log.
+    and lays them out as rows only when asked, by one rule (_lay_out): write
+    encodes each column's text once and lays out the codes a block of whole
+    moves at a time, at most CHUNK_ROWS rows unless one move alone has
+    more, and rows lays out the whole log's values.
     """
 
     move_arm: np.ndarray
@@ -56,34 +57,54 @@ class MissionLog:
         LOG_ARM, LOG_ALPHA, LOG_S, LOG_CONTACT (1.0 or 0.0) and LOG_POINT;
         the step index is the row number. A row without a contact point
         holds NaN there; NaN is written as an empty cell."""
-        return self._rows(0, len(self.move_arm))
+        n = np.shape(self.s)[1]
+        alpha = np.zeros((n + 1, 1))
+        alpha[1:, 0] = self.alpha
+        probes = np.empty((1 + np.size(self.s), 5))
+        probes[0] = self.move_s, 0.0, np.nan, np.nan, np.nan
+        probes[1:, 0], probes[1:, 1] = np.ravel(self.s), np.ravel(self.contact)
+        probes[1:, 2:] = np.reshape(self.point, (-1, 3))
+        return self._lay_out(self.move_arm, alpha, probes, 0, len(self.move_arm))[1]
 
-    def _rows(self, start, stop) -> np.ndarray:
-        """The rows of moves start to stop - 1 and of their probes."""
-        move_arm = self.move_arm[start:stop]
-        s = self.s[start:stop]
-        (k, n), m = np.shape(s), len(move_arm)
-        rows = np.empty((m + k * n, 9))
-        moves = rows[:: n + 1]
-        moves[:, LOG_ARM], moves[:, LOG_ALPHA], moves[:, LOG_S] = move_arm, 0.0, self.move_s
-        moves[:, LOG_CONTACT], moves[:, LOG_POINT] = 0.0, np.nan
-        probes = rows[: k * (n + 1)].reshape(k, n + 1, 9)[:, 1:]
-        probes[..., LOG_ARM], probes[..., LOG_ALPHA], probes[..., LOG_S] = move_arm[:k, None], self.alpha, s
-        probes[..., LOG_CONTACT] = self.contact[start:stop]
-        probes[..., LOG_POINT] = self.point[start:stop]
-        return rows
+    def _lay_out(self, arm, alpha, probes, start, stop):
+        """The one layout rule of the log's rows, for moves start to stop - 1
+        and their probes: (step indices, rows). A move's rows are the move
+        itself, then its n probes; every move but a last one without probes
+        has them. The row of move i and slot j (0 for the move, then its
+        probes) joins arm[i], alpha[j], and probes[0] on the move's own row
+        or probes[i * n + j] on probe j, for 2-D arm (m, a), alpha
+        (n + 1, b) and probes (1 + k * n, p): the log's values or their text
+        codes."""
+        (k, n), m = np.shape(self.s), len(self.move_arm)
+        stop = min(stop, m)
+        step = np.arange(start * (n + 1), stop * (n + 1) - n * (stop > k))
+        move, slot = np.divmod(step, n + 1)
+        return step, np.concatenate([arm[move], alpha[slot], probes[(step - move) * (slot > 0)]], axis=1)
 
     def write(self, path):
-        """The events.csv file."""
-        width = np.shape(self.s)[1] + 1  # rows per move with its probes
-        moves = max(1, CHUNK_ROWS // width)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(LOG_HEADER + "\n")
+        """The events.csv file: the text of every column but the step index
+        is encoded once, into one table, and the codes are laid out a block
+        of whole moves at a time."""
+        n = np.shape(self.s)[1]
+        # alpha's n + 1 values, then the s and point of a move row.
+        head = np.empty(n + 3)
+        head[0], head[1 : n + 1], head[n + 1 :] = 0.0, self.alpha, (self.move_s, np.nan)
+        table, arm, head, s, contact, point = text_column(
+            self.move_arm, head, np.ravel(self.s),
+            np.concatenate([[False], self.contact], axis=None, dtype=bool, casting="unsafe"),
+            self.point, nan="")
+        # alpha and probes as rows builds them, with text codes for values.
+        probes = np.empty((len(contact), 5), np.int32)
+        probes[0], probes[0, 0], probes[:, 1] = head[n + 2], head[n + 1], contact
+        probes[1:, 0], probes[1:, 2:] = s, point.reshape(-1, 3)
+        alpha = head[: n + 1, None]
+        del s, contact, point  # copied into probes
+        moves = max(1, CHUNK_ROWS // (n + 1))
+        with open(path, "wb") as fh:
+            fh.write(LOG_HEADER.encode() + b"\n")
             for start in range(0, len(self.move_arm), moves):
-                rows = self._rows(start, start + moves)
-                steps = np.arange(start * width, start * width + len(rows))
-                flags = np.where(rows[:, LOG_CONTACT] != 0.0, "1", "0")
-                write_rows(fh, [steps, rows[:, :LOG_CONTACT], flags, rows[:, LOG_POINT]], nan="")
+                step, codes = self._lay_out(arm, alpha, probes, start, start + moves)
+                write_rows(fh, [step, (table, codes)])
 
 
 @dataclass(frozen=True, eq=False)

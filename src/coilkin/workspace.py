@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actuation import beyond_servo_range, servo_angles
-from .columns import CHUNK_ROWS, check_node_count, repr_column, write_rows
+from .columns import check_node_count, text_column, write_rows
 from .errors import ConfigError, EmptyWorkspaceError
 from .geometry import RobotGeometry
 from .kinematics import HALF_PI, TWO_PI, ArcState, arc_kernel
@@ -97,22 +97,17 @@ def workspace_extents(ws: Workspace) -> dict:
 
 
 def write_files(ws: Workspace, csv_path, ply_path):
-    """workspace.csv and the ASCII PLY cloud of the feasible spring tops, in
-    one pass of CHUNK_ROWS rows.
+    """workspace.csv and the ASCII PLY cloud of the feasible spring tops.
 
     The CSV holds alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason rows,
-    angles in radians; the PLY holds u[feasible]. Each chunk's u is
-    formatted once, and the same text goes to both files.
+    angles in radians; the PLY holds u[feasible]. u is encoded once, and
+    its text goes to both files.
     """
-    flags = np.where(ws.feasible, "1", "0")
-    reasons = np.array([REASON_SERVO, REASON_OK], dtype=object)[ws.feasible.view(np.int8)]
-    with (open(csv_path, "w", encoding="utf-8", newline="\n") as csv,
-          open(ply_path, "w", encoding="utf-8", newline="\n") as ply):
-        csv.write("alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason\n")
-        ply.write(header(np.count_nonzero(ws.feasible)))
-        for start in range(0, len(ws), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            u = np.array(repr_column(ws.u[rows]), dtype=object).reshape(-1, 3)
-            write_rows(csv, [ws.alpha[rows], ws.theta[rows], ws.s[rows], u, ws.e[rows], flags[rows],
-                             reasons[rows]])
-            write_rows(ply, [u[ws.feasible[rows]]], sep=" ")
+    u = text_column(ws.u)
+    reasons = text_column(np.array([REASON_SERVO, REASON_OK]))[0], ws.feasible.view(np.int8)
+    with open(csv_path, "wb") as csv:
+        csv.write(b"alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason\n")
+        write_rows(csv, [ws.alpha, ws.theta, ws.s, u, ws.e, ws.feasible, reasons])
+    with open(ply_path, "wb") as ply:
+        ply.write(header(np.count_nonzero(ws.feasible)).encode())
+        write_rows(ply, [(u[0], u[1][ws.feasible])], sep=" ")

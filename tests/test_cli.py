@@ -13,9 +13,11 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -766,6 +768,19 @@ class TestScanCommand:
         assert len(row) == 301
         assert row[0] == scene.name
 
+    def test_scene_name_not_utf8(self, tmp_path):
+        """A scene file name that is not UTF-8 gets its bytes escaped in the
+        provenance cell, and the scan writes every output."""
+        scene = Path(os.fsdecode(os.fsencode(tmp_path) + b"/a\xff.json"))
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        assert run_main(["scan", "--scene", str(scene), "--out", str(out)])[2] == 0
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "events.csv", "features.csv", "heightmap.csv", "heightmap.ply"]
+        row = (out / "features.csv").read_text(encoding="utf-8").rstrip("\n").split(",")
+        assert len(row) == 301
+        assert row[0] == "a\\xff.json"
+
     def test_no_contact_scan_still_succeeds(self, tmp_path):
         scene = tmp_path / "scene.json"
         write_plateau_scene(scene, height=0.0)
@@ -945,3 +960,36 @@ class TestReproducibility:
             assert proc.returncode == 0
             blobs.append((out / "events.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def traced_peak(argv) -> int:
+    """Peak traced bytes of a second in-process main(argv); the first call
+    loads what later calls reuse."""
+    assert run_main(argv)[2] == 0
+    tracemalloc.start()
+    try:
+        assert run_main(argv)[2] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCommandMemory:
+    """Whole commands, writers included, stay near the traced peaks the
+    README gives and well under the 512 bytes a node that MAX_NODES
+    assumes."""
+
+    def test_scan_bytes_per_node(self, tmp_path):
+        """A 1 mm scan of a 200 mm plateau scene: 40,401 nodes."""
+        grid = np.zeros((201, 201))
+        grid[50:150, 50:150] = 40.0
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"type": "height_field", "origin": [0, 0], "cell_mm": 1.0,
+                                     "heights": grid.tolist()}))
+        peak = traced_peak(["scan", "--scene", str(scene), "--step", "1", "--out", str(tmp_path / "run")])
+        assert peak / grid.size < 180
+
+    def test_workspace_bytes_per_sample(self, tmp_path):
+        """The default 72 x 19 x 11 grid: 15,048 samples."""
+        peak = traced_peak(["workspace", "--out", str(tmp_path / "run")])
+        assert peak / 15048 < 320

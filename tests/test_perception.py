@@ -22,7 +22,7 @@ from coilkin import (
     surface_scan,
     to_feature,
 )
-from coilkin.columns import CHUNK_ROWS, DEDUPE_MIN_SIZE, repr_column
+from coilkin.columns import CHUNK_ROWS, DEDUPE_MIN_SIZE, text_column, write_rows
 from coilkin.perception import _overlap_weights
 from coilkin.ply import write_points
 
@@ -50,18 +50,109 @@ def stamped_scene(pattern, at_i, at_j, size=21):
     return HeightField((0.0, 0.0), 10.0, grid)
 
 
+def texts(table, codes) -> list:
+    """The text that each code selects, without its NUL padding."""
+    return [cell.replace(b"\0", b"").decode() for cell in table[codes].ravel().tolist()]
+
+
+# Floats whose text is easy to get wrong: NaN, signed zeros and infinities,
+# subnormals, and both sides of repr's switch to exponent notation.
+SPECIAL_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 2.5e-310, 1e16, 9999999999999998.0,
+                  1e-5, 0.0001, 0.1, 1 / 3, 2.0**60]
+INT64 = np.iinfo(np.int64)
+SPECIAL_INTS = [INT64.min, INT64.max, 0, -1, 1, 10, -10]
+TEXT_CELLS = ["", "ok", "servo-out-of-range", "é", "日本", "a b"]
+# Row counts around the deduplication threshold and the chunk size.
+ROW_COUNTS = [0, 1, 2, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+
+
+def random_column(rng, kind, n):
+    """A column of n rows: normal draws or random integers with special
+    values mixed in, booleans or text cells."""
+    if kind == "bool":
+        return rng.random(n) < 0.5
+    if kind == "text":
+        return np.array(TEXT_CELLS, dtype=object)[rng.integers(0, len(TEXT_CELLS), n)]
+    shape = (n, 3) if kind.endswith("2d") else (n,)
+    if kind.startswith("float"):
+        values = rng.normal(scale=10.0 ** rng.integers(-8, 20), size=shape)
+        specials = SPECIAL_FLOATS
+    else:
+        values = rng.integers(INT64.min, INT64.max, size=shape, endpoint=True)
+        specials = SPECIAL_INTS
+    pick = rng.random(shape) < 0.3
+    values[pick] = rng.choice(specials, size=int(pick.sum()))
+    return values
+
+
+def reference_text(column, nan) -> list:
+    """The cells of a column, row by row, as str, repr and the flags did
+    value by value."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return nan if v != v else repr(v)
+        return str(v)
+
+    return [[cell(v) for v in (row if isinstance(row, list) else [row])] for row in column.tolist()]
+
+
 class TestColumnText:
     @pytest.mark.parametrize(
         "size", [1, 9, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, 5 * DEDUPE_MIN_SIZE]
     )
-    def test_repr_column_is_repr_per_value(self, size):
+    def test_text_column_is_repr_per_value(self, size):
         """Both the per-value and the deduplicating path give repr's text,
         with -0.0 kept apart from 0.0 and NaN written as asked."""
         values = np.resize([0.0, -0.0, math.nan, 12.5, 1 / 3, -7.25, 1e-300, 2.0**60, 0.1], size)
         values[::4] = np.random.default_rng(size).normal(size=values[::4].size)
         expected = [repr(v) for v in values.tolist()]
-        assert repr_column(values) == expected
-        assert repr_column(values, nan="") == [("" if t == "nan" else t) for t in expected]
+        assert texts(*text_column(values)) == expected
+        assert texts(*text_column(values, nan="")) == [("" if t == "nan" else t) for t in expected]
+
+    def test_arrays_share_one_table(self):
+        """Each array gets codes of its own shape into one table, and the
+        codes of a deduplicated array skip the texts of the others."""
+        floats = np.arange(2 * DEDUPE_MIN_SIZE, dtype=float).reshape(-1, 2) % 5
+        table, small, big, flags, ints = text_column([0.5, -0.0], floats, [True, False], [7, -8])
+        assert [small.shape, big.shape, flags.shape, ints.shape] == [(2,), floats.shape, (2,), (2,)]
+        assert all(codes.dtype == np.int32 for codes in (small, big, flags, ints))
+        assert texts(table, small) == ["0.5", "-0.0"]
+        assert texts(table, big) == [repr(v) for v in floats.ravel().tolist()]
+        assert texts(table, flags) == ["1", "0"] and texts(table, ints) == ["7", "-8"]
+        # The flags, the integers, the two small floats pooled, and 0.0 to 4.0
+        # once per column of the big array.
+        assert len(table) == 2 + 2 + 2 + 2 * 5
+
+    def test_text_with_nul_raises(self):
+        with pytest.raises(ValueError, match="NUL"):
+            text_column(np.array(["ok", "a\0b"]))
+        with pytest.raises(ValueError, match="NUL"):
+            write_rows(io.BytesIO(), [np.arange(2), np.array(["a\0", ""], dtype=object)])
+
+    @given(n=st.sampled_from(ROW_COUNTS),
+           kinds=st.lists(st.sampled_from(["float", "float2d", "int", "int2d", "bool", "text", "encoded"]),
+                          min_size=1, max_size=4),
+           sep=st.sampled_from([",", " "]), nan=st.sampled_from(["", "nan"]), seed=st.integers(0, 2**32 - 1))
+    @example(n=CHUNK_ROWS + 1, kinds=["encoded", "float2d", "int", "bool", "text"], sep=",", nan="",
+             seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_write_rows_is_a_per_row_join(self, n, kinds, sep, nan, seed):
+        """write_rows writes sep.join of each row's cells, formatted value by
+        value: repr of floats (nan for NaN), str of integers, 1/0 of
+        booleans and text as it is, for 1-D and 2-D array columns and for
+        columns that text_column encoded."""
+        rng = np.random.default_rng(seed)
+        columns, cells = [], []
+        for kind in kinds:
+            column = random_column(rng, "float2d" if kind == "encoded" else kind, n)
+            cells.append(reference_text(column, nan))
+            columns.append(text_column(column, nan=nan) if kind == "encoded" else column)
+        fh = io.BytesIO()
+        write_rows(fh, columns, sep=sep, nan=nan)
+        expected = "".join(sep.join(sum(row, [])) + "\n" for row in zip(*cells))
+        assert fh.getvalue().decode().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
     def test_ply_text_across_chunks(self, tmp_path):
         pts = np.random.default_rng(0).normal(size=(2 * CHUNK_ROWS + 5, 3))
