@@ -53,18 +53,20 @@ def _out_dir(args) -> str:
     return out
 
 
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out, command, args, outputs):
-    manifest = {
+    _write_json(os.path.join(out, "manifest.json"), {
         "command": command,
         "geometry": args.geometry or "defaults",
         "scene": getattr(args, "scene", None),
         "seed": getattr(args, "seed", None),
         "outputs": sorted(outputs),
-    }
-    path = os.path.join(out, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _print_record(record):
@@ -199,9 +201,7 @@ def cmd_explore(args) -> int:
         "contacts": contacts,
         "probes": len(result.contact),
     }
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "report.json"), report)
     _write_manifest(out, "explore", args, ["events.csv", "report.json"])
     print(f"stop_depth={result.stop_depth_mm:g} contacts={contacts}")
     return 0

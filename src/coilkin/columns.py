@@ -9,10 +9,10 @@ from .errors import ConfigError
 
 # The node cap of every grid a call builds (scan nodes, workspace samples,
 # explore depth x waypoint tips). Under tracemalloc a whole 1 mm scan
-# command (40,401 nodes) peaks at about 150 bytes per node and a workspace
-# command on the default grid at about 285 per sample, writers included
-# (tests/test_cli.py bounds them at 180 and 320), so 512 bytes a node fits
-# 1 GiB; a scan with pressure synthesis peaks at about 710.
+# command (40,401 nodes) peaks at about 150 bytes per node, 260 with
+# pressure synthesis, and a workspace command on the default grid at about
+# 285 per sample, writers included (tests/test_cli.py bounds them at 180,
+# 320 and 320), so 512 bytes a node fits 1 GiB.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
 # A float array of this many values or more is deduplicated column by

@@ -47,6 +47,8 @@ class RobotGeometry:
             raise ConfigError("servo_range must be >= 0")
         if self.bristle_length < 0.0:
             raise ConfigError("bristle_length must be >= 0")
+        if self.contact_threshold <= 0.0:
+            raise ConfigError("contact_threshold must be > 0")
         # Bounds every length formed: a tendon s + d*theta (theta <= pi/2), the tip s + l + bristle.
         if not math.isfinite(self.s_max + self.l + self.bristle_length + self.d * math.pi / 2.0):
             raise ConfigError("geometry too large: s_max + l + bristle_length + d*pi/2 overflows")

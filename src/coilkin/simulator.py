@@ -142,8 +142,8 @@ def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float 
     A tip already below the surface at minimum extension raises
     ArmTooLowError for the first such row.
     """
-    if quantum <= 0.0:
-        raise ValueError(f"probe quantum must be > 0, got {quantum}")
+    if not 0.0 < quantum < math.inf:
+        raise ValueError(f"probe quantum must be finite and > 0, got {quantum}")
     arms = np.asarray(arms, dtype=float)
     x, y, z = arms.T
     h = scene.height_at(x, y)
@@ -395,7 +395,6 @@ def explore_tube(
 
 
 # The synthetic bristle pressure sensor of pressure_detections.
-BASELINE_HPA = 1013.0
 NOISE_SD_HPA = 1.0
 CONTACT_STEP_HPA = 40.0
 PRESSURE_SAMPLES = 16
@@ -404,22 +403,19 @@ CONTACT_SAMPLE = 8
 
 def pressure_detections(contact, seed: int | None, threshold_hpa: float) -> np.ndarray:
     """First sample of each probe's synthetic pressure trace that deviates
-    from BASELINE_HPA by at least threshold_hpa, or -1 where none does.
+    from the baseline by at least threshold_hpa, or -1 where none does.
 
-    Probe k's trace is BASELINE_HPA + default_rng(seed + k).normal(0,
-    NOISE_SD_HPA, PRESSURE_SAMPLES), seed None read as 0, plus
-    CONTACT_STEP_HPA from CONTACT_SAMPLE on where contact[k]; all traces
-    are tested as one (N, PRESSURE_SAMPLES) array. The one Generator per
-    probe that this seeding contract needs is the floor of the cost.
-    Mission contact decisions stay geometric.
+    Probe k's deviation trace is row k of one default_rng(seed).normal(0,
+    NOISE_SD_HPA, (N, PRESSURE_SAMPLES)) draw, seed None read as 0, plus
+    CONTACT_STEP_HPA from CONTACT_SAMPLE on where contact[k]. The draw fills
+    rows in order from one stream, so row k depends only on (seed, k), not
+    on N. Mission contact decisions stay geometric.
     """
-    base = 0 if seed is None else seed
-    if base < 0:
+    if seed is not None and seed < 0:
         raise ConfigError(f"pressure seed must be >= 0, got {seed}")
     contact = np.asarray(contact, dtype=bool)
-    rngs = map(np.random.default_rng, range(base, base + contact.size))
-    noise = [rng.normal(0.0, NOISE_SD_HPA, PRESSURE_SAMPLES) for rng in rngs]
-    p = BASELINE_HPA + np.reshape(noise, (contact.size, PRESSURE_SAMPLES))
-    p[contact, CONTACT_SAMPLE:] += CONTACT_STEP_HPA
-    crossed = np.abs(p - BASELINE_HPA) >= threshold_hpa
+    p = np.random.default_rng(seed or 0).normal(0.0, NOISE_SD_HPA, (contact.size, PRESSURE_SAMPLES))
+    step = p[:, CONTACT_SAMPLE:]
+    np.add(step, CONTACT_STEP_HPA, out=step, where=contact[:, None])
+    crossed = np.abs(p, out=p) >= threshold_hpa
     return np.where(crossed.any(axis=1), crossed.argmax(axis=1), -1)

@@ -810,6 +810,16 @@ class TestScanCommand:
         proc = run_cli("scan", "--scene", scene, "--out", out, "--seed", -1, "--pressure-synth")
         assert_rejected_as_input(proc, out)
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_non_positive_contact_threshold_exits_2(self, tmp_path, threshold):
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        geom = tmp_path / "geometry.json"
+        geom.write_text(json.dumps({"contact_threshold": threshold}))
+        out = tmp_path / "run"
+        proc = run_cli("scan", "--scene", scene, "--geometry", geom, "--out", out, "--pressure-synth")
+        assert_rejected_as_input(proc, out)
+
     @pytest.mark.parametrize("command", [("workspace",), ("explore", "--no-obstacle")])
     def test_seed_only_on_scan(self, tmp_path, command):
         proc = run_cli(*command, "--seed", 1, "--out", tmp_path / "run")
@@ -979,15 +989,24 @@ class TestCommandMemory:
     README gives and well under the 512 bytes a node that MAX_NODES
     assumes."""
 
-    def test_scan_bytes_per_node(self, tmp_path):
-        """A 1 mm scan of a 200 mm plateau scene: 40,401 nodes."""
+    @staticmethod
+    def scan_peak_per_node(tmp_path, *extra) -> float:
+        """Traced bytes per node of a 1 mm scan of a 200 mm plateau scene:
+        40,401 nodes."""
         grid = np.zeros((201, 201))
         grid[50:150, 50:150] = 40.0
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps({"type": "height_field", "origin": [0, 0], "cell_mm": 1.0,
                                      "heights": grid.tolist()}))
-        peak = traced_peak(["scan", "--scene", str(scene), "--step", "1", "--out", str(tmp_path / "run")])
-        assert peak / grid.size < 180
+        argv = ["scan", "--scene", str(scene), "--step", "1", *extra, "--out", str(tmp_path / "run")]
+        return traced_peak(argv) / grid.size
+
+    def test_scan_bytes_per_node(self, tmp_path):
+        assert self.scan_peak_per_node(tmp_path) < 180
+
+    def test_pressure_scan_bytes_per_node(self, tmp_path):
+        """With --pressure-synth: one (N, 16) noise draw on top of the scan."""
+        assert self.scan_peak_per_node(tmp_path, "--pressure-synth") < 320
 
     def test_workspace_bytes_per_sample(self, tmp_path):
         """The default 72 x 19 x 11 grid: 15,048 samples."""

@@ -54,6 +54,14 @@ def test_invariant_violations():
         RobotGeometry(l=-1.0)
     with pytest.raises(ConfigError):
         RobotGeometry(pulley_diameter=0.0)
+    with pytest.raises(ConfigError):
+        RobotGeometry(servo_range=-1.0)
+    with pytest.raises(ConfigError):
+        RobotGeometry(bristle_length=-1.0)
+    with pytest.raises(ConfigError):
+        RobotGeometry(contact_threshold=0.0)
+    with pytest.raises(ConfigError):
+        RobotGeometry(contact_threshold=-1.0)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(RobotGeometry)])

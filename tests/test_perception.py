@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from coilkin import (
     ContactCloud,
     EmptyCloudError,
+    FeatureVector,
     HeightField,
+    HeightMap,
     MissionLog,
     RobotGeometry,
     ScanConfig,
@@ -319,8 +321,26 @@ class TestToFeature:
         assert row[0] == name
         assert [float(v) for v in row[1:]] == list(vec.values)
 
+    def test_empty_map_rejected(self):
+        with pytest.raises(EmptyCloudError):
+            to_feature(HeightMap(np.zeros((0, 0)), (0.0, 0.0), 10.0))
+
+    @pytest.mark.parametrize("size", [0, 299, 301])
+    def test_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match="300 values"):
+            FeatureVector((0.0,) * size)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            FeatureVector((0.0,) * 299 + (value,))
+
 
 class TestErrorStats:
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            error_stats([])
+
     def test_identical_pairs_are_zero(self):
         report = error_stats([((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))] * 4)
         assert report.mean_dis == 0.0

@@ -138,6 +138,11 @@ class TestProbeVertical:
             (ext,), (hit,), _ = probe_columns(FLAT, [arm], geom, quantum)
         assert (ext, hit) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("quantum", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_quantum_rejected(self, quantum):
+        with pytest.raises(ValueError, match="quantum"):
+            probe_columns(FLAT, [(50.0, 50.0, 156.0)], GEOM, quantum)
+
 
 class TestSurfaceScan:
     def test_empty_scene_control(self):
@@ -785,16 +790,17 @@ class TestMissionLog:
 
 
 def reference_pressure_csv(contact, seed, threshold_hpa):
-    """pressure.csv as the per-probe loop that wrote it before the array
-    pass: probe k's 16-sample trace from default_rng(seed + k), a 40 hPa
-    step from sample 8 on contact, and its first sample at least the
-    threshold off the 1013 hPa baseline."""
+    """pressure.csv as a per-probe loop: one default_rng(seed) Generator
+    draws each probe's 16-sample deviation trace in turn, a 40 hPa step
+    from sample 8 on contact, and its first sample at least the threshold
+    off the baseline."""
+    rng = np.random.default_rng(seed or 0)
     lines = ["event_index,contact,detected_sample"]
     for idx, touched in enumerate(contact):
-        trace = 1013.0 + np.random.default_rng((seed or 0) + idx).normal(0.0, 1.0, 16)
+        trace = rng.normal(0.0, 1.0, 16)
         if touched:
             trace[8:] += 40.0
-        hit = next((k for k, p in enumerate(trace) if abs(float(p) - 1013.0) >= threshold_hpa), "")
+        hit = next((k for k, p in enumerate(trace) if abs(float(p)) >= threshold_hpa), "")
         lines.append(f"{idx},{int(touched)},{hit}")
     return "\n".join(lines) + "\n"
 
@@ -831,6 +837,27 @@ class TestPressureSynth:
         path = tmp_path / "pressure.csv"
         _write_pressure(path, contact, pressure_detections(contact, seed, threshold))
         assert path.read_bytes() == reference_pressure_csv(contact, seed, threshold).encode()
+
+    @given(
+        contact=st.lists(st.booleans(), max_size=80),
+        k=st.integers(0, 80),
+        seed=st.integers(0, 2**32),
+        threshold=st.floats(0.5, 5.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_one_stream_contract(self, contact, k, seed, threshold):
+        """A probe's trace depends only on (seed, k): the first K probes of
+        an N-probe call are a K-probe call, and a call repeats exactly. The
+        seeds do not overlap: at 1 hPa, where noise alone crosses, seed
+        s + 1's probes are not seed s's probes shifted by one, as they were
+        with one generator per probe seeded s + k."""
+        contact = np.array(contact, bool)
+        hit = pressure_detections(contact, seed, threshold)
+        np.testing.assert_array_equal(hit[:k], pressure_detections(contact[:k], seed, threshold))
+        np.testing.assert_array_equal(hit, pressure_detections(contact, seed, threshold))
+        quiet = np.zeros(64, bool)
+        shifted = pressure_detections(quiet, seed, 1.0)[1:]
+        assert not np.array_equal(shifted, pressure_detections(quiet, seed + 1, 1.0)[:-1])
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
