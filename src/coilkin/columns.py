@@ -9,10 +9,10 @@ from .errors import ConfigError
 
 # The node cap of every grid a call builds (scan nodes, workspace samples,
 # explore depth x waypoint tips). Under tracemalloc a whole 1 mm scan
-# command (40,401 nodes) peaks at about 150 bytes per node, 260 with
+# command (40,401 nodes) peaks at about 146 bytes per node, 259 with
 # pressure synthesis, and a workspace command on the default grid at about
-# 285 per sample, writers included (tests/test_cli.py bounds them at 180,
-# 320 and 320), so 512 bytes a node fits 1 GiB.
+# 284 per sample, writers included (tests/test_cli.py bounds them at 180,
+# 320 and 300), so 512 bytes a node fits 1 GiB.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
 # A float array of this many values or more is deduplicated column by
@@ -81,6 +81,60 @@ def _float_codes(values):
     return np.concatenate(distinct).view(float), codes.reshape(values.shape)
 
 
+def _reprs(values) -> np.ndarray:
+    """repr of each float as one NUL-padded bytes array, formatted CHUNK_ROWS
+    values at a time, which bounds the Python objects held."""
+    return np.concatenate([np.array(list(map(repr, values[i : i + CHUNK_ROWS].tolist())), "S")
+                           for i in range(0, values.size, CHUNK_ROWS)])
+
+
+def _float_texts(entries, nan) -> np.ndarray:
+    """The table of a 1-D float array `entries`: repr(v) of each, or `nan`
+    for NaN, NUL-padded to the longest text.
+
+    A table of DEDUPE_MIN_SIZE entries or more formats each magnitude once:
+    repr(-x) is "-" + repr(x) for every x but NaN, so a negative entry is a
+    minus sign before the text of its magnitude, and one np.isnan mask
+    writes `nan`. Without a negative entry the entries are formatted as they
+    are. A smaller table is formatted value by value.
+    """
+    if entries.size < DEDUPE_MIN_SIZE:
+        return np.array([nan if v != v else repr(v) for v in entries.tolist()], "S")
+    bits = entries.view(np.int64)
+    negative, isnan = bits < 0, np.isnan(entries)
+    if negative.any():
+        magnitudes, codes = _distinct(bits & np.iinfo(np.int64).max)
+        texts = _reprs(magnitudes.view(float))
+        del magnitudes
+    else:
+        texts = _reprs(entries)
+        if not isnan.any():
+            return texts
+        codes = np.arange(entries.size)
+    # The width of the table. Every text but NaN's is at least as long as
+    # "nan", so unless all entries are NaN the longest entry text has `size`
+    # bytes, the longest magnitude text, and one more where a negative entry
+    # that is not NaN has a magnitude text of that length.
+    size = texts.itemsize
+    longest = negative & ~isnan & (texts.view(np.uint8)[size - 1 :: size] != 0)[codes]
+    width = max(0 if isnan.all() else size + longest.any(), len(nan.encode()) if isnan.any() else 0, 1)
+    # Each magnitude's text behind a minus sign, from which a block of rows
+    # is gathered: a negative entry's text starts at the sign, another's a
+    # byte later.
+    rows = np.zeros((texts.size, width + 1), np.uint8)
+    rows[:, 0] = ord("-")
+    rows[:, 1 : size + 1] = texts.view(np.uint8).reshape(-1, size)[:, :width]
+    del texts
+    windows = np.lib.stride_tricks.sliding_window_view(rows.ravel(), width)
+    table = np.empty((entries.size, width), np.uint8)
+    for first in range(0, entries.size, CHUNK_ROWS):
+        block = slice(first, first + CHUNK_ROWS)
+        table[block] = windows[codes[block].astype(np.intp) * (width + 1) + ~negative[block]]
+    table = table.view(f"S{width}")[:, 0]
+    table[isnan] = nan.encode()
+    return table
+
+
 def _text_codes(values):
     """(table, codes) of an array of integers, booleans or text."""
     if values.dtype.kind == "b":
@@ -106,24 +160,27 @@ def text_column(*arrays, nan="nan"):
 
     Floats are written as repr(float(v)), with `nan` for NaN, integers as
     str(int(v)), booleans as 1 and 0 and text as UTF-8; text holding NUL
-    raises ValueError. Each distinct float bit pattern is formatted once,
-    found by sorting, so a column with few distinct values (grid
-    coordinates, quantized heights) costs a sort rather than a repr per
-    value, and bit patterns keep -0.0 apart from 0.0. A float array of
-    DEDUPE_MIN_SIZE values or more is sorted one column (last axis) at a
-    time, which bounds the scratch memory; the smaller ones are pooled
-    into one sort. All floats are then formatted in one pass, CHUNK_ROWS
-    values at a time (which bounds the Python objects held), and large
-    integer arrays as digits by numpy.
+    raises ValueError. The distinct float bit patterns are found by
+    sorting, so a column with few distinct values (grid coordinates,
+    quantized heights) costs a sort rather than a repr per value, and bit
+    patterns keep -0.0 apart from 0.0. A float array of DEDUPE_MIN_SIZE
+    values or more is sorted one column (last axis) at a time, which bounds
+    the scratch memory; the smaller ones are pooled into one sort. The
+    distinct floats of all arrays are then formatted in one pass: with
+    DEDUPE_MIN_SIZE of them or more, repr runs once per distinct magnitude
+    and a negative value's text is "-" and its magnitude's; with fewer, once
+    per distinct value. Large integer arrays are written as digits by
+    numpy. The table is as wide as its longest text.
     """
-    # Per array: whether it is float, its shape, its texts (a table, or the
-    # floats to format) and its codes, None for a small float array.
+    # Per array: whether it is float, its shape, the size of its texts (a
+    # table, or the floats to format) and its codes, None for a small float
+    # array.
     parts, tables, pool, floats = [], [], [], []
     for values in map(np.asarray, arrays):
         is_float = values.dtype.kind == "f"
         texts, codes = (_float_codes if is_float else _text_codes)(values)
         (tables if not is_float else pool if codes is None else floats).append(texts)
-        parts.append((is_float, values.shape, texts, codes))
+        parts.append((is_float, values.shape, texts.size, codes))
     # The texts of floats come after all others, the pooled ones first.
     next_text = 0
     next_float = other = sum(map(len, tables))
@@ -133,23 +190,30 @@ def text_column(*arrays, nan="nan"):
         next_float += len(distinct)
         floats.insert(0, distinct.view(float))
     if floats:
+        # Only this array holds the distinct floats while they are formatted.
         floats = np.concatenate(floats)
-        tables += [np.array([nan if v != v else repr(v) for v in floats[i : i + CHUNK_ROWS].tolist()], "S")
-                   for i in range(0, floats.size, CHUNK_ROWS)]
+        tables.append(_float_texts(floats, nan))
     out, pooled = [], 0
-    for is_float, shape, texts, codes in parts:
+    for is_float, shape, size, codes in parts:
         if codes is None:
-            codes = pool_codes[pooled : pooled + texts.size]
+            codes = pool_codes[pooled : pooled + size]
             codes = codes if len(shape) == 1 else codes.reshape(shape)
-            pooled += texts.size
+            pooled += size
         elif is_float:
             codes += next_float
-            next_float += len(texts)
+            next_float += size
         else:
             codes += next_text
-            next_text += len(texts)
+            next_text += size
         out.append(codes)
     return (tables[0] if len(tables) == 1 else np.concatenate(tables or [np.zeros(0, "S1")]), *out)
+
+
+def _stacked(table, *codes):
+    """(table, codes) of one text_column call, the codes of several arrays
+    stacked as the columns of one array; the unstacked codes are freed on
+    return, before the next call formats its floats."""
+    return table, codes[0] if len(codes) == 1 else np.column_stack(codes)
 
 
 def write_rows(fh, columns, sep=",", nan="nan"):
@@ -166,11 +230,7 @@ def write_rows(fh, columns, sep=",", nan="nan"):
     """
     groups = []
     for encoded, run in itertools.groupby(columns, lambda col: isinstance(col, tuple)):
-        if encoded:
-            groups += run
-        else:
-            table, *codes = text_column(*run, nan=nan)
-            groups.append((table, codes[0] if len(codes) == 1 else np.column_stack(codes)))
+        groups += run if encoded else [_stacked(*text_column(*run, nan=nan))]
     n = len(groups[0][1])
     counts = [codes.shape[1] if codes.ndim == 2 else 1 for _, codes in groups]  # cells per row
     widths = [(table.itemsize + 1) * k for (table, _), k in zip(groups, counts)]

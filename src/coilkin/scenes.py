@@ -106,9 +106,27 @@ def _require_fields(doc: dict, allowed: set, required: set, what: str):
         raise SceneError(f"missing {what} fields: {sorted(missing)}")
 
 
+def _number(value, what: str) -> float:
+    """value as a float; SceneError unless it is an int or a float (a bool
+    or a numeric string is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, size: int, what: str) -> tuple:
+    """A list of `size` numbers as a tuple of floats."""
+    if len(values) != size:
+        raise SceneError(f"{what} must be a list of {size} numbers")
+    return tuple(_number(v, what) for v in values)
+
+
 def scene_from_dict(doc: dict):
     """Build a HeightField or Tube from a JSON-style dict; any malformed
-    document, a value of the wrong type or size included, raises SceneError."""
+    document, a value of the wrong type or size included, raises SceneError.
+    Every number must be a JSON number: a bool or a numeric string raises
+    SceneError, and so does a height grid whose array is not of integers or
+    floats (a bool among numbers in the grid still casts to 0 or 1)."""
     if not isinstance(doc, dict):
         raise SceneError("scene document must be a JSON object")
     kind = doc.get("type")
@@ -117,20 +135,20 @@ def scene_from_dict(doc: dict):
             _require_fields(
                 doc, {"type", "origin", "cell_mm", "heights"}, {"cell_mm", "heights"}, "height_field"
             )
-            origin = doc.get("origin", (0.0, 0.0))
-            if len(origin) != 2:
-                raise SceneError("height_field origin must be [x, y]")
-            return HeightField(tuple(origin), float(doc["cell_mm"]), np.asarray(doc["heights"]))
+            origin = _numbers(doc.get("origin", (0.0, 0.0)), 2, "height_field origin")
+            heights = np.asarray(doc["heights"])
+            if heights.dtype.kind not in "iuf":
+                raise SceneError("heights must be a grid of numbers")
+            return HeightField(origin, _number(doc["cell_mm"], "cell_mm"), heights)
         if kind == "tube":
             _require_fields(doc, {"type", "inner_radius_mm", "obstacle"}, {"inner_radius_mm"}, "tube")
             obstacle = doc.get("obstacle")
             cube = None
             if obstacle is not None:
                 _require_fields(obstacle, {"center", "edge_mm"}, {"center", "edge_mm"}, "obstacle")
-                if len(obstacle["center"]) != 3:
-                    raise SceneError("obstacle center must be [x, y, z]")
-                cube = Cube(tuple(obstacle["center"]), float(obstacle["edge_mm"]))
-            return Tube(float(doc["inner_radius_mm"]), cube)
+                center = _numbers(obstacle["center"], 3, "obstacle center")
+                cube = Cube(center, _number(obstacle["edge_mm"], "obstacle edge_mm"))
+            return Tube(_number(doc["inner_radius_mm"], "inner_radius_mm"), cube)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"bad {kind} document: {exc}") from exc
     raise SceneError(f"scene type must be 'height_field' or 'tube', got {kind!r}")

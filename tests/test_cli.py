@@ -305,6 +305,9 @@ MALFORMED_SCENES = {
     "obstacle-center-text": '{"type": "tube", "inner_radius_mm": 174, '
     '"obstacle": {"center": ["a", "b", "c"], "edge_mm": 40}}',
     "height-field-origin-number": '{"type": "height_field", "origin": 5, "cell_mm": 10, "heights": [[0, 40]]}',
+    "height-field-cell-bool": '{"type": "height_field", "cell_mm": true, "heights": [[0, 40]]}',
+    "height-field-heights-text": '{"type": "height_field", "cell_mm": 10, "heights": [["1", "2"]]}',
+    "tube-radius-numeric-text": '{"type": "tube", "inner_radius_mm": "174"}',
     "tube-radius-400-digits": '{"type": "tube", "inner_radius_mm": 1' + "0" * 400 + "}",
     "tube-radius-5000-digits": '{"type": "tube", "inner_radius_mm": 1' + "0" * 5000 + "}",
 }
@@ -1011,4 +1014,4 @@ class TestCommandMemory:
     def test_workspace_bytes_per_sample(self, tmp_path):
         """The default 72 x 19 x 11 grid: 15,048 samples."""
         peak = traced_peak(["workspace", "--out", str(tmp_path / "run")])
-        assert peak / 15048 < 320
+        assert peak / 15048 < 300

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from coilkin import (
     error_stats,
     reconstruct,
     resample_average,
+    sample_workspace,
     surface_scan,
     to_feature,
 )
+from coilkin import columns
 from coilkin.columns import CHUNK_ROWS, DEDUPE_MIN_SIZE, text_column, write_rows
 from coilkin.perception import _overlap_weights
 from coilkin.ply import write_points
@@ -57,9 +60,21 @@ def texts(table, codes) -> list:
     return [cell.replace(b"\0", b"").decode() for cell in table[codes].ravel().tolist()]
 
 
-# Floats whose text is easy to get wrong: NaN, signed zeros and infinities,
-# subnormals, and both sides of repr's switch to exponent notation.
-SPECIAL_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 2.5e-310, 1e16, 9999999999999998.0,
+def from_bits(bits: int) -> float:
+    """The float whose IEEE 754 binary64 pattern is `bits`."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def assert_tight(table):
+    """The table is as wide as its longest text (numpy's least width is 1)."""
+    assert table.itemsize == max([1, *map(len, table.tolist())])
+
+
+# Floats whose text is easy to get wrong: NaN (with the sign bit, with a
+# payload), signed zeros and infinities, subnormals, and both sides of
+# repr's switch to exponent notation, with both signs.
+SPECIAL_FLOATS = [math.nan, from_bits(0xFFF8000000000000), from_bits(0x7FF8000000000123), 0.0, -0.0, math.inf,
+                  -math.inf, 5e-324, -5e-324, 2.5e-310, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0,
                   1e-5, 0.0001, 0.1, 1 / 3, 2.0**60]
 INT64 = np.iinfo(np.int64)
 SPECIAL_INTS = [INT64.min, INT64.max, 0, -1, 1, 10, -10]
@@ -110,8 +125,45 @@ class TestColumnText:
         values = np.resize([0.0, -0.0, math.nan, 12.5, 1 / 3, -7.25, 1e-300, 2.0**60, 0.1], size)
         values[::4] = np.random.default_rng(size).normal(size=values[::4].size)
         expected = [repr(v) for v in values.tolist()]
-        assert texts(*text_column(values)) == expected
+        table, codes = text_column(values)
+        assert texts(table, codes) == expected
+        assert_tight(table)
         assert texts(*text_column(values, nan="")) == [("" if t == "nan" else t) for t in expected]
+
+    @pytest.mark.parametrize("nan", ["nan", "", "not-a-number"])
+    def test_both_signs_of_each_magnitude(self, nan):
+        """A table of DEDUPE_MIN_SIZE magnitudes and more, each with both
+        signs: every text is repr's (or `nan`), and the table is as wide as
+        the longest of them."""
+        magnitudes = np.abs([*SPECIAL_FLOATS, *np.random.default_rng(5).normal(size=DEDUPE_MIN_SIZE)])
+        magnitudes[:3] = [math.nan, from_bits(0x7FF8000000000123), from_bits(0x7FF0000000000001)]
+        values = np.concatenate([magnitudes, -magnitudes])
+        assert np.unique(np.abs(values)).size >= DEDUPE_MIN_SIZE
+        assert np.signbit(values[magnitudes.size :]).all()
+        table, codes = text_column(values, nan=nan)
+        assert texts(table, codes) == [nan if v != v else repr(v) for v in values.tolist()]
+        assert_tight(table)
+        # Without its longest texts the table is a byte narrower: the width
+        # follows the texts, and no cell gets a sign byte it does not use.
+        longest = max(len(t) for t in texts(table, codes))
+        short = values[[len(repr(v)) < longest for v in values.tolist()]]
+        assert text_column(short, nan=nan)[0].itemsize == max(len(nan), longest - 1)
+
+    def test_repr_once_per_magnitude(self, monkeypatch):
+        """The spring tops of the default workspace grid need one repr per
+        distinct magnitude, 17,537 for 25,747 distinct bit patterns; a table
+        of fewer than DEDUPE_MIN_SIZE entries takes one repr per entry."""
+        calls = []
+        monkeypatch.setattr(columns, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+        u = sample_workspace(GEOM).u
+        table, codes = text_column(u)
+        assert len(calls) == np.unique(np.abs(u)).size == 17537
+        assert texts(table, codes) == [repr(v) for v in u.ravel().tolist()]
+        assert_tight(table)
+        calls.clear()
+        small = np.array([1.5, -1.5, 0.25, -0.25, 3.0, 1.5])
+        assert texts(*text_column(small)) == [repr(v) for v in small.tolist()]
+        assert len(calls) == 5
 
     def test_arrays_share_one_table(self):
         """Each array gets codes of its own shape into one table, and the
@@ -146,13 +198,16 @@ class TestColumnText:
         booleans and text as it is, for 1-D and 2-D array columns and for
         columns that text_column encoded."""
         rng = np.random.default_rng(seed)
-        columns, cells = [], []
+        encoded, cells = [], []
         for kind in kinds:
             column = random_column(rng, "float2d" if kind == "encoded" else kind, n)
             cells.append(reference_text(column, nan))
-            columns.append(text_column(column, nan=nan) if kind == "encoded" else column)
+            if kind == "encoded":
+                column = text_column(column, nan=nan)
+                assert_tight(column[0])
+            encoded.append(column)
         fh = io.BytesIO()
-        write_rows(fh, columns, sep=sep, nan=nan)
+        write_rows(fh, encoded, sep=sep, nan=nan)
         expected = "".join(sep.join(sum(row, [])) + "\n" for row in zip(*cells))
         assert fh.getvalue().decode().splitlines(keepends=True) == expected.splitlines(keepends=True)
 

@@ -103,3 +103,58 @@ def test_bad_json_file(tmp_path):
     path.write_text("{oops")
     with pytest.raises(SceneError, match="JSON"):
         load_scene(path)
+
+
+HEIGHT_FIELD = {"type": "height_field", "origin": [0, 5], "cell_mm": 10, "heights": [[1, 2], [3, 4]]}
+TUBE = {"type": "tube", "inner_radius_mm": 174, "obstacle": {"center": [45, 0, -206], "edge_mm": 40}}
+
+
+def with_field(doc, path, value):
+    """A copy of doc with the field at `path` (keys and list indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc,path", [
+    (HEIGHT_FIELD, ["cell_mm"]),
+    (HEIGHT_FIELD, ["origin", 0]),
+    (HEIGHT_FIELD, ["origin", 1]),
+    (TUBE, ["inner_radius_mm"]),
+    (TUBE, ["obstacle", "center", 0]),
+    (TUBE, ["obstacle", "center", 2]),
+    (TUBE, ["obstacle", "edge_mm"]),
+])
+@pytest.mark.parametrize("value", [True, False, "174", "0"])
+def test_bool_or_text_is_not_a_number(doc, path, value):
+    """Each numeric field rejects a bool and a numeric string, as
+    RobotGeometry.from_dict does; the same document with a number loads."""
+    scene_from_dict(with_field(doc, path, 7))
+    with pytest.raises(SceneError, match="must be a number"):
+        scene_from_dict(with_field(doc, path, value))
+
+
+@pytest.mark.parametrize("heights", [
+    [["1", "2"]], [[1, "2"]], [[True, False]], [[1, None]], [[10**400]],
+])
+def test_heights_must_be_a_numeric_grid(heights):
+    with pytest.raises(SceneError, match="grid of numbers"):
+        scene_from_dict({**HEIGHT_FIELD, "heights": heights})
+
+
+def test_bool_among_numbers_in_the_grid_casts():
+    """numpy casts a bool in a grid of numbers, so that grid still loads."""
+    assert scene_from_dict({**HEIGHT_FIELD, "heights": [[1.5, True]]}).heights.tolist() == [[1.5, 1.0]]
+
+
+def test_origin_and_center_need_lists_of_numbers():
+    with pytest.raises(SceneError, match="list of 2 numbers"):
+        scene_from_dict({**HEIGHT_FIELD, "origin": [0, 0, 0]})
+    with pytest.raises(SceneError, match="must be a number"):
+        scene_from_dict({**HEIGHT_FIELD, "origin": "05"})
+    with pytest.raises(SceneError, match="list of 3 numbers"):
+        scene_from_dict(with_field(TUBE, ["obstacle", "center"], [45, 0]))
