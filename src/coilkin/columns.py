@@ -15,11 +15,13 @@ from .errors import ConfigError
 # 320 and 300), so 512 bytes a node fits 1 GiB.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
-# A float array of this many values or more is deduplicated column by
-# column; smaller ones share one sort, whose fixed cost (about 15 us) would
-# dominate a sort per column. From this size on, integers are written as
-# digits by numpy rather than by one str per value.
-DEDUPE_MIN_SIZE = 128
+# A text_column call of this many values or more formats each distinct
+# magnitude once, after a sort per float column, and writes integers as
+# digits by numpy; a smaller call sorts all its floats at once and formats
+# value by value. Explore logs (at most 230 values a call) are faster the
+# small way at every size measured up to 2,076 values, integer blocks the
+# large way from about 150; a 1 mm scan's smallest call holds 930 values.
+DEDUPE_MIN_SIZE = 512
 # Rows assembled per write, which bounds the text held in memory.
 CHUNK_ROWS = 2048
 
@@ -53,7 +55,7 @@ def _digits(values) -> np.ndarray:
     """The decimal text of each integer: a minus sign or NUL, then the
     digits right-aligned behind NULs."""
     magnitude = np.abs(values).astype(np.uint64)  # abs(int64 min) wraps to 2**63
-    width = len(str(int(magnitude.max())))
+    width = len(str(int(magnitude.max(initial=0))))
     table = np.zeros((magnitude.size, width + 1), np.uint8)
     table[values < 0, 0] = ord("-")
     for place in range(width, 0, -1):
@@ -64,53 +66,22 @@ def _digits(values) -> np.ndarray:
     return table.view(f"S{width + 1}")[:, 0]
 
 
-def _float_codes(values):
-    """(distinct, codes) of a float array of DEDUPE_MIN_SIZE values or more:
-    per column (last axis) its distinct values, and the codes that index
-    the columns' distinct values laid end to end; (values, None) for a
-    smaller array."""
-    if values.size < DEDUPE_MIN_SIZE:
-        return values, None
-    columns = values.reshape(-1, values.shape[-1] if values.ndim > 1 else 1)
-    distinct, codes, size = [], np.empty(columns.shape, np.int32), 0
-    for j in range(columns.shape[1]):
-        bits, codes[:, j] = _distinct(columns[:, j].astype(float, copy=False).view(np.int64))
-        codes[:, j] += size
-        distinct.append(bits)
-        size += len(bits)
-    return np.concatenate(distinct).view(float), codes.reshape(values.shape)
-
-
-def _reprs(values) -> np.ndarray:
-    """repr of each float as one NUL-padded bytes array, formatted CHUNK_ROWS
-    values at a time, which bounds the Python objects held."""
-    return np.concatenate([np.array(list(map(repr, values[i : i + CHUNK_ROWS].tolist())), "S")
-                           for i in range(0, values.size, CHUNK_ROWS)])
-
-
 def _float_texts(entries, nan) -> np.ndarray:
     """The table of a 1-D float array `entries`: repr(v) of each, or `nan`
     for NaN, NUL-padded to the longest text.
 
-    A table of DEDUPE_MIN_SIZE entries or more formats each magnitude once:
-    repr(-x) is "-" + repr(x) for every x but NaN, so a negative entry is a
-    minus sign before the text of its magnitude, and one np.isnan mask
-    writes `nan`. Without a negative entry the entries are formatted as they
-    are. A smaller table is formatted value by value.
+    Each magnitude is formatted once: repr(-x) is "-" + repr(x) for every x
+    but NaN, so a negative entry is a minus sign before the text of its
+    magnitude, and one np.isnan mask writes `nan`.
     """
-    if entries.size < DEDUPE_MIN_SIZE:
-        return np.array([nan if v != v else repr(v) for v in entries.tolist()], "S")
     bits = entries.view(np.int64)
     negative, isnan = bits < 0, np.isnan(entries)
-    if negative.any():
-        magnitudes, codes = _distinct(bits & np.iinfo(np.int64).max)
-        texts = _reprs(magnitudes.view(float))
-        del magnitudes
-    else:
-        texts = _reprs(entries)
-        if not isnan.any():
-            return texts
-        codes = np.arange(entries.size)
+    magnitudes, codes = _distinct(bits & np.iinfo(np.int64).max)
+    magnitudes = magnitudes.view(float)
+    # CHUNK_ROWS values at a time, which bounds the Python objects held.
+    texts = np.concatenate([np.array(list(map(repr, magnitudes[i : i + CHUNK_ROWS].tolist())), "S")
+                            for i in range(0, magnitudes.size, CHUNK_ROWS)])
+    del magnitudes
     # The width of the table. Every text but NaN's is at least as long as
     # "nan", so unless all entries are NaN the longest entry text has `size`
     # bytes, the longest magnitude text, and one more where a negative entry
@@ -135,15 +106,15 @@ def _float_texts(entries, nan) -> np.ndarray:
     return table
 
 
-def _text_codes(values):
-    """(table, codes) of an array of integers, booleans or text."""
+def _text_codes(values, large):
+    """(table, codes) of an array of integers, booleans or text; integers
+    are written as digits by numpy in a large call, by str in a small one."""
     if values.dtype.kind == "b":
         return _FLAGS, values.astype(np.int32)
     flat = values.ravel()
     if values.dtype.kind in "iu":
-        table = _digits(flat) if flat.size >= DEDUPE_MIN_SIZE else np.array(list(map(str, flat.tolist())), "S")
-        codes = np.arange(flat.size, dtype=np.int32)
-        return table, codes if values.ndim == 1 else codes.reshape(values.shape)
+        table = _digits(flat) if large else np.array(list(map(str, flat.tolist())), "S")
+        return table, np.arange(flat.size, dtype=np.int32).reshape(values.shape)
     index = {}
     codes = np.array([index.setdefault(cell, len(index)) for cell in flat.tolist()], np.int32)
     text = [cell.encode() for cell in index]
@@ -163,57 +134,52 @@ def text_column(*arrays, nan="nan"):
     raises ValueError. The distinct float bit patterns are found by
     sorting, so a column with few distinct values (grid coordinates,
     quantized heights) costs a sort rather than a repr per value, and bit
-    patterns keep -0.0 apart from 0.0. A float array of DEDUPE_MIN_SIZE
-    values or more is sorted one column (last axis) at a time, which bounds
-    the scratch memory; the smaller ones are pooled into one sort. The
-    distinct floats of all arrays are then formatted in one pass: with
-    DEDUPE_MIN_SIZE of them or more, repr runs once per distinct magnitude
-    and a negative value's text is "-" and its magnitude's; with fewer, once
-    per distinct value. Large integer arrays are written as digits by
-    numpy. The table is as wide as its longest text.
+    patterns keep -0.0 apart from 0.0. The call's size, all its values
+    counted, decides the rest once. A call of fewer than DEDUPE_MIN_SIZE
+    values sorts all its floats at once, passes each distinct value to repr
+    and each integer to str. A larger call sorts its floats one column
+    (last axis) at a time, which bounds the scratch memory, passes each
+    distinct magnitude to repr, a negative value's text being "-" and its
+    magnitude's, and writes integers as digits by numpy. The table is as
+    wide as its longest text, or a byte wider where those digits leave
+    their column for a minus sign empty.
     """
-    # Per array: whether it is float, its shape, the size of its texts (a
-    # table, or the floats to format) and its codes, None for a small float
-    # array.
-    parts, tables, pool, floats = [], [], [], []
-    for values in map(np.asarray, arrays):
-        is_float = values.dtype.kind == "f"
-        texts, codes = (_float_codes if is_float else _text_codes)(values)
-        (tables if not is_float else pool if codes is None else floats).append(texts)
-        parts.append((is_float, values.shape, texts.size, codes))
-    # The texts of floats come after all others, the pooled ones first.
-    next_text = 0
-    next_float = other = sum(map(len, tables))
-    if pool:
-        distinct, pool_codes = _distinct(np.concatenate(pool, axis=None, dtype=float).view(np.int64))
-        pool_codes += other
-        next_float += len(distinct)
-        floats.insert(0, distinct.view(float))
-    if floats:
-        # Only this array holds the distinct floats while they are formatted.
-        floats = np.concatenate(floats)
-        tables.append(_float_texts(floats, nan))
-    out, pooled = [], 0
-    for is_float, shape, size, codes in parts:
-        if codes is None:
-            codes = pool_codes[pooled : pooled + size]
-            codes = codes if len(shape) == 1 else codes.reshape(shape)
-            pooled += size
-        elif is_float:
-            codes += next_float
-            next_float += size
+    arrays = list(map(np.asarray, arrays))
+    large = sum(values.size for values in arrays) >= DEDUPE_MIN_SIZE
+    tables, codes, floats = [], [None] * len(arrays), []
+    size = 0  # texts in the tables so far; the texts of floats come after all others
+    for i, values in enumerate(arrays):
+        if values.dtype.kind == "f":
+            floats.append(i)
         else:
-            codes += next_text
-            next_text += size
-        out.append(codes)
-    return (tables[0] if len(tables) == 1 else np.concatenate(tables or [np.zeros(0, "S1")]), *out)
-
-
-def _stacked(table, *codes):
-    """(table, codes) of one text_column call, the codes of several arrays
-    stacked as the columns of one array; the unstacked codes are freed on
-    return, before the next call formats its floats."""
-    return table, codes[0] if len(codes) == 1 else np.column_stack(codes)
+            table, codes[i] = _text_codes(values, large)
+            codes[i] += size
+            size += len(table)
+            tables.append(table)
+    if large:
+        distinct = [np.zeros(0, np.int64)]
+        for i in floats:
+            values = arrays[i]
+            columns = values.reshape(-1, values.shape[-1] if values.ndim > 1 and values.size else 1)
+            codes[i] = np.empty(columns.shape, np.int32)
+            for j in range(columns.shape[1]):
+                bits, codes[i][:, j] = _distinct(columns[:, j].astype(float, copy=False).view(np.int64))
+                codes[i][:, j] += size
+                size += bits.size
+                distinct.append(bits)
+            codes[i] = codes[i].reshape(values.shape)
+        # Only this array holds the distinct floats while they are formatted.
+        distinct = np.concatenate(distinct).view(float)
+        if distinct.size:
+            tables.append(_float_texts(distinct, nan))
+    elif floats:
+        bits = np.concatenate([arrays[i] for i in floats], axis=None, dtype=float).view(np.int64)
+        distinct, pooled = _distinct(bits)
+        pooled += size
+        for i in floats:
+            codes[i], pooled = pooled[: arrays[i].size].reshape(arrays[i].shape), pooled[arrays[i].size :]
+        tables.append(np.array([nan if v != v else repr(v) for v in distinct.view(float).tolist()], "S"))
+    return (tables[0] if len(tables) == 1 else np.concatenate(tables or [np.zeros(0, "S1")]), *codes)
 
 
 def write_rows(fh, columns, sep=",", nan="nan"):
@@ -224,13 +190,17 @@ def write_rows(fh, columns, sep=",", nan="nan"):
     it, with codes (N,) or (N, k) for k cells a row, or an array, 1-D or
     (N, k). A run of array columns is encoded by one text_column call, with
     `nan` for NaN. Each block of CHUNK_ROWS rows is assembled as bytes in a
-    (rows, width) buffer: one gather per table puts each cell's text in
+    (rows, width) buffer: one gather per column puts each cell's text in
     place, a separator byte follows every cell and a newline the last, and
     the NUL padding is dropped as the block is written.
     """
     groups = []
     for encoded, run in itertools.groupby(columns, lambda col: isinstance(col, tuple)):
-        groups += run if encoded else [_stacked(*text_column(*run, nan=nan))]
+        if encoded:
+            groups += run
+        else:
+            table, *codes = text_column(*run, nan=nan)
+            groups += [(table, array_codes) for array_codes in codes]
     n = len(groups[0][1])
     counts = [codes.shape[1] if codes.ndim == 2 else 1 for _, codes in groups]  # cells per row
     widths = [(table.itemsize + 1) * k for (table, _), k in zip(groups, counts)]

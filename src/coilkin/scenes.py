@@ -37,9 +37,9 @@ class HeightField:
             raise SceneError("heights must be a non-empty 2-D grid")
         if not np.isfinite(h).all() or (h < 0).any():
             raise SceneError("heights must be finite and >= 0")
-        origin = (float(self.origin[0]), float(self.origin[1]))
-        if not all(map(math.isfinite, origin)):
-            raise SceneError(f"origin must be finite, got {origin}")
+        origin = tuple(map(float, self.origin))
+        if len(origin) != 2 or not all(map(math.isfinite, origin)):
+            raise SceneError(f"origin must be 2 finite numbers, got {origin}")
         if not (math.isfinite(self.cell_mm) and self.cell_mm > 0):
             raise SceneError(f"cell_mm must be finite and > 0, got {self.cell_mm}")
         object.__setattr__(self, "heights", h)
@@ -70,9 +70,9 @@ class Cube:
     edge_mm: float
 
     def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
-        if not all(map(math.isfinite, center)):
-            raise SceneError(f"cube center must be finite, got {center}")
+        center = tuple(map(float, self.center))
+        if len(center) != 3 or not all(map(math.isfinite, center)):
+            raise SceneError(f"cube center must be 3 finite numbers, got {center}")
         if not (math.isfinite(self.edge_mm) and self.edge_mm > 0):
             raise SceneError(f"cube edge must be finite and > 0, got {self.edge_mm}")
         object.__setattr__(self, "center", center)

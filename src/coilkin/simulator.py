@@ -190,8 +190,10 @@ class ScanConfig:
         values = (self.width, self.height, self.step_mm, *self.origin, self.quantum)
         values += () if self.arm_z is None else (self.arm_z,)
         valid = all(map(math.isfinite, values)) and min(self.step_mm, self.quantum) > 0.0
-        if not valid or min(self.width, self.height) < 0.0:
-            raise ConfigError(f"scan needs finite values, step and quantum > 0, size >= 0: {self}")
+        if not valid or min(self.width, self.height) < 0.0 or len(self.origin) != 2:
+            raise ConfigError(
+                f"scan needs finite values, step and quantum > 0, size >= 0 and a 2-number origin: {self}"
+            )
         # A quotient that overflows to inf is rejected before round() sees it.
         check_node_count(max(self.width, self.height) / self.step_mm, "scan row")
         check_node_count(math.prod(self.shape), "scan grid")

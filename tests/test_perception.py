@@ -81,6 +81,17 @@ SPECIAL_INTS = [INT64.min, INT64.max, 0, -1, 1, 10, -10]
 TEXT_CELLS = ["", "ok", "servo-out-of-range", "é", "日本", "a b"]
 # Row counts around the deduplication threshold and the chunk size.
 ROW_COUNTS = [0, 1, 2, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# The arrays of a call of fewer than DEDUPE_MIN_SIZE values: floats, 1-D, in
+# rows of 3 or of none, integers, flags and text.
+SMALL_CALLS = st.lists(st.one_of(
+    st.lists(FLOATS, max_size=60).map(lambda v: np.array(v, float)),
+    st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=20).map(lambda v: np.array(v, float).reshape(-1, 3)),
+    st.integers(0, 3).map(lambda n: np.zeros((n, 0))),
+    st.lists(st.integers(INT64.min, INT64.max), max_size=60).map(lambda v: np.array(v, np.int64)),
+    st.lists(st.booleans(), max_size=60).map(lambda v: np.array(v, bool)),
+    st.lists(st.sampled_from(TEXT_CELLS), max_size=60).map(lambda v: np.array(v, dtype=object)),
+), max_size=4)
 
 
 def random_column(rng, kind, n):
@@ -116,12 +127,11 @@ def reference_text(column, nan) -> list:
 
 
 class TestColumnText:
-    @pytest.mark.parametrize(
-        "size", [1, 9, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, 5 * DEDUPE_MIN_SIZE]
-    )
+    @pytest.mark.parametrize("size", [1, 9, 127, 128, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, 640])
     def test_text_column_is_repr_per_value(self, size):
-        """Both the per-value and the deduplicating path give repr's text,
-        with -0.0 kept apart from 0.0 and NaN written as asked."""
+        """A small call (fewer than DEDUPE_MIN_SIZE values) and a large one
+        both give repr's text, with -0.0 kept apart from 0.0 and NaN written
+        as asked."""
         values = np.resize([0.0, -0.0, math.nan, 12.5, 1 / 3, -7.25, 1e-300, 2.0**60, 0.1], size)
         values[::4] = np.random.default_rng(size).normal(size=values[::4].size)
         expected = [repr(v) for v in values.tolist()]
@@ -132,9 +142,9 @@ class TestColumnText:
 
     @pytest.mark.parametrize("nan", ["nan", "", "not-a-number"])
     def test_both_signs_of_each_magnitude(self, nan):
-        """A table of DEDUPE_MIN_SIZE magnitudes and more, each with both
-        signs: every text is repr's (or `nan`), and the table is as wide as
-        the longest of them."""
+        """A large call, of DEDUPE_MIN_SIZE magnitudes and more, each with
+        both signs: every text is repr's (or `nan`), and the table is as wide
+        as the longest of them."""
         magnitudes = np.abs([*SPECIAL_FLOATS, *np.random.default_rng(5).normal(size=DEDUPE_MIN_SIZE)])
         magnitudes[:3] = [math.nan, from_bits(0x7FF8000000000123), from_bits(0x7FF0000000000001)]
         values = np.concatenate([magnitudes, -magnitudes])
@@ -147,12 +157,14 @@ class TestColumnText:
         # follows the texts, and no cell gets a sign byte it does not use.
         longest = max(len(t) for t in texts(table, codes))
         short = values[[len(repr(v)) < longest for v in values.tolist()]]
+        assert short.size >= DEDUPE_MIN_SIZE
         assert text_column(short, nan=nan)[0].itemsize == max(len(nan), longest - 1)
 
     def test_repr_once_per_magnitude(self, monkeypatch):
         """The spring tops of the default workspace grid need one repr per
-        distinct magnitude, 17,537 for 25,747 distinct bit patterns; a table
-        of fewer than DEDUPE_MIN_SIZE entries takes one repr per entry."""
+        distinct magnitude, 17,537 for 25,747 distinct bit patterns; a call
+        of fewer than DEDUPE_MIN_SIZE values takes one repr per distinct
+        value."""
         calls = []
         monkeypatch.setattr(columns, "repr", lambda v: calls.append(v) or repr(v), raising=False)
         u = sample_workspace(GEOM).u
@@ -167,17 +179,34 @@ class TestColumnText:
 
     def test_arrays_share_one_table(self):
         """Each array gets codes of its own shape into one table, and the
-        codes of a deduplicated array skip the texts of the others."""
-        floats = np.arange(2 * DEDUPE_MIN_SIZE, dtype=float).reshape(-1, 2) % 5
-        table, small, big, flags, ints = text_column([0.5, -0.0], floats, [True, False], [7, -8])
-        assert [small.shape, big.shape, flags.shape, ints.shape] == [(2,), floats.shape, (2,), (2,)]
-        assert all(codes.dtype == np.int32 for codes in (small, big, flags, ints))
-        assert texts(table, small) == ["0.5", "-0.0"]
-        assert texts(table, big) == [repr(v) for v in floats.ravel().tolist()]
-        assert texts(table, flags) == ["1", "0"] and texts(table, ints) == ["7", "-8"]
-        # The flags, the integers, the two small floats pooled, and 0.0 to 4.0
-        # once per column of the big array.
-        assert len(table) == 2 + 2 + 2 + 2 * 5
+        codes of each array skip the texts of the others. A small call has
+        the flags, the integers, and the distinct floats of all arrays (0.5,
+        -0.0 and 0.0 to 4.0) from one sort; a large call has the flags, the
+        integers, the two floats of the small array, and 0.0 to 4.0 once per
+        column of the big array."""
+        for rows, size in ((4, 2 + 2 + 7), (DEDUPE_MIN_SIZE, 2 + 2 + 2 + 2 * 5)):
+            floats = np.arange(2 * rows, dtype=float).reshape(-1, 2) % 5
+            table, small, big, flags, ints = text_column([0.5, -0.0], floats, [True, False], [7, -8])
+            assert [small.shape, big.shape, flags.shape, ints.shape] == [(2,), floats.shape, (2,), (2,)]
+            assert all(codes.dtype == np.int32 for codes in (small, big, flags, ints))
+            assert texts(table, small) == ["0.5", "-0.0"]
+            assert texts(table, big) == [repr(v) for v in floats.ravel().tolist()]
+            assert texts(table, flags) == ["1", "0"] and texts(table, ints) == ["7", "-8"]
+            assert len(table) == size
+
+    @given(parts=SMALL_CALLS, padding=st.sampled_from(["float", "int", "bool"]), nan=st.sampled_from(["", "nan"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_small_and_large_calls_agree(self, parts, padding, nan, seed):
+        """The arrays of a small call, padded with DEDUPE_MIN_SIZE more
+        values into a large call, keep their text: both ways are repr of
+        each float (or `nan`), str of each integer, 1/0 and the text."""
+        small = text_column(*parts, nan=nan)
+        assert sum(np.size(part) for part in parts) < DEDUPE_MIN_SIZE
+        large = text_column(*parts, random_column(np.random.default_rng(seed), padding, DEDUPE_MIN_SIZE), nan=nan)
+        for part, codes, padded in zip(parts, small[1:], large[1:]):
+            assert texts(small[0], codes) == texts(large[0], padded) == sum(reference_text(part, nan), [])
+        assert_tight(small[0])
 
     def test_text_with_nul_raises(self):
         with pytest.raises(ValueError, match="NUL"):

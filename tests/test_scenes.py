@@ -38,6 +38,9 @@ def test_height_field_validation():
     for origin, cell in (((0, 0), math.nan), ((0, 0), math.inf), ((math.nan, 0), 10.0)):
         with pytest.raises(SceneError):
             HeightField(origin, cell, np.array([[1.0]]))
+    for origin in ((0,), (0, 0, 5), ()):
+        with pytest.raises(SceneError, match="origin must be 2 finite numbers"):
+            HeightField(origin, 10.0, np.array([[1.0]]))
 
 
 def test_cube_contains():
@@ -50,6 +53,9 @@ def test_cube_contains():
     for center, edge in (((0, 0, 0), 0.0), ((0, 0, 0), math.nan), ((0, math.inf, 0), 1.0)):
         with pytest.raises(SceneError):
             Cube(center, edge)
+    for center in ((0, 0), (0, 0, 0, 0), ()):
+        with pytest.raises(SceneError, match="center must be 3 finite numbers"):
+            Cube(center, 5.0)
 
 
 def test_tube_validation():

@@ -222,6 +222,9 @@ class TestScanConfig:
             {"width": math.nan},
             {"step_mm": math.inf},
             {"origin": (0.0, math.nan)},
+            {"origin": (0.0,)},
+            {"origin": (0.0, 0.0, 5.0)},
+            {"origin": ()},
             {"arm_z": math.inf},
         ],
     )

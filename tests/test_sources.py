@@ -1,5 +1,6 @@
-"""Checks on the source files themselves: no unused imports, and the
-README's library example runs."""
+"""Checks on the source files themselves: no unused imports, no private
+module-level name that the package never reads, and the README's library
+example runs."""
 
 import ast
 import contextlib
@@ -15,6 +16,7 @@ SOURCES = sorted(
     p for p in [*(ROOT / "src" / "coilkin").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src" / "coilkin").glob("*.py"))
 
 
 def dotted(node):
@@ -53,6 +55,44 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     tree = ast.parse("import os\nimport a.b\nimport a.c\nfrom x import y as z\nos.sep\na.c.d\n")
     assert unused_imports(tree) == [(2, "a.b"), (4, "z")]
+
+
+def unread_private_names(trees):
+    """(module, name) of every module-level private function, class or
+    constant of the {module: tree} `trees` that none of them reads; an
+    import of the name counts as a read."""
+    defined, read = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_no_unread_private_names():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    assert unread_private_names(trees) == []
+
+
+def test_unread_private_name_is_found():
+    trees = {
+        "a.py": ast.parse("_A, _B = 1, 2\n_C: int = 3\ndef _f(): return _A\nclass _K: pass\n__all__ = []\n"),
+        "b.py": ast.parse("from .a import _C\nimport a\na._K\n"),
+    }
+    assert unread_private_names(trees) == [("a.py", "_B"), ("a.py", "_f")]
 
 
 def test_readme_example_runs():
