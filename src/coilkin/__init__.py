@@ -17,13 +17,10 @@ from .errors import (
 from .geometry import RobotGeometry
 from .kinematics import (
     ArcState,
-    TendonSet,
     arc_kernel,
-    fk_point,
-    fk_tip,
+    fk,
     ik,
     ik_kernel,
-    tendon_lengths,
 )
 from .perception import (
     ErrorReport,

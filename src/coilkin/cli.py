@@ -19,7 +19,7 @@ from .actuation import max_payout
 from .columns import write_rows
 from .errors import CoilkinError, ConfigError
 from .geometry import RobotGeometry
-from .kinematics import ArcState, fk_point, fk_tip, ik, tendon_lengths
+from .kinematics import ArcState, fk, ik
 from .perception import reconstruct, to_feature
 from .scenes import Cube, Tube, load_scene
 from .simulator import (
@@ -76,14 +76,8 @@ def _print_record(record):
 def cmd_fk(args) -> int:
     geom = _geometry(args)
     state = ArcState(math.radians(args.alpha), math.radians(args.theta), args.s)
-    u = fk_point(state, geom)
-    e = fk_tip(state, geom)
-    _print_record(
-        {
-            "xU": u[0], "yU": u[1], "zU": u[2],
-            "xE": e[0], "yE": e[1], "zE": e[2],
-        }
-    )
+    kin = fk(state, geom)
+    _print_record(dict(zip(("xU", "yU", "zU", "xE", "yE", "zE"), kin.u.tolist() + kin.e.tolist())))
     return 0
 
 
@@ -104,8 +98,7 @@ def cmd_ik(args) -> int:
 def cmd_tendons(args) -> int:
     geom = _geometry(args)
     state = ArcState(math.radians(args.alpha), math.radians(args.theta), args.s)
-    q = tendon_lengths(state, geom)
-    _print_record({"q1": q.q1, "q2": q.q2, "q3": q.q3, "q4": q.q4})
+    _print_record(dict(zip(("q1", "q2", "q3", "q4"), fk(state, geom).q.tolist())))
     return 0
 
 

@@ -52,18 +52,22 @@ def _distinct(bits):
 
 
 def _digits(values) -> np.ndarray:
-    """The decimal text of each integer: a minus sign or NUL, then the
-    digits right-aligned behind NULs."""
+    """The decimal text of each integer, as wide as the longest: a negative
+    value's minus sign in the first column, the digits right-aligned behind
+    NULs."""
+    negative = values < 0
     magnitude = np.abs(values).astype(np.uint64)  # abs(int64 min) wraps to 2**63
-    width = len(str(int(magnitude.max(initial=0))))
-    table = np.zeros((magnitude.size, width + 1), np.uint8)
-    table[values < 0, 0] = ord("-")
-    for place in range(width, 0, -1):
+    # The longest text is that of the largest magnitude of either sign.
+    width = max(len(str(int(magnitude.max(initial=0, where=~negative)))),
+                len(str(-int(magnitude.max(initial=0, where=negative)))))
+    table = np.zeros((magnitude.size, width), np.uint8)
+    table[negative, 0] = ord("-")
+    for place in range(width - 1, -1, -1):
         # A place before the first digit stays NUL; 0 has the one digit 0.
         np.copyto(table[:, place], magnitude % 10 + ord("0"), casting="unsafe",
-                  where=(magnitude > 0) | (place == width))
+                  where=(magnitude > 0) | (place == width - 1))
         magnitude //= 10
-    return table.view(f"S{width + 1}")[:, 0]
+    return table.view(f"S{width}")[:, 0]
 
 
 def _float_texts(entries, nan) -> np.ndarray:
@@ -141,8 +145,7 @@ def text_column(*arrays, nan="nan"):
     (last axis) at a time, which bounds the scratch memory, passes each
     distinct magnitude to repr, a negative value's text being "-" and its
     magnitude's, and writes integers as digits by numpy. The table is as
-    wide as its longest text, or a byte wider where those digits leave
-    their column for a minus sign empty.
+    wide as its longest text.
     """
     arrays = list(map(np.asarray, arrays))
     large = sum(values.size for values in arrays) >= DEDUPE_MIN_SIZE

@@ -8,9 +8,9 @@ lengths are millimeters, all angles radians.
 
 U, the tip tangent, E and the tendon lengths come from arc_kernel, and the
 inverse map from a target to (alpha, theta, s) from ik_kernel; both
-broadcast over arrays. The scalar functions wrap them for one ArcState,
-which checks itself when built; they add only the geometry's length bound
-and, in ik, the typed error of a failing status.
+broadcast over arrays. fk and ik wrap them for one ArcState, which checks
+itself when built; they add only the geometry's length bound and, in ik,
+the typed error of a failing status.
 """
 
 import math
@@ -69,16 +69,6 @@ class ArcState:
         return self.s / self.theta if self.theta else math.inf
 
 
-@dataclass(frozen=True)
-class TendonSet:
-    """Four tendon lengths in mm, indexed 1..4 counterclockwise from +x."""
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-
-
 def _check_length(s: float, geom: RobotGeometry):
     """Reject a backbone length outside the geometry's [s_min, s_max]."""
     if not geom.s_min <= s <= geom.s_max:
@@ -129,25 +119,11 @@ def arc_kernel(alpha, theta, s, d: float, l: float) -> ArcKinematics:
     return ArcKinematics(u, tangent, u + l * tangent, q)
 
 
-def _evaluate(state: ArcState, geom: RobotGeometry) -> ArcKinematics:
+def fk(state: ArcState, geom: RobotGeometry) -> ArcKinematics:
+    """arc_kernel's row for one arc state within the geometry's length
+    bounds: spring top u, tip tangent, tip e and tendon lengths q."""
     _check_length(state.s, geom)
     return arc_kernel(state.alpha, state.theta, state.s, geom.d, geom.l)
-
-
-def fk_point(state: ArcState, geom: RobotGeometry) -> np.ndarray:
-    """Spring-top center U in Frame D."""
-    return _evaluate(state, geom).u
-
-
-def fk_tip(state: ArcState, geom: RobotGeometry) -> np.ndarray:
-    """Tip position E = U + l * (tip tangent) in Frame D."""
-    return _evaluate(state, geom).e
-
-
-def tendon_lengths(state: ArcState, geom: RobotGeometry) -> TendonSet:
-    """Tendon lengths: an arc where the anchor faces the bend
-    (cos(alpha - phi_i) > TIE_EPS), a straight chord otherwise."""
-    return TendonSet(*_evaluate(state, geom).q.tolist())
 
 
 # ik_kernel's status codes, which its docstring and the README give as

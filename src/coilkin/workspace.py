@@ -9,7 +9,7 @@ from .columns import check_node_count, text_column, write_rows
 from .errors import ConfigError, EmptyWorkspaceError
 from .geometry import RobotGeometry
 from .kinematics import HALF_PI, TWO_PI, ArcState, arc_kernel
-from .ply import header
+from .ply import write_points
 
 REASON_OK = "ok"
 REASON_SERVO = "servo-out-of-range"
@@ -108,6 +108,4 @@ def write_files(ws: Workspace, csv_path, ply_path):
     with open(csv_path, "wb") as csv:
         csv.write(b"alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason\n")
         write_rows(csv, [ws.alpha, ws.theta, ws.s, u, ws.e, ws.feasible, reasons])
-    with open(ply_path, "wb") as ply:
-        ply.write(header(np.count_nonzero(ws.feasible)).encode())
-        write_rows(ply, [(u[0], u[1][ws.feasible])], sep=" ")
+    write_points((u[0], u[1][ws.feasible]), ply_path)

@@ -19,12 +19,12 @@ from coilkin import (
     Tube,
     error_stats,
     explore_tube,
+    fk,
     ik,
     max_payout,
     reconstruct,
     servo_angles,
     surface_scan,
-    tendon_lengths,
     to_feature,
 )
 from coilkin.actuation import beyond_servo_range
@@ -100,7 +100,7 @@ def test_c3_tendon_case_split():
     """Quarter bend, d = 12: inner tendon takes the arc branch, the opposite
     one the chord branch, matching hand-derived values within 0.01 mm."""
     state = ArcState(0.0, math.pi / 2, 70.0)
-    q = tendon_lengths(state, GEOM)
+    q = fk(state, GEOM).q.tolist()
     # Independent oracle: direct evaluation of the anchor/center geometry.
     r, d, theta = 140.0 / math.pi, 12.0, math.pi / 2
     center = (r, 0.0)
@@ -109,16 +109,16 @@ def test_c3_tendon_case_split():
     ph3 = (-d * math.cos(theta) + xu, 0.0, d * math.sin(theta) + zu)
     q3_oracle = math.dist((-d, 0.0, 0.0), ph3)
     ok = (
-        abs(q.q1 - 51.15) <= 0.01
-        and abs(q.q3 - 79.99) <= 0.01
-        and abs(q.q1 - q1_oracle) <= 1e-9
-        and abs(q.q3 - q3_oracle) <= 1e-9
+        abs(q[0] - 51.15) <= 0.01
+        and abs(q[2] - 79.99) <= 0.01
+        and abs(q[0] - q1_oracle) <= 1e-9
+        and abs(q[2] - q3_oracle) <= 1e-9
         and abs(q1_oracle - (r - d) * theta) <= 1e-12
     )
     report(
         "C3 tendon case split",
         ok,
-        f"q1={q.q1:.4f} (oracle {q1_oracle:.4f}), q3={q.q3:.4f} (oracle {q3_oracle:.4f})",
+        f"q1={q[0]:.4f} (oracle {q1_oracle:.4f}), q3={q[2]:.4f} (oracle {q3_oracle:.4f})",
     )
 
 

@@ -88,6 +88,20 @@ class TestKinematicsCommands:
         assert record["q1"] == pytest.approx(51.15, abs=0.01)
         assert record["q3"] == pytest.approx(79.99, abs=0.01)
 
+    @pytest.mark.parametrize("command", ["fk", "tendons"])
+    def test_one_kernel_call(self, monkeypatch, command):
+        calls = []
+        kernel = coilkin.kinematics.arc_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(coilkin.kinematics, "arc_kernel", counted)
+        stdout, _, code, _ = run_main([command, "--alpha", "30", "--theta", "40", "--s", "60"])
+        assert code == 0 and stdout
+        assert len(calls) == 1
+
     def test_unreachable_exits_3(self):
         proc = run_cli("ik", 70, 0, 70)
         assert proc.returncode == 3

@@ -12,7 +12,11 @@ change only the last bits of a float.
 
 The inputs are fixed: the five C6 scenes of the acceptance suite (stored
 as JSON under `tests/golden/scenes/`), one small workspace grid whose
-servo range leaves some samples infeasible, and the C5 tube explorations.
+servo range leaves some samples infeasible, the C5 tube explorations, and
+the scalar commands: `fk` and `tendons` at a generic state and at the
+alpha 0, theta 90 tie state, `ik` at a generic target and at pure
+compression. A scalar case writes no file, so only its stdout is kept and
+its command gets no `--out`.
 The `scan_plateau_pressure` case pins the seeded `pressure.csv` of
 `scan --pressure-synth`. To re-capture after an intended output change,
 run from the repo root
@@ -57,13 +61,25 @@ CASES = {
         for offset in (35, 55, 75, 95)
     },
     "explore_control": (["explore", "--no-obstacle"], EXPLORE_FILES),
+    **{
+        f"{command}_{state}": ([command, "--alpha", alpha, "--theta", theta, "--s", s], ())
+        for command in ("fk", "tendons")
+        for state, (alpha, theta, s) in {"generic": ("30", "40", "60"), "tie": ("0", "90", "70")}.items()
+    },
+    "ik_generic": (["ik", "12", "-7", "48"], ()),
+    "ik_compression": (["ik", "0", "0", "20"], ()),
 }
+
+
+def _argv(name, out_dir):
+    """The case's argv, with --out for a command that writes files."""
+    argv, files = CASES[name]
+    return [*argv, "--out", str(out_dir)] if files else argv
 
 
 def run_case(name, out_dir, capsys):
     """Run one case into out_dir; returns stdout. Fails on a non-zero exit."""
-    argv, _ = CASES[name]
-    code = main([*argv, "--out", str(out_dir)])
+    code = main(_argv(name, out_dir))
     assert code == 0, f"{name}: exit {code}"
     return capsys.readouterr().out
 
@@ -135,19 +151,19 @@ def capture(names=()):
         doc = {"type": "height_field", "origin": [0, 0], "cell_mm": 10, "heights": grid.tolist()}
         (SCENES / f"{name}.json").write_text(json.dumps(doc) + "\n")
     for name in names or CASES:
-        argv, files = CASES[name]
+        files = CASES[name][1]
         case_dir = GOLDEN / name
         case_dir.mkdir(parents=True, exist_ok=True)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main([*argv, "--out", str(case_dir)])
+            code = main(_argv(name, case_dir))
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
         (case_dir / "stdout.txt").write_text(stdout.getvalue())
         for path in case_dir.iterdir():
             if path.name not in (*files, "stdout.txt"):
                 path.unlink()
-        print(f"{name}: {', '.join(files)}")
+        print(f"{name}: {', '.join((*files, 'stdout.txt'))}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ r-based frame chain itself lives in kinematics_oracle, beside this file.
 
 import math
 import sys
-from dataclasses import FrozenInstanceError, astuple, fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -22,11 +22,9 @@ from coilkin import (
     InvalidStateError,
     RobotGeometry,
     UnreachableTargetError,
-    fk_point,
-    fk_tip,
+    fk,
     ik,
     ik_kernel,
-    tendon_lengths,
 )
 from coilkin.kinematics import HALF_PI, PLANAR_EPS, TIE_EPS, arc_kernel
 from kinematics_oracle import (
@@ -109,9 +107,9 @@ class TestFkTransform:
 
     def test_continuity_at_small_theta(self):
         state = ArcState(1.3, 1e-6, 50.0)
-        assert fk_point(state, GEOM) == pytest.approx([0.0, 0.0, 50.0], abs=1e-3)
-        q = tendon_lengths(state, GEOM)
-        assert astuple(q) == pytest.approx((50.0,) * 4, abs=1e-3)
+        kin = fk(state, GEOM)
+        assert kin.u == pytest.approx([0.0, 0.0, 50.0], abs=1e-3)
+        assert kin.q == pytest.approx((50.0,) * 4, abs=1e-3)
 
     def test_invalid_states_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -124,16 +122,16 @@ class TestFkTransform:
 
 class TestFkTip:
     def test_straight_stack(self):
-        tip = fk_tip(ArcState(0.0, 0.0, 70.0), GEOM)
+        tip = fk(ArcState(0.0, 0.0, 70.0), GEOM).e
         assert tip == pytest.approx([0.0, 0.0, 123.0], abs=0.0)
 
     def test_quarter_bend_tip(self):
-        tip = fk_tip(ArcState(0.0, math.pi / 2, 70.0), GEOM)
+        tip = fk(ArcState(0.0, math.pi / 2, 70.0), GEOM).e
         assert tip == pytest.approx([QUARTER + 53.0, 0.0, QUARTER], abs=1e-9)
 
     def test_mirror_bend_reduces_to_spring_top(self):
         geom = replace(GEOM, l=0.0)
-        tip = fk_tip(ArcState(math.pi, math.pi / 2, 70.0), geom)
+        tip = fk(ArcState(math.pi, math.pi / 2, 70.0), geom).e
         assert tip == pytest.approx([-QUARTER, 0.0, QUARTER], abs=1e-9)
 
     @given(
@@ -143,8 +141,8 @@ class TestFkTip:
     )
     @settings(max_examples=200, deadline=None)
     def test_half_turn_mirrors_through_z(self, alpha, theta, s):
-        a = fk_tip(ArcState(alpha, theta, s), GEOM)
-        b = fk_tip(ArcState(alpha + math.pi, theta, s), GEOM)
+        a = fk(ArcState(alpha, theta, s), GEOM).e
+        b = fk(ArcState(alpha + math.pi, theta, s), GEOM).e
         assert b == pytest.approx([-a[0], -a[1], a[2]], abs=1e-9)
 
 
@@ -208,7 +206,7 @@ class TestIk:
     @settings(max_examples=300, deadline=None)
     def test_round_trip(self, alpha, theta, s):
         state = ArcState(alpha, theta, s)
-        back = ik(fk_point(state, GEOM), GEOM)
+        back = ik(fk(state, GEOM).u, GEOM)
         assert angles_close(back.alpha, state.alpha)
         assert back.theta == pytest.approx(theta, rel=1e-9, abs=1e-9)
         assert back.r == pytest.approx(state.r, rel=1e-9)
@@ -275,31 +273,31 @@ class TestAttachmentPoints:
 
 class TestTendonLengths:
     def test_straight_all_equal_backbone(self):
-        q = tendon_lengths(ArcState(0.0, 0.0, 45.0), GEOM)
-        assert astuple(q) == (45.0, 45.0, 45.0, 45.0)
+        q = fk(ArcState(0.0, 0.0, 45.0), GEOM).q
+        assert q.tolist() == [45.0, 45.0, 45.0, 45.0]
 
     def test_quarter_bend_inner_arc(self):
-        q = tendon_lengths(ArcState(0.0, math.pi / 2, 70.0), GEOM)
+        q = fk(ArcState(0.0, math.pi / 2, 70.0), GEOM).q
         # (r - d) * theta = 70 - 6*pi
-        assert q.q1 == pytest.approx(70.0 - 6.0 * math.pi, abs=1e-9)
-        assert q.q1 == pytest.approx(51.15044407846124, abs=1e-9)
+        assert q[0] == pytest.approx(70.0 - 6.0 * math.pi, abs=1e-9)
+        assert q[0] == pytest.approx(51.15044407846124, abs=1e-9)
 
     def test_quarter_bend_outer_chord(self):
-        q = tendon_lengths(ArcState(0.0, math.pi / 2, 70.0), GEOM)
+        q = fk(ArcState(0.0, math.pi / 2, 70.0), GEOM).q
         oracle = math.dist((-12.0, 0.0, 0.0), (QUARTER, 0.0, 12.0 + QUARTER))
-        assert q.q3 == pytest.approx(oracle, abs=1e-9)
-        assert q.q3 == pytest.approx(79.99270487947457, abs=1e-9)
+        assert q[2] == pytest.approx(oracle, abs=1e-9)
+        assert q[2] == pytest.approx(79.99270487947457, abs=1e-9)
 
     def test_boundary_tie_takes_chord(self):
         # At alpha = 0 tendons 2 and 4 sit exactly on the case boundary.
         state = ArcState(0.0, math.pi / 2, 70.0)
-        q = tendon_lengths(state, GEOM)
+        q = fk(state, GEOM).q
         _, upper = attachment_points(state, GEOM)
         chord2 = math.dist((0.0, 12.0, 0.0), tuple(upper[1]))
         arc2 = math.hypot(state.r, 12.0) * state.theta
-        assert q.q2 == pytest.approx(chord2, abs=1e-12)
-        assert q.q4 == pytest.approx(chord2, abs=1e-12)
-        assert abs(q.q2 - arc2) > 1.0  # the two branches differ clearly here
+        assert q[1] == pytest.approx(chord2, abs=1e-12)
+        assert q[3] == pytest.approx(chord2, abs=1e-12)
+        assert abs(q[1] - arc2) > 1.0  # the two branches differ clearly here
 
     @given(
         alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
@@ -312,12 +310,9 @@ class TestTendonLengths:
         # the boundary (alpha at a multiple of pi/2); stay off it.
         off_boundary = abs(math.remainder(alpha, math.pi / 2))
         assume(off_boundary > 1e-6)
-        qa = tendon_lengths(ArcState(alpha, theta, s), GEOM)
-        qb = tendon_lengths(ArcState(alpha + math.pi, theta, s), GEOM)
-        assert qb.q1 == pytest.approx(qa.q3, abs=1e-9)
-        assert qb.q3 == pytest.approx(qa.q1, abs=1e-9)
-        assert qb.q2 == pytest.approx(qa.q4, abs=1e-9)
-        assert qb.q4 == pytest.approx(qa.q2, abs=1e-9)
+        qa = fk(ArcState(alpha, theta, s), GEOM).q
+        qb = fk(ArcState(alpha + math.pi, theta, s), GEOM).q
+        assert qb == pytest.approx(qa[[2, 3, 0, 1]], abs=1e-9)
 
     @given(
         alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
@@ -326,8 +321,8 @@ class TestTendonLengths:
     )
     @settings(max_examples=200, deadline=None)
     def test_all_positive(self, alpha, theta, s):
-        q = tendon_lengths(ArcState(alpha, theta, s), GEOM)
-        assert all(v > 0.0 for v in astuple(q))
+        q = fk(ArcState(alpha, theta, s), GEOM).q
+        assert (q > 0.0).all()
 
 
 # Generic bend-plane angles plus the quadrant angles and their 1e-13 rad
@@ -353,15 +348,15 @@ class TestTieRule:
     @settings(max_examples=300, deadline=None)
     def test_quarter_turn_permutes_tendons(self, alpha, theta, s):
         # Tendon i+1 faces alpha + pi/2 the way tendon i faces alpha.
-        q = astuple(tendon_lengths(ArcState(alpha, theta, s), GEOM))
-        turned = astuple(tendon_lengths(ArcState(alpha + math.pi / 2, theta, s), GEOM))
-        assert turned == pytest.approx(q[-1:] + q[:-1], abs=1e-12)
+        q = fk(ArcState(alpha, theta, s), GEOM).q
+        turned = fk(ArcState(alpha + math.pi / 2, theta, s), GEOM).q
+        assert turned == pytest.approx(np.roll(q, 1), abs=1e-12)
 
     def test_rounding_of_alpha_does_not_switch_branch(self):
         # theta = 1 rad, s = 60: arc and chord of tendon 2 differ by 3.66 mm here.
-        at_zero = tendon_lengths(ArcState(0.0, 1.0, 60.0), GEOM)
-        nudged = tendon_lengths(ArcState(1e-13, 1.0, 60.0), GEOM)
-        assert astuple(nudged) == pytest.approx(astuple(at_zero), abs=1e-9)
+        at_zero = fk(ArcState(0.0, 1.0, 60.0), GEOM).q
+        nudged = fk(ArcState(1e-13, 1.0, 60.0), GEOM).q
+        assert nudged == pytest.approx(at_zero, abs=1e-9)
 
 
 class TestArcKernel:
@@ -388,11 +383,8 @@ class TestArcKernel:
         kin = arc_kernel(alpha, theta, s, GEOM.d, GEOM.l)
         for i in range(64):
             state = ArcState(alpha[i], theta[i], s[i])
-            assert fk_point(state, GEOM) == pytest.approx(kin.u[i], abs=1e-12)
-            assert fk_tip(state, GEOM) == pytest.approx(kin.e[i], abs=1e-12)
-            tangent = arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
-            assert tangent == pytest.approx(kin.tangent[i], abs=1e-12)
-            assert astuple(tendon_lengths(state, GEOM)) == pytest.approx(kin.q[i], abs=1e-12)
+            for got, row in zip(fk(state, GEOM), kin):
+                assert got == pytest.approx(row[i], abs=1e-12)
 
     @given(
         alpha=st.floats(0.0, 2.0 * math.pi, exclude_max=True),

@@ -66,8 +66,9 @@ def from_bits(bits: int) -> float:
 
 
 def assert_tight(table):
-    """The table is as wide as its longest text (numpy's least width is 1)."""
-    assert table.itemsize == max([1, *map(len, table.tolist())])
+    """The table is as wide as its longest text, NUL padding not counted
+    (numpy's least width is 1)."""
+    assert table.itemsize == max([1, *(len(text.replace(b"\0", b"")) for text in table.tolist())])
 
 
 # Floats whose text is easy to get wrong: NaN (with the sign bit, with a
@@ -196,17 +197,21 @@ class TestColumnText:
 
     @given(parts=SMALL_CALLS, padding=st.sampled_from(["float", "int", "bool"]), nan=st.sampled_from(["", "nan"]),
            seed=st.integers(0, 2**32 - 1))
+    @example(parts=[np.zeros(0, np.int64)], padding="bool", nan="", seed=0)
+    @example(parts=[np.array([100, -5])], padding="bool", nan="", seed=0)
     @settings(max_examples=60, deadline=None)
     def test_small_and_large_calls_agree(self, parts, padding, nan, seed):
         """The arrays of a small call, padded with DEDUPE_MIN_SIZE more
         values into a large call, keep their text: both ways are repr of
-        each float (or `nan`), str of each integer, 1/0 and the text."""
+        each float (or `nan`), str of each integer, 1/0 and the text, in a
+        table as wide as the longest text."""
         small = text_column(*parts, nan=nan)
         assert sum(np.size(part) for part in parts) < DEDUPE_MIN_SIZE
         large = text_column(*parts, random_column(np.random.default_rng(seed), padding, DEDUPE_MIN_SIZE), nan=nan)
         for part, codes, padded in zip(parts, small[1:], large[1:]):
             assert texts(small[0], codes) == texts(large[0], padded) == sum(reference_text(part, nan), [])
         assert_tight(small[0])
+        assert_tight(large[0])
 
     def test_text_with_nul_raises(self):
         with pytest.raises(ValueError, match="NUL"):

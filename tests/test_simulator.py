@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,9 +26,8 @@ from coilkin import (
     ServoRangeError,
     Tube,
     UnreachableTargetError,
-    arc_kernel,
     explore_tube,
-    fk_point,
+    fk,
     ik,
     pressure_detections,
     probe_columns,
@@ -36,7 +35,6 @@ from coilkin import (
     ring_path,
     servo_angles,
     surface_scan,
-    tendon_lengths,
 )
 import coilkin.columns
 import coilkin.kinematics
@@ -444,7 +442,7 @@ class TestRingPath:
             alpha = 2.0 * math.pi * k / cfg.n_directions
             radial = cfg.target_radial
             goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), GEOM)
-            q1 = astuple(tendon_lengths(goal, GEOM))
+            q1 = fk(goal, GEOM).q.tolist()
             m = max(1, math.ceil(max(abs(b - a) for a, b in zip(q0, q1)) / cfg.max_step_mm))
             for j in range(m + 1):
                 t = j / m
@@ -454,10 +452,10 @@ class TestRingPath:
         assert list(columns) == expected
         for (k, _, theta, s), q, tip in zip(expected, path.q, path.tip):
             state = ArcState(path.alpha[k], theta, s)
-            tangent = arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
-            d = fk_point(state, GEOM) + GEOM.probe_offset * tangent
+            kin = fk(state, GEOM)
+            d = kin.u + GEOM.probe_offset * kin.tangent
             assert tip == pytest.approx((d[0], -d[1], -d[2]), abs=1e-9)
-            assert q == pytest.approx(astuple(tendon_lengths(state, GEOM)), abs=1e-9)
+            assert q == pytest.approx(kin.q, abs=1e-9)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -532,7 +530,7 @@ def reference_mission(scene, geom, start, cfg):
     """explore_tube as a per-depth, per-waypoint loop over the scalar API:
     the probe rows (alpha, extension, contact, point or None), the log rows
     (arm, alpha, s, contact, point or None) and the stop depth."""
-    q0 = astuple(tendon_lengths(ArcState(0.0, 0.0, cfg.compressed_s), geom))
+    q0 = fk(ArcState(0.0, 0.0, cfg.compressed_s), geom).q.tolist()
     probes, log, depth = [], [], 0.0
     for _ in range(cfg.max_steps):
         depth += cfg.descent_step
@@ -543,15 +541,15 @@ def reference_mission(scene, geom, start, cfg):
             alpha = 2.0 * math.pi * k / cfg.n_directions
             radial = cfg.target_radial
             goal = ik((radial * math.cos(alpha), radial * math.sin(alpha), cfg.target_z), geom)
-            q1 = astuple(tendon_lengths(goal, geom))
+            q1 = fk(goal, geom).q.tolist()
             n = max(1, math.ceil(max(abs(b - a) for a, b in zip(q0, q1)) / cfg.max_step_mm))
             probe = (alpha, goal.s, False, None)
             for step in range(n + 1):
                 t = step / n
                 s = cfg.compressed_s + t * (goal.s - cfg.compressed_s)
                 state = ArcState(alpha, t * goal.theta, s)
-                tangent = arc_kernel(state.alpha, state.theta, state.s, 0.0, 0.0).tangent
-                d = fk_point(state, geom) + geom.probe_offset * tangent
+                kin = fk(state, geom)
+                d = kin.u + geom.probe_offset * kin.tangent
                 tip = (arm[0] + d[0], arm[1] - d[1], arm[2] - d[2])
                 wall = math.hypot(tip[0] - arm[0], tip[1] - arm[1]) >= scene.inner_radius_mm
                 if wall or (scene.obstacle is not None and scene.obstacle.contains(tip)):

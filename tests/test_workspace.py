@@ -1,7 +1,7 @@
 """Workspace sampling, feasibility classification and exports."""
 
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +10,10 @@ from coilkin import (
     ConfigError,
     EmptyWorkspaceError,
     RobotGeometry,
-    fk_point,
-    fk_tip,
+    fk,
     ik,
     sample_workspace,
     servo_angles,
-    tendon_lengths,
     workspace_extents,
 )
 import coilkin.columns
@@ -165,9 +163,10 @@ def test_matches_per_sample_loop():
         assert len(samples) == math.prod(grid)
         assert sum(not s.feasible for s in samples) > 0
         for smp in samples:
-            assert smp.u == pytest.approx(fk_point(smp.state, geom), abs=1e-12)
-            assert smp.e == pytest.approx(fk_tip(smp.state, geom), abs=1e-12)
-            angles, _ = servo_angles(astuple(tendon_lengths(smp.state, geom)), geom.s_max, geom)
+            kin = fk(smp.state, geom)
+            assert smp.u == pytest.approx(kin.u, abs=1e-12)
+            assert smp.e == pytest.approx(kin.e, abs=1e-12)
+            angles, _ = servo_angles(kin.q, geom.s_max, geom)
             reason = REASON_SERVO if beyond_servo_range(angles, geom).any() else REASON_OK
             assert (smp.feasible, smp.reason) == (reason == REASON_OK, reason)
         try:
