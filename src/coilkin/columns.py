@@ -11,8 +11,8 @@ from .errors import ConfigError
 # explore depth x waypoint tips). Under tracemalloc a whole 1 mm scan
 # command (40,401 nodes) peaks at about 146 bytes per node, 259 with
 # pressure synthesis, and a workspace command on the default grid at about
-# 284 per sample, writers included (tests/test_cli.py bounds them at 180,
-# 320 and 300), so 512 bytes a node fits 1 GiB.
+# 260 per sample, writers included (tests/test_cli.py bounds them at 180,
+# 320 and 275), so 512 bytes a node fits 1 GiB.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
 # A text_column call of this many values or more formats each distinct
@@ -192,10 +192,11 @@ def write_rows(fh, columns, sep=",", nan="nan"):
     Every column holds N rows: a (table, codes) pair as text_column returns
     it, with codes (N,) or (N, k) for k cells a row, or an array, 1-D or
     (N, k). A run of array columns is encoded by one text_column call, with
-    `nan` for NaN. Each block of CHUNK_ROWS rows is assembled as bytes in a
-    (rows, width) buffer: one gather per column puts each cell's text in
-    place, a separator byte follows every cell and a newline the last, and
-    the NUL padding is dropped as the block is written.
+    `nan` for NaN. Each block of CHUNK_ROWS rows is assembled as bytes in
+    one buffer of fixed-width lines: a separator byte follows every cell
+    and a newline the last, one gather per column copies each cell's
+    NUL-padded text into place through a strided view of the table's own
+    dtype, and the NUL padding is dropped as the block is written.
     """
     groups = []
     for encoded, run in itertools.groupby(columns, lambda col: isinstance(col, tuple)):
@@ -207,14 +208,16 @@ def write_rows(fh, columns, sep=",", nan="nan"):
     n = len(groups[0][1])
     counts = [codes.shape[1] if codes.ndim == 2 else 1 for _, codes in groups]  # cells per row
     widths = [(table.itemsize + 1) * k for (table, _), k in zip(groups, counts)]
-    # A row of every cell's NUL padding, then its separator or the newline.
-    row = b"".join((b"\0" * table.itemsize + sep.encode()) * k for (table, _), k in zip(groups, counts))
-    buf = np.empty((min(n, CHUNK_ROWS), len(row)), np.uint8)
-    buf[:] = np.frombuffer(row[:-1] + b"\n", np.uint8)
+    # A line of every cell's NUL padding, then its separator or the newline.
+    line = b"".join((b"\0" * table.itemsize + sep.encode()) * k for (table, _), k in zip(groups, counts))
+    line = line[:-1] + b"\n"
+    buf = bytearray(line * min(n, CHUNK_ROWS))
     for first in range(0, n, CHUNK_ROWS):
-        block = buf[: n - first]
+        rows = min(n - first, CHUNK_ROWS)
         for (table, codes), k, end, width in zip(groups, counts, itertools.accumulate(widths), widths):
-            text = table.take(codes[first : first + CHUNK_ROWS]).view(np.uint8)
-            cells = block[:, end - width : end].reshape(-1, k, table.itemsize + 1)
-            cells[:, :, :-1] = text.reshape(len(block), k, table.itemsize)
-        fh.write(block[block != 0])
+            cells = np.ndarray((rows, k), table.dtype, buf, end - width, (len(line), table.itemsize + 1))
+            cells[...] = table.take(codes[first : first + rows]).reshape(rows, k)
+        # translate allocates its result at its input's size, so only a last
+        # block shorter than the buffer is sliced (copied) first.
+        size = rows * len(line)
+        fh.write((buf if size == len(buf) else buf[:size]).translate(None, b"\0"))

@@ -77,9 +77,16 @@ class MissionLog:
         codes."""
         (k, n), m = np.shape(self.s), len(self.move_arm)
         stop = min(stop, m)
-        step = np.arange(start * (n + 1), stop * (n + 1) - n * (stop > k))
-        move, slot = np.divmod(step, n + 1)
-        return step, np.concatenate([arm[move], alpha[slot], probes[(step - move) * (slot > 0)]], axis=1)
+        probed = max(0, min(stop, k) - start)  # the moves with probes
+        a, b, p = arm.shape[1], alpha.shape[1], probes.shape[1]
+        rows = np.empty((stop - start, n + 1, a + b + p), np.result_type(arm, alpha, probes))
+        rows[:, :, :a] = arm[start:stop, None]
+        rows[:, :, a : a + b] = alpha
+        rows[:, 0, a + b :] = probes[0]
+        rows[:probed, 1:, a + b :] = probes[1 + start * n : 1 + (start + probed) * n].reshape(probed, n, p)
+        # A last move without probes keeps only its own row.
+        rows = rows.reshape(-1, a + b + p)[: (stop - start) * (n + 1) - n * (stop > k)]
+        return np.arange(start * (n + 1), start * (n + 1) + len(rows)), rows
 
     def write(self, path):
         """The events.csv file: the text of every column but the step index
@@ -170,13 +177,23 @@ def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float 
     return s_q, contact, contact_z
 
 
+def _store_floats(cfg, *names):
+    """Store the named fields of a frozen config as Python floats (None
+    stays None), whatever number type the caller passed, so that no int or
+    numpy scalar reaches the text of an output."""
+    for name in names:
+        if getattr(cfg, name) is not None:
+            object.__setattr__(cfg, name, float(getattr(cfg, name)))
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Zig-zag X-Y coverage: width x height mm visited in step_mm strides.
 
     arm_z = None drops the floor exactly at full extension reach, which
     keeps every cell of a desk-scale object measurable. A grid of more than
-    columns.MAX_NODES nodes raises ConfigError.
+    columns.MAX_NODES nodes raises ConfigError. Every number is stored as a
+    float.
     """
 
     width: float = 200.0
@@ -194,6 +211,8 @@ class ScanConfig:
             raise ConfigError(
                 f"scan needs finite values, step and quantum > 0, size >= 0 and a 2-number origin: {self}"
             )
+        _store_floats(self, "width", "height", "step_mm", "quantum", "arm_z")
+        object.__setattr__(self, "origin", tuple(map(float, self.origin)))
         # A quotient that overflows to inf is rejected before round() sees it.
         check_node_count(max(self.width, self.height) / self.step_mm, "scan row")
         check_node_count(math.prod(self.shape), "scan grid")
@@ -235,7 +254,8 @@ def surface_scan(scene: HeightField, geom: RobotGeometry, cfg: ScanConfig = Scan
 @dataclass(frozen=True)
 class ExploreConfig:
     """Tube exploration parameters: descent schedule and ring-scan targets;
-    max_steps and n_directions are ints >= 1."""
+    max_steps and n_directions are ints >= 1, and every other field is
+    stored as a float."""
 
     descent_step: float = 20.0
     max_steps: int = 5
@@ -253,6 +273,7 @@ class ExploreConfig:
                   self.max_step_mm)
         if not all(map(math.isfinite, values)) or min(self.descent_step, self.max_step_mm) <= 0.0:
             raise ConfigError(f"explore needs finite values, descent_step and max_step_mm > 0: {self}")
+        _store_floats(self, "descent_step", "compressed_s", "target_radial", "target_z", "max_step_mm")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1028,4 +1028,4 @@ class TestCommandMemory:
     def test_workspace_bytes_per_sample(self, tmp_path):
         """The default 72 x 19 x 11 grid: 15,048 samples."""
         peak = traced_peak(["workspace", "--out", str(tmp_path / "run")])
-        assert peak / 15048 < 300
+        assert peak / 15048 < 275

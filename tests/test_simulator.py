@@ -1,9 +1,11 @@
 """Mission simulation: vertical probes, surface scans, tube exploration."""
 
+import json
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -244,6 +246,23 @@ class TestScanConfig:
         cloud = surface_scan(FLAT, GEOM, ScanConfig(width=0.0, height=0.0))
         assert len(cloud.contact) == 1
 
+    @pytest.mark.parametrize("number", [int, np.float64, np.int64, np.float32])
+    def test_numbers_are_stored_as_floats(self, number, tmp_path):
+        """Every number field is a Python float whatever type was passed, so
+        the height map's header reads as it does for float fields."""
+        fields = {"width": 100.0, "height": 100.0, "step_mm": 10.0, "arm_z": 170.0, "quantum": 1.0}
+        cfg = ScanConfig(**{name: number(v) for name, v in fields.items()}, origin=(number(0), number(0)))
+        assert cfg == ScanConfig(**fields)
+        assert all(type(getattr(cfg, name)) is float for name in fields)
+        assert [type(v) for v in cfg.origin] == [float, float]
+        assert ScanConfig(**{**fields, "arm_z": None}).arm_z is None
+        texts = []
+        for config in (cfg, ScanConfig(**fields)):
+            reconstruct(surface_scan(plateau_scene(), GEOM, config)).write_csv(tmp_path / "h.csv")
+            texts.append((tmp_path / "h.csv").read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(b"# origin_x=-50.0 origin_y=-50.0 cell_mm=10.0\n")
+
 
 class TestExploreConfig:
     @pytest.mark.parametrize(
@@ -269,6 +288,19 @@ class TestExploreConfig:
     def test_rejects_bad_fields(self, fields):
         with pytest.raises(ConfigError):
             ExploreConfig(**fields)
+
+    def test_numbers_are_stored_as_floats(self):
+        """An int or numpy number is stored as a float, so the stop depth
+        is a float too; max_steps and n_directions stay ints."""
+        cfg = ExploreConfig(descent_step=20, compressed_s=np.int64(45), target_radial=np.float32(15),
+                            target_z=np.float64(60), max_step_mm=2)
+        assert cfg == ExploreConfig()
+        floats = ("descent_step", "compressed_s", "target_radial", "target_z", "max_step_mm")
+        assert all(type(getattr(cfg, name)) is float for name in floats)
+        assert type(cfg.max_steps) is int and type(cfg.n_directions) is int
+        result = explore_tube(Tube(174.0), GEOM, cfg=cfg)
+        assert type(result.stop_depth_mm) is float
+        assert json.dumps(result.stop_depth_mm) == "100.0"
 
 
 def reference_scan(scene, geom, cfg):
@@ -745,7 +777,49 @@ log_shapes = st.integers(1, 9).flatmap(
 )
 
 
+def reference_lay_out(log, arm, alpha, probes, start, stop):
+    """MissionLog._lay_out as the divmod rule it replaced: each step index
+    split into its move and slot, three gathers and one concatenate."""
+    (k, n), m = np.shape(log.s), len(log.move_arm)
+    stop = min(stop, m)
+    step = np.arange(start * (n + 1), stop * (n + 1) - n * (stop > k))
+    move, slot = np.divmod(step, n + 1)
+    return step, np.concatenate([arm[move], alpha[slot], probes[(step - move) * (slot > 0)]], axis=1)
+
+
+def layout_shapes(n):
+    """(m, n) with move counts on both sides of one and two write blocks of
+    CHUNK_ROWS // (n + 1) moves, and a few small ones."""
+    block = CHUNK_ROWS // (n + 1)
+    counts = st.one_of(st.integers(0, 4), *(st.integers(b - 1, b + 1) for b in (block, 2 * block)))
+    return st.tuples(counts, st.just(n))
+
+
 class TestMissionLog:
+    @given(shape=st.sampled_from([1, 8]).flatmap(layout_shapes), last_probes=st.booleans(),
+           alpha_column=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(0, 1), last_probes=True, alpha_column=False, seed=0)  # k = m = 0
+    @example(shape=(1, 8), last_probes=False, alpha_column=True, seed=1)  # k = 0, one move
+    @example(shape=(1024, 1), last_probes=False, alpha_column=False, seed=2)  # one full block
+    @example(shape=(228, 8), last_probes=True, alpha_column=True, seed=3)  # one block and one move
+    @settings(max_examples=40, deadline=None)
+    def test_layout_matches_divmod_rule(self, shape, last_probes, alpha_column, seed, log_dir):
+        """rows and the bytes write puts are those of the divmod layout
+        rule, with k = m or m - 1 probe rows (k = 0 included), n = 1 or 8
+        and move counts around the write's block size."""
+        (m, n), rng = shape, np.random.default_rng(seed)
+        k = m if last_probes else max(m - 1, 0)
+        alpha = mixed_values(rng, n) if alpha_column else -0.0
+        log = MissionLog(mixed_values(rng, (m, 3)), float(mixed_values(rng, ())[()]), alpha,
+                         mixed_values(rng, (k, n)), rng.random((k, n)) < 0.5, mixed_values(rng, (k, n, 3)))
+        rows = log.rows
+        with patch.object(MissionLog, "_lay_out", reference_lay_out):
+            expected = log.rows
+            expected_text = log_text(log, log_dir)
+        assert rows.shape == expected.shape == (m + k * n, 9)
+        assert rows.tobytes() == expected.tobytes()
+        assert log_text(log, log_dir) == expected_text
+
     @given(shape=log_shapes, last_probes=st.booleans(), alpha_column=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     @example(shape=(1024, 1), last_probes=True, alpha_column=False, seed=0)  # exactly CHUNK_ROWS
