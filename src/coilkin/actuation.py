@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError, finite_number
 from .geometry import RobotGeometry
 
 
@@ -44,8 +45,10 @@ def step_count(start, stop, max_step_mm: float):
     max_step_mm), at least 1, so that the endpoints differ by at most
     max_step_mm per step in every tendon. The four lengths sit in the last
     axis; leading axes broadcast over a batch. Counts are whole floats, so
-    a caller can check one too large for an int (or inf) before casting."""
+    a caller can check one too large for an int (or inf) before casting.
+    A max_step_mm that is not a finite number > 0 raises ConfigError."""
+    max_step_mm = finite_number(max_step_mm, "max_step_mm", ConfigError)
     if max_step_mm <= 0.0:
-        raise ValueError(f"max_step_mm must be > 0, got {max_step_mm}")
+        raise ConfigError(f"max_step_mm must be > 0, got {max_step_mm}")
     biggest = np.abs(np.subtract(stop, start)).max(axis=-1)
     return np.maximum(np.ceil(biggest / max_step_mm), 1.0)

@@ -185,14 +185,15 @@ def text_column(*arrays, nan="nan"):
     return (tables[0] if len(tables) == 1 else np.concatenate(tables or [np.zeros(0, "S1")]), *codes)
 
 
-def write_rows(fh, columns, sep=",", nan="nan"):
+def write_rows(fh, columns, sep=","):
     """Write one `sep`-delimited, newline-ended line per row of `columns` to
     the binary file fh; sep is one ASCII character.
 
     Every column holds N rows: a (table, codes) pair as text_column returns
     it, with codes (N,) or (N, k) for k cells a row, or an array, 1-D or
-    (N, k). A run of array columns is encoded by one text_column call, with
-    `nan` for NaN. Each block of CHUNK_ROWS rows is assembled as bytes in
+    (N, k). A run of array columns is encoded by one text_column call, which
+    writes NaN as nan; a caller that wants other NaN text encodes that
+    column itself. Each block of CHUNK_ROWS rows is assembled as bytes in
     one buffer of fixed-width lines: a separator byte follows every cell
     and a newline the last, one gather per column copies each cell's
     NUL-padded text into place through a strided view of the table's own
@@ -203,7 +204,7 @@ def write_rows(fh, columns, sep=",", nan="nan"):
         if encoded:
             groups += run
         else:
-            table, *codes = text_column(*run, nan=nan)
+            table, *codes = text_column(*run)
             groups += [(table, array_codes) for array_codes in codes]
     n = len(groups[0][1])
     counts = [codes.shape[1] if codes.ndim == 2 else 1 for _, codes in groups]  # cells per row

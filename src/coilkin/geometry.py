@@ -4,7 +4,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 
 
 @dataclass(frozen=True)
@@ -14,9 +14,10 @@ class RobotGeometry:
     d is the tendon attachment radius around the backbone axis, s_min and
     s_max the compressed and fully extended backbone lengths, l the offset
     from the spring top to the tip mount. pulley_diameter (mm) and
-    servo_range (degrees) bound the tendon payout, spring_constant is in
-    N/m, bristle_length extends the probe past the tip mount, and
-    contact_threshold (hPa) is the pressure step treated as contact.
+    servo_range (degrees) bound the tendon payout, bristle_length extends
+    the probe past the tip mount, and contact_threshold (hPa) is the
+    pressure step treated as contact. Every field passes
+    errors.finite_number and is stored as a float.
     """
 
     d: float = 12.0
@@ -25,14 +26,12 @@ class RobotGeometry:
     l: float = 53.0
     pulley_diameter: float = 70.0
     servo_range: float = 120.0
-    spring_constant: float = 220.0
     bristle_length: float = 53.0
     contact_threshold: float = 15.0
 
     def __post_init__(self):
-        bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
-        if bad:
-            raise ConfigError(f"geometry fields must be finite: {bad}")
+        for name, value in list(vars(self).items()):
+            object.__setattr__(self, name, finite_number(value, f"geometry field {name}", ConfigError))
         if not 0.0 < self.s_min < self.s_max:
             raise ConfigError(
                 f"need 0 < s_min < s_max, got s_min={self.s_min}, s_max={self.s_max}"
@@ -67,18 +66,10 @@ class RobotGeometry:
 
         Missing fields take the defaults; unknown fields are rejected.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown geometry fields: {sorted(unknown)}")
-        bad = [k for k, v in doc.items() if not isinstance(v, (int, float)) or isinstance(v, bool)]
-        if bad:
-            raise ConfigError(f"geometry fields must be numbers: {sorted(bad)}")
-        try:
-            values = {k: float(v) for k, v in doc.items()}
-        except OverflowError as exc:  # an integer beyond float range
-            raise ConfigError(f"geometry field too large for a float: {exc}") from exc
-        return cls(**values)
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, text: str) -> "RobotGeometry":

@@ -15,35 +15,43 @@ with "obstacle" optional.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SceneError
+from .errors import SceneError, finite_number, finite_numbers
 
 
 @dataclass(frozen=True)
 class HeightField:
-    """Non-negative height grid over the floor plane; outside cells read 0."""
+    """Non-negative height grid over the floor plane; outside cells read 0.
+
+    heights must be a grid of numbers: a bool among numbers casts to 0 or
+    1, but a grid of bools alone, of text or of an int beyond int64 (an
+    object array) raises SceneError, as does a ragged grid.
+    """
 
     origin: tuple
     cell_mm: float
     heights: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.heights, dtype=float)
+        try:
+            h = np.asarray(self.heights)
+        except ValueError as exc:  # a ragged grid
+            raise SceneError(f"heights must be a grid of numbers, in rows of one length: {exc}") from exc
+        if h.dtype.kind not in "iuf":
+            raise SceneError("heights must be a grid of numbers")
+        h = np.asarray(h, dtype=float)
         if h.ndim != 2 or h.size == 0:
             raise SceneError("heights must be a non-empty 2-D grid")
         if not np.isfinite(h).all() or (h < 0).any():
             raise SceneError("heights must be finite and >= 0")
-        origin = tuple(map(float, self.origin))
-        if len(origin) != 2 or not all(map(math.isfinite, origin)):
-            raise SceneError(f"origin must be 2 finite numbers, got {origin}")
-        if not (math.isfinite(self.cell_mm) and self.cell_mm > 0):
-            raise SceneError(f"cell_mm must be finite and > 0, got {self.cell_mm}")
         object.__setattr__(self, "heights", h)
-        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "origin", finite_numbers(self.origin, 2, "height_field origin", SceneError))
+        object.__setattr__(self, "cell_mm", finite_number(self.cell_mm, "height_field cell_mm", SceneError))
+        if self.cell_mm <= 0.0:
+            raise SceneError(f"height_field cell_mm must be > 0, got {self.cell_mm}")
 
     def height_at(self, x, y):
         """Height of the cell under (x, y); broadcasts over arrays of x and y.
@@ -70,12 +78,10 @@ class Cube:
     edge_mm: float
 
     def __post_init__(self):
-        center = tuple(map(float, self.center))
-        if len(center) != 3 or not all(map(math.isfinite, center)):
-            raise SceneError(f"cube center must be 3 finite numbers, got {center}")
-        if not (math.isfinite(self.edge_mm) and self.edge_mm > 0):
-            raise SceneError(f"cube edge must be finite and > 0, got {self.edge_mm}")
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", finite_numbers(self.center, 3, "cube center", SceneError))
+        object.__setattr__(self, "edge_mm", finite_number(self.edge_mm, "cube edge_mm", SceneError))
+        if self.edge_mm <= 0.0:
+            raise SceneError(f"cube edge_mm must be > 0, got {self.edge_mm}")
 
     def contains(self, p):
         """Closed-cube test of one point, or of each row of an (N, 3) array."""
@@ -91,13 +97,15 @@ class Tube:
     obstacle: Cube | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.inner_radius_mm) and self.inner_radius_mm > 0):
-            raise SceneError(
-                f"tube inner radius must be finite and > 0, got {self.inner_radius_mm}"
-            )
+        radius = finite_number(self.inner_radius_mm, "tube inner_radius_mm", SceneError)
+        if radius <= 0.0:
+            raise SceneError(f"tube inner_radius_mm must be > 0, got {radius}")
+        object.__setattr__(self, "inner_radius_mm", radius)
 
 
-def _require_fields(doc: dict, allowed: set, required: set, what: str):
+def _require_fields(doc, allowed: set, required: set, what: str):
+    if not isinstance(doc, dict):
+        raise SceneError(f"{what} must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - allowed
     if unknown:
         raise SceneError(f"unknown {what} fields: {sorted(unknown)}")
@@ -106,51 +114,23 @@ def _require_fields(doc: dict, allowed: set, required: set, what: str):
         raise SceneError(f"missing {what} fields: {sorted(missing)}")
 
 
-def _number(value, what: str) -> float:
-    """value as a float; SceneError unless it is an int or a float (a bool
-    or a numeric string is not a number)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SceneError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(values, size: int, what: str) -> tuple:
-    """A list of `size` numbers as a tuple of floats."""
-    if len(values) != size:
-        raise SceneError(f"{what} must be a list of {size} numbers")
-    return tuple(_number(v, what) for v in values)
-
-
 def scene_from_dict(doc: dict):
     """Build a HeightField or Tube from a JSON-style dict; any malformed
-    document, a value of the wrong type or size included, raises SceneError.
-    Every number must be a JSON number: a bool or a numeric string raises
-    SceneError, and so does a height grid whose array is not of integers or
-    floats (a bool among numbers in the grid still casts to 0 or 1)."""
+    document raises SceneError. The records check their own values by
+    errors.finite_number: a bool or a numeric string is not a number."""
     if not isinstance(doc, dict):
         raise SceneError("scene document must be a JSON object")
     kind = doc.get("type")
-    try:
-        if kind == "height_field":
-            _require_fields(
-                doc, {"type", "origin", "cell_mm", "heights"}, {"cell_mm", "heights"}, "height_field"
-            )
-            origin = _numbers(doc.get("origin", (0.0, 0.0)), 2, "height_field origin")
-            heights = np.asarray(doc["heights"])
-            if heights.dtype.kind not in "iuf":
-                raise SceneError("heights must be a grid of numbers")
-            return HeightField(origin, _number(doc["cell_mm"], "cell_mm"), heights)
-        if kind == "tube":
-            _require_fields(doc, {"type", "inner_radius_mm", "obstacle"}, {"inner_radius_mm"}, "tube")
-            obstacle = doc.get("obstacle")
-            cube = None
-            if obstacle is not None:
-                _require_fields(obstacle, {"center", "edge_mm"}, {"center", "edge_mm"}, "obstacle")
-                center = _numbers(obstacle["center"], 3, "obstacle center")
-                cube = Cube(center, _number(obstacle["edge_mm"], "obstacle edge_mm"))
-            return Tube(_number(doc["inner_radius_mm"], "inner_radius_mm"), cube)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SceneError(f"bad {kind} document: {exc}") from exc
+    if kind == "height_field":
+        _require_fields(doc, {"type", "origin", "cell_mm", "heights"}, {"cell_mm", "heights"}, "height_field")
+        return HeightField(doc.get("origin", (0.0, 0.0)), doc["cell_mm"], doc["heights"])
+    if kind == "tube":
+        _require_fields(doc, {"type", "inner_radius_mm", "obstacle"}, {"inner_radius_mm"}, "tube")
+        obstacle = doc.get("obstacle")
+        if obstacle is not None:
+            _require_fields(obstacle, {"center", "edge_mm"}, {"center", "edge_mm"}, "obstacle")
+            obstacle = Cube(obstacle["center"], obstacle["edge_mm"])
+        return Tube(doc["inner_radius_mm"], obstacle)
     raise SceneError(f"scene type must be 'height_field' or 'tube', got {kind!r}")
 
 

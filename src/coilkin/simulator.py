@@ -16,7 +16,7 @@ import numpy as np
 
 from .actuation import beyond_servo_range, servo_angles, step_count
 from .columns import CHUNK_ROWS, check_node_count, text_column, write_rows
-from .errors import ArmTooLowError, ConfigError, SceneError, ServoRangeError
+from .errors import ArmTooLowError, ConfigError, SceneError, ServoRangeError, finite_number, finite_numbers
 from .geometry import RobotGeometry
 from .kinematics import TWO_PI, _check_length, arc_kernel, ik, ik_kernel
 from .scenes import HeightField, Tube
@@ -147,10 +147,12 @@ def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float 
     first quantized extension whose tip is at or below the surface. No
     contact by s_max reports full extension, no contact and NaN contact_z.
     A tip already below the surface at minimum extension raises
-    ArmTooLowError for the first such row.
+    ArmTooLowError for the first such row, and a quantum that is not a
+    finite number > 0 raises ConfigError.
     """
-    if not 0.0 < quantum < math.inf:
-        raise ValueError(f"probe quantum must be finite and > 0, got {quantum}")
+    quantum = finite_number(quantum, "probe quantum", ConfigError)
+    if quantum <= 0.0:
+        raise ConfigError(f"probe quantum must be > 0, got {quantum}")
     arms = np.asarray(arms, dtype=float)
     x, y, z = arms.T
     h = scene.height_at(x, y)
@@ -177,23 +179,14 @@ def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float 
     return s_q, contact, contact_z
 
 
-def _store_floats(cfg, *names):
-    """Store the named fields of a frozen config as Python floats (None
-    stays None), whatever number type the caller passed, so that no int or
-    numpy scalar reaches the text of an output."""
-    for name in names:
-        if getattr(cfg, name) is not None:
-            object.__setattr__(cfg, name, float(getattr(cfg, name)))
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Zig-zag X-Y coverage: width x height mm visited in step_mm strides.
 
     arm_z = None drops the floor exactly at full extension reach, which
     keeps every cell of a desk-scale object measurable. A grid of more than
-    columns.MAX_NODES nodes raises ConfigError. Every number is stored as a
-    float.
+    columns.MAX_NODES nodes raises ConfigError. Every number passes
+    errors.finite_number and is stored as a float.
     """
 
     width: float = 200.0
@@ -204,15 +197,11 @@ class ScanConfig:
     quantum: float = 0.5
 
     def __post_init__(self):
-        values = (self.width, self.height, self.step_mm, *self.origin, self.quantum)
-        values += () if self.arm_z is None else (self.arm_z,)
-        valid = all(map(math.isfinite, values)) and min(self.step_mm, self.quantum) > 0.0
-        if not valid or min(self.width, self.height) < 0.0 or len(self.origin) != 2:
-            raise ConfigError(
-                f"scan needs finite values, step and quantum > 0, size >= 0 and a 2-number origin: {self}"
-            )
-        _store_floats(self, "width", "height", "step_mm", "quantum", "arm_z")
-        object.__setattr__(self, "origin", tuple(map(float, self.origin)))
+        for name in ("width", "height", "step_mm", "quantum") + (() if self.arm_z is None else ("arm_z",)):
+            object.__setattr__(self, name, finite_number(getattr(self, name), f"scan {name}", ConfigError))
+        object.__setattr__(self, "origin", finite_numbers(self.origin, 2, "scan origin", ConfigError))
+        if min(self.step_mm, self.quantum) <= 0.0 or min(self.width, self.height) < 0.0:
+            raise ConfigError(f"scan needs step and quantum > 0 and size >= 0: {self}")
         # A quotient that overflows to inf is rejected before round() sees it.
         check_node_count(max(self.width, self.height) / self.step_mm, "scan row")
         check_node_count(math.prod(self.shape), "scan grid")
@@ -254,8 +243,8 @@ def surface_scan(scene: HeightField, geom: RobotGeometry, cfg: ScanConfig = Scan
 @dataclass(frozen=True)
 class ExploreConfig:
     """Tube exploration parameters: descent schedule and ring-scan targets;
-    max_steps and n_directions are ints >= 1, and every other field is
-    stored as a float."""
+    max_steps and n_directions are ints >= 1, and every other field passes
+    errors.finite_number and is stored as a float."""
 
     descent_step: float = 20.0
     max_steps: int = 5
@@ -269,11 +258,10 @@ class ExploreConfig:
         counts = (self.max_steps, self.n_directions)
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in counts):
             raise ConfigError(f"explore needs integer max_steps and n_directions >= 1: {self}")
-        values = (self.descent_step, self.compressed_s, self.target_radial, self.target_z,
-                  self.max_step_mm)
-        if not all(map(math.isfinite, values)) or min(self.descent_step, self.max_step_mm) <= 0.0:
-            raise ConfigError(f"explore needs finite values, descent_step and max_step_mm > 0: {self}")
-        _store_floats(self, "descent_step", "compressed_s", "target_radial", "target_z", "max_step_mm")
+        for name in ("descent_step", "compressed_s", "target_radial", "target_z", "max_step_mm"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), f"explore {name}", ConfigError))
+        if min(self.descent_step, self.max_step_mm) <= 0.0:
+            raise ConfigError(f"explore needs descent_step and max_step_mm > 0: {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,12 +366,7 @@ def explore_tube(
     """
     if not isinstance(scene, Tube):
         raise SceneError("tube exploration needs a tube scene")
-    try:
-        origin = tuple(float(v) for v in start)
-    except (TypeError, ValueError):
-        origin = ()
-    if len(origin) != 3 or not all(map(math.isfinite, origin)):
-        raise ConfigError(f"explore start must be three finite numbers, got {start!r}")
+    origin = finite_numbers(start, 3, "explore start", ConfigError)
     path = ring_path(geom, cfg)
     check_node_count(cfg.max_steps * len(path.t), "explore depth pass")
     depths = list(itertools.accumulate(itertools.repeat(cfg.descent_step, cfg.max_steps)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coilkin import RobotGeometry, max_payout, servo_angles
+from coilkin import ConfigError, RobotGeometry, max_payout, servo_angles
 from coilkin.actuation import beyond_servo_range, pulley_angle, step_count
 from coilkin.kinematics import ArcState, fk, ik
 from coilkin.simulator import ExploreConfig, ring_path
@@ -170,7 +170,7 @@ class TestSharedRules:
         assert step_count(HOME, stops, 2.0).tolist() == [1, 5, 26]
 
     def test_step_count_rejects_non_positive_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             step_count(HOME, HOME, 0.0)
 
     @given(tendon_sets, st.floats(0.0, 360.0))

@@ -17,7 +17,6 @@ def test_defaults():
     assert g.l == 53.0
     assert g.pulley_diameter == 70.0
     assert g.servo_range == 120.0
-    assert g.spring_constant == 220.0
     assert g.bristle_length == 53.0
     assert g.contact_threshold == 15.0
     assert g.probe_offset == 106.0

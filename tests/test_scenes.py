@@ -1,12 +1,26 @@
-"""Scene types and their JSON documents."""
+"""Scene types and their JSON documents, and the number rule that every
+input record applies to its own fields."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coilkin import Cube, HeightField, SceneError, Tube, load_scene, scene_from_dict
+from coilkin import (
+    ConfigError,
+    Cube,
+    ExploreConfig,
+    HeightField,
+    RobotGeometry,
+    ScanConfig,
+    SceneError,
+    Tube,
+    load_scene,
+    scene_from_dict,
+)
 
 
 def test_height_lookup_inside_and_outside():
@@ -145,7 +159,7 @@ def test_bool_or_text_is_not_a_number(doc, path, value):
 
 
 @pytest.mark.parametrize("heights", [
-    [["1", "2"]], [[1, "2"]], [[True, False]], [[1, None]], [[10**400]],
+    [["1", "2"]], [[1, "2"]], [[True, False]], [[1, None]], [[10**400]], [[1, 2], [3]], [[1, [2]]],
 ])
 def test_heights_must_be_a_numeric_grid(heights):
     with pytest.raises(SceneError, match="grid of numbers"):
@@ -164,3 +178,55 @@ def test_origin_and_center_need_lists_of_numbers():
         scene_from_dict({**HEIGHT_FIELD, "origin": "05"})
     with pytest.raises(SceneError, match="list of 3 numbers"):
         scene_from_dict(with_field(TUBE, ["obstacle", "center"], [45, 0]))
+
+
+# Each input record, the error it raises, and valid whole-number values of
+# its float fields; a tuple field is a list of numbers, one case per item.
+RECORDS = [
+    (RobotGeometry, ConfigError, {"d": 12, "s_min": 20, "s_max": 70, "l": 53, "pulley_diameter": 70,
+                                  "servo_range": 120, "bristle_length": 53, "contact_threshold": 15}),
+    (HeightField, SceneError, {"origin": (0, 5), "cell_mm": 10, "heights": [[1.0]]}),
+    (Cube, SceneError, {"center": (45, 0, -206), "edge_mm": 40}),
+    (Tube, SceneError, {"inner_radius_mm": 174}),
+    (ScanConfig, ConfigError, {"width": 20, "height": 30, "step_mm": 10, "origin": (0, 5), "arm_z": 170,
+                               "quantum": 1}),
+    (ExploreConfig, ConfigError, {"descent_step": 20, "compressed_s": 45, "target_radial": 15,
+                                  "target_z": 60, "max_step_mm": 2}),
+]
+NUMBER_FIELDS = [
+    (record, error, fields, name, index)
+    for record, error, fields in RECORDS
+    for name, value in fields.items() if name != "heights"
+    for index in (range(len(value)) if isinstance(value, tuple) else [None])
+]
+NOT_NUMBERS = [True, False, np.bool_(True), "12", "nan", math.nan, math.inf, -math.inf, np.float64(math.inf),
+               10**400, -(10**400), [1.0]]
+
+
+def with_number(fields, name, index, value):
+    """fields with `name` set to value, or item `index` of that tuple field."""
+    if index is not None:
+        value = tuple(value if k == index else v for k, v in enumerate(fields[name]))
+    return {**fields, name: value}
+
+
+@given(case=st.sampled_from(NUMBER_FIELDS), value=st.sampled_from(NOT_NUMBERS))
+@settings(max_examples=300, deadline=None)
+def test_every_number_field_raises_its_typed_error(case, value):
+    """A bool, a numeric string, a non-finite float or an int beyond float
+    range raises the record's own error, never TypeError, ValueError or
+    OverflowError."""
+    record, error, fields, name, index = case
+    record(**fields)
+    with pytest.raises(error, match="must be"):
+        record(**with_number(fields, name, index, value))
+
+
+@given(case=st.sampled_from(NUMBER_FIELDS), number=st.sampled_from([int, np.int64, np.float32, np.float64]))
+@settings(max_examples=100, deadline=None)
+def test_every_number_field_is_stored_as_a_float(case, number):
+    record, error, fields, name, index = case
+    value = fields[name] if index is None else fields[name][index]
+    stored = getattr(record(**with_number(fields, name, index, number(value))), name)
+    item = stored if index is None else stored[index]
+    assert type(item) is float and item == value

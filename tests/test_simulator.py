@@ -140,7 +140,7 @@ class TestProbeVertical:
 
     @pytest.mark.parametrize("quantum", [0.0, -1.0, math.nan, math.inf])
     def test_bad_quantum_rejected(self, quantum):
-        with pytest.raises(ValueError, match="quantum"):
+        with pytest.raises(ConfigError, match="quantum"):
             probe_columns(FLAT, [(50.0, 50.0, 156.0)], GEOM, quantum)
 
 
