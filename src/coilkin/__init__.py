@@ -1,7 +1,7 @@
 """coilkin: constant-curvature kinematics, tendon actuation and contact
 missions for a spring-backbone continuum robot."""
 
-from .actuation import max_payout, servo_angles
+from .actuation import max_payout, servo_winding
 from .errors import (
     ArmTooLowError,
     CoilkinError,

@@ -13,31 +13,21 @@ def max_payout(geom: RobotGeometry) -> float:
     return geom.servo_range / 360.0 * math.pi * geom.pulley_diameter
 
 
-def pulley_angle(shortening_mm, geom: RobotGeometry):
-    """Pulley winding in degrees for a tendon shortening in mm, 0 where the
-    shortening is not positive; broadcasts. An angle that overflows, as on a
-    subnormal pulley, is inf, without a warning."""
+def servo_winding(q, geom: RobotGeometry):
+    """Pulley winding in degrees of each tendon set's most-shortened tendon,
+    from the straight s_max home: (s_max - min q) * 360 / (pi * D) over the
+    last axis of the tendon lengths q, 0 where no tendon is shorter than
+    s_max (a slack tendon pays out freely). A winding that overflows, as on
+    a subnormal pulley, is inf, without a warning."""
+    shortening = geom.s_max - np.min(q, axis=-1)
     per_mm = 360.0 / (math.pi * geom.pulley_diameter)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf where not taken
-        return np.where(np.greater(shortening_mm, 0.0), np.multiply(shortening_mm, per_mm), 0.0)
+        return np.where(shortening > 0.0, shortening * per_mm, 0.0)
 
 
 def beyond_servo_range(angle_deg, geom: RobotGeometry):
     """The servo bound: True where a pulley angle exceeds the range; broadcasts."""
     return angle_deg > geom.servo_range + 1e-9
-
-
-def servo_angles(q, home, geom: RobotGeometry):
-    """The servo rule: (angles, slack) of tendon lengths q, shape (..., 4),
-    against home lengths that broadcast with q; raises nothing.
-
-    angles is pulley_angle(home - q); a slack tendon, longer than home,
-    stays at 0 degrees and pays out freely. beyond_servo_range bounds the
-    angles. The home is an argument, not a geometry field: the workspace
-    and the ring path pass geom.s_max, the straight, fully extended backbone.
-    """
-    shortening = np.subtract(home, q)
-    return pulley_angle(shortening, geom), shortening < 0.0
 
 
 def step_count(start, stop, max_step_mm: float):

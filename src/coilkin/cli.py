@@ -23,6 +23,7 @@ from .kinematics import ArcState, fk, ik
 from .perception import reconstruct, to_feature
 from .scenes import Cube, Tube, load_scene
 from .simulator import (
+    PRESSURE_SAMPLES,
     ExploreConfig,
     ScanConfig,
     explore_tube,
@@ -35,6 +36,9 @@ from .workspace import DEFAULT_GRID, sample_workspace, workspace_extents, write_
 # that descent never touches it, well inside the ring-scan sweep.
 OBSTACLE_RADIAL = 45.0
 OBSTACLE_EDGE = 40.0
+# The detected_sample text of pressure.csv, at code detected + 1: empty
+# where nothing was detected (-1), else the sample index.
+_DETECTED_TEXT = np.array([b""] + [b"%d" % k for k in range(PRESSURE_SAMPLES)])
 
 
 def _geometry(args) -> RobotGeometry:
@@ -160,8 +164,7 @@ def _write_pressure(path, contact, detected):
     pressure trace crossed the threshold, empty where it never did."""
     with open(path, "wb") as fh:
         fh.write(b"event_index,contact,detected_sample\n")
-        hit = np.where(detected >= 0, detected.astype(str), "")
-        write_rows(fh, [np.arange(len(hit)), contact, hit])
+        write_rows(fh, [np.arange(len(detected)), contact, (_DETECTED_TEXT, detected + 1)])
 
 
 def make_offset_tube(offset_mm: float, geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig(),

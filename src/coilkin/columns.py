@@ -9,10 +9,10 @@ from .errors import ConfigError
 
 # The node cap of every grid a call builds (scan nodes, workspace samples,
 # explore depth x waypoint tips). Under tracemalloc a whole 1 mm scan
-# command (40,401 nodes) peaks at about 146 bytes per node, 259 with
+# command (40,401 nodes) peaks at about 146 bytes per node, 235 with
 # pressure synthesis, and a workspace command on the default grid at about
 # 260 per sample, writers included (tests/test_cli.py bounds them at 180,
-# 320 and 275), so 512 bytes a node fits 1 GiB.
+# 260 and 275), so 512 bytes a node fits 1 GiB.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
 # A text_column call of this many values or more formats each distinct
@@ -111,20 +111,13 @@ def _float_texts(entries, nan) -> np.ndarray:
 
 
 def _text_codes(values, large):
-    """(table, codes) of an array of integers, booleans or text; integers
-    are written as digits by numpy in a large call, by str in a small one."""
+    """(table, codes) of an array of integers or booleans; integers are
+    written as digits by numpy in a large call, by str in a small one."""
     if values.dtype.kind == "b":
         return _FLAGS, values.astype(np.int32)
     flat = values.ravel()
-    if values.dtype.kind in "iu":
-        table = _digits(flat) if large else np.array(list(map(str, flat.tolist())), "S")
-        return table, np.arange(flat.size, dtype=np.int32).reshape(values.shape)
-    index = {}
-    codes = np.array([index.setdefault(cell, len(index)) for cell in flat.tolist()], np.int32)
-    text = [cell.encode() for cell in index]
-    if b"\0" in b"".join(text):
-        raise ValueError("a text cell holds NUL")
-    return np.array(text, dtype="S"), codes.reshape(values.shape)
+    table = _digits(flat) if large else np.array(list(map(str, flat.tolist())), "S")
+    return table, np.arange(flat.size, dtype=np.int32).reshape(values.shape)
 
 
 def text_column(*arrays, nan="nan"):
@@ -133,19 +126,20 @@ def text_column(*arrays, nan="nan"):
     table[codes[i]] is the text of values.flat[i]; each array gets int32
     codes of its own shape, and all share the table.
 
-    Floats are written as repr(float(v)), with `nan` for NaN, integers as
-    str(int(v)), booleans as 1 and 0 and text as UTF-8; text holding NUL
-    raises ValueError. The distinct float bit patterns are found by
-    sorting, so a column with few distinct values (grid coordinates,
-    quantized heights) costs a sort rather than a repr per value, and bit
-    patterns keep -0.0 apart from 0.0. The call's size, all its values
-    counted, decides the rest once. A call of fewer than DEDUPE_MIN_SIZE
-    values sorts all its floats at once, passes each distinct value to repr
-    and each integer to str. A larger call sorts its floats one column
-    (last axis) at a time, which bounds the scratch memory, passes each
-    distinct magnitude to repr, a negative value's text being "-" and its
-    magnitude's, and writes integers as digits by numpy. The table is as
-    wide as its longest text.
+    The arrays hold floats, integers or booleans: floats are written as
+    repr(float(v)), with `nan` for NaN, integers as str(int(v)) and
+    booleans as 1 and 0. A caller with a fixed set of texts passes its own
+    (table, codes) pair to write_rows instead. The distinct float bit
+    patterns are found by sorting, so a column with few distinct values
+    (grid coordinates, quantized heights) costs a sort rather than a repr
+    per value, and bit patterns keep -0.0 apart from 0.0. The call's size,
+    all its values counted, decides the rest once. A call of fewer than
+    DEDUPE_MIN_SIZE values sorts all its floats at once, passes each
+    distinct value to repr and each integer to str. A larger call sorts its
+    floats one column (last axis) at a time, which bounds the scratch
+    memory, passes each distinct magnitude to repr, a negative value's text
+    being "-" and its magnitude's, and writes integers as digits by numpy.
+    The table is as wide as its longest text.
     """
     arrays = list(map(np.asarray, arrays))
     large = sum(values.size for values in arrays) >= DEDUPE_MIN_SIZE

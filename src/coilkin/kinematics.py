@@ -10,7 +10,7 @@ U, the tip tangent, E and the tendon lengths come from arc_kernel, and the
 inverse map from a target to (alpha, theta, s) from ik_kernel; both
 broadcast over arrays. fk and ik wrap them for one ArcState, which checks
 itself when built; they add only the geometry's length bound and, in ik,
-the typed error of a failing status.
+the number rule on the target and the typed error of a failing status.
 """
 
 import math
@@ -19,7 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTargetError, InvalidStateError, UnreachableTargetError
+from .errors import (
+    DegenerateTargetError,
+    InvalidStateError,
+    UnreachableTargetError,
+    finite_number,
+    finite_numbers,
+)
 from .geometry import RobotGeometry
 
 TWO_PI = 2.0 * math.pi
@@ -42,9 +48,9 @@ class ArcState:
     alpha is wrapped into [0, 2*pi). theta must lie in [0, pi/2]; bend
     angles below 1e-12 rad are stored as 0.0, pure compression, where the
     implied arc radius would overflow well before it matters physically.
-    A non-finite field or a theta outside that range raises
-    InvalidStateError. The arc radius r = s / theta is derived, math.inf
-    for a straight backbone.
+    Each field passes errors.finite_number; a failure, or a theta outside
+    that range, raises InvalidStateError. The arc radius r = s / theta is
+    derived, math.inf for a straight backbone.
     """
 
     alpha: float
@@ -52,9 +58,8 @@ class ArcState:
     s: float
 
     def __post_init__(self):
-        alpha, theta, s = float(self.alpha), float(self.theta), float(self.s)
-        if not all(map(math.isfinite, (alpha, theta, s))):
-            raise InvalidStateError(f"arc state must be finite, got {self}")
+        alpha, theta, s = (finite_number(getattr(self, name), f"arc state {name}", InvalidStateError)
+                           for name in ("alpha", "theta", "s"))
         if not 0.0 <= theta <= HALF_PI:
             raise InvalidStateError(f"bend angle {theta} outside [0, pi/2]")
         alpha %= TWO_PI
@@ -175,18 +180,18 @@ def ik_kernel(x, y, z, s_min: float, s_max: float):
 
 def ik(target_u, geom: RobotGeometry) -> ArcState:
     """Recover the arc state whose spring-top center lands on target_u:
-    ik_kernel on one row. Raises DegenerateTargetError for a target at the
-    base and UnreachableTargetError for every other failing status.
+    ik_kernel on one row. The target's three coordinates pass
+    errors.finite_numbers; a failure raises UnreachableTargetError. Raises
+    DegenerateTargetError for a target at the base and
+    UnreachableTargetError for every other failing status.
     """
-    target = tuple(float(v) for v in target_u)
+    target = finite_numbers(target_u, 3, "target coordinates", UnreachableTargetError)
     alpha, theta, s, status = ik_kernel(*target, geom.s_min, geom.s_max)
     if status == _IK_OK:
-        return ArcState(alpha, theta, s)
+        return ArcState(float(alpha), float(theta), float(s))
     if status == _IK_DEGENERATE:
         raise DegenerateTargetError("target coincides with the backbone base")
-    if not all(map(math.isfinite, target)):
-        reason = "target coordinates must be finite"
-    elif status == _IK_BELOW_BASE:
+    if status == _IK_BELOW_BASE:
         reason = "targets below the base plane are unreachable"
     elif status == _IK_BEND:
         reason = "required bend angle exceeds pi/2"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuation import beyond_servo_range, servo_angles, step_count
+from .actuation import beyond_servo_range, servo_winding, step_count
 from .columns import CHUNK_ROWS, check_node_count, text_column, write_rows
 from .errors import ArmTooLowError, ConfigError, SceneError, ServoRangeError, finite_number, finite_numbers
 from .geometry import RobotGeometry
@@ -300,9 +300,9 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     ik_kernel call gives every goal; the first azimuth whose goal fails
     raises the error of ik. One arc_kernel call gives the goal tendon sets
     and one every waypoint; the compressed backbone is straight, so each of
-    its tendons measures compressed_s. One servo_angles call from the s_max
-    home checks every waypoint: the first azimuth beyond the servo range
-    raises ServoRangeError.
+    its tendons measures compressed_s. One servo_winding call checks every
+    waypoint: the first azimuth whose largest winding is beyond the servo
+    range raises ServoRangeError.
     """
     _check_length(cfg.compressed_s, geom)  # arc_kernel itself checks no bounds
     alphas = TWO_PI * np.arange(cfg.n_directions) / cfg.n_directions
@@ -321,7 +321,7 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
     theta = t * goal_theta[row]
     s = cfg.compressed_s + t * (goal_s[row] - cfg.compressed_s)
     kin = arc_kernel(alphas[row], theta, s, geom.d, geom.probe_offset)
-    needed = np.maximum.reduceat(servo_angles(kin.q, geom.s_max, geom)[0], starts).max(axis=-1)
+    needed = np.maximum.reduceat(servo_winding(kin.q, geom), starts)
     beyond = beyond_servo_range(needed, geom)
     if beyond.any():
         k = beyond.argmax()
@@ -415,10 +415,14 @@ def pressure_detections(contact, seed: int | None, threshold_hpa: float) -> np.n
     NOISE_SD_HPA, (N, PRESSURE_SAMPLES)) draw, seed None read as 0, plus
     CONTACT_STEP_HPA from CONTACT_SAMPLE on where contact[k]. The draw fills
     rows in order from one stream, so row k depends only on (seed, k), not
-    on N. Mission contact decisions stay geometric.
+    on N. Mission contact decisions stay geometric. A seed that is neither
+    None nor an int >= 0 (a numpy int is one, a bool is not), or a
+    threshold_hpa that fails errors.finite_number, raises ConfigError.
     """
-    if seed is not None and seed < 0:
-        raise ConfigError(f"pressure seed must be >= 0, got {seed}")
+    whole = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if seed is not None and not (whole and seed >= 0):
+        raise ConfigError(f"pressure seed must be None or an int >= 0, got {seed!r}")
+    threshold_hpa = finite_number(threshold_hpa, "pressure threshold_hpa", ConfigError)
     contact = np.asarray(contact, dtype=bool)
     p = np.random.default_rng(seed or 0).normal(0.0, NOISE_SD_HPA, (contact.size, PRESSURE_SAMPLES))
     step = p[:, CONTACT_SAMPLE:]

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuation import beyond_servo_range, servo_angles
+from .actuation import beyond_servo_range, servo_winding
 from .columns import check_node_count, text_column, write_rows
 from .errors import ConfigError, EmptyWorkspaceError
 from .geometry import RobotGeometry
@@ -66,7 +66,7 @@ def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> Workspace:
     alpha spans [0, 2*pi) without its endpoint, theta [0, pi/2] and s
     [s_min, s_max] inclusive; alpha is the outer loop, s the inner one.
     Each row holds the spring-top and tip positions plus a feasibility
-    verdict: servo_angles from the s_max home must fit the servo travel
+    verdict: the servo_winding of its tendon set must fit the servo travel
     (grid states always satisfy the other bounds). A grid of more than
     columns.MAX_NODES samples raises ConfigError before anything is built.
     """
@@ -79,8 +79,7 @@ def sample_workspace(geom: RobotGeometry, grid=DEFAULT_GRID) -> Workspace:
     lengths = np.linspace(geom.s_min, geom.s_max, n_s)
     alpha, theta, s = (a.ravel() for a in np.meshgrid(alphas, thetas, lengths, indexing="ij"))
     kin = arc_kernel(alpha, theta, s, geom.d, geom.l)
-    angles, _ = servo_angles(kin.q, geom.s_max, geom)
-    feasible = ~beyond_servo_range(angles.max(axis=-1), geom)
+    feasible = ~beyond_servo_range(servo_winding(kin.q, geom), geom)
     return Workspace(alpha, theta, s, kin.u, kin.e, feasible)
 
 
@@ -104,7 +103,7 @@ def write_files(ws: Workspace, csv_path, ply_path):
     its text goes to both files.
     """
     u = text_column(ws.u)
-    reasons = text_column(np.array([REASON_SERVO, REASON_OK]))[0], ws.feasible.view(np.int8)
+    reasons = np.array([REASON_SERVO, REASON_OK], "S"), ws.feasible.view(np.int8)
     with open(csv_path, "wb") as csv:
         csv.write(b"alpha,theta,s,xU,yU,zU,xE,yE,zE,feasible,reason\n")
         write_rows(csv, [ws.alpha, ws.theta, ws.s, u, ws.e, ws.feasible, reasons])

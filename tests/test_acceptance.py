@@ -23,7 +23,7 @@ from coilkin import (
     ik,
     max_payout,
     reconstruct,
-    servo_angles,
+    servo_winding,
     surface_scan,
     to_feature,
 )
@@ -125,17 +125,18 @@ def test_c3_tendon_case_split():
 def test_c4_actuation_feasibility():
     """Servo travel covers the full 50 mm compression within the 120 deg range."""
     payout = max_payout(GEOM)
-    angles, _ = servo_angles((20.0, 20.0, 20.0, 20.0), 70.0, GEOM)
+    # Every tendon 50 mm short of the s_max = 70 mm home.
+    winding = float(servo_winding((20.0, 20.0, 20.0, 20.0), GEOM))
     ok = (
         abs(payout - 73.30) <= 0.01
         and payout >= 50.0
-        and all(abs(a - 81.9) <= 0.1 for a in angles.tolist())
-        and not beyond_servo_range(angles, GEOM).any()
+        and abs(winding - 81.9) <= 0.1
+        and not beyond_servo_range(winding, GEOM)
     )
     report(
         "C4 feasibility figures",
         ok,
-        f"max payout {payout:.2f} mm, compression angle {angles[0]:.2f} deg",
+        f"max payout {payout:.2f} mm, compression angle {winding:.2f} deg",
     )
 
 

@@ -6,112 +6,124 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coilkin import ConfigError, RobotGeometry, max_payout, servo_angles
-from coilkin.actuation import beyond_servo_range, pulley_angle, step_count
+from coilkin import ConfigError, RobotGeometry, max_payout, servo_winding
+from coilkin.actuation import beyond_servo_range, step_count
 from coilkin.kinematics import ArcState, fk, ik
 from coilkin.simulator import ExploreConfig, ring_path
 
 GEOM = RobotGeometry()
-HOME = (70.0, 70.0, 70.0, 70.0)
+HOME = (70.0, 70.0, 70.0, 70.0)  # GEOM.s_max on every tendon
 
 # Four tendon lengths in mm, tendons 1..4 counterclockwise from +x.
 tendon_sets = st.tuples(*[st.floats(1.0, 120.0)] * 4)
+# Pulleys of every size, with subnormal and near-overflow ones on which a
+# winding overflows to inf.
+TINY_PULLEYS = [5e-324, 1e-310, 1e-307, 1e-306, 1e-300]
+pulleys = st.one_of(st.floats(1.0, 140.0), st.sampled_from(TINY_PULLEYS))
 
 
-def one_row(target, home=HOME, geom=GEOM):
-    """Angles, slack flags and the servo bound of one tendon set, as lists."""
-    angles, slack = servo_angles(target, home, geom)
-    return angles.tolist(), slack.tolist(), beyond_servo_range(angles, geom).tolist()
+def one_row(target, geom=GEOM):
+    """The winding of one tendon set and its servo bound, as Python values."""
+    winding = servo_winding(target, geom)
+    return float(winding), bool(beyond_servo_range(winding, geom))
+
+
+def reference_winding(target, geom):
+    """The winding value by value: the largest over the tendons of the
+    shortening from s_max times 360 / (pi * D), 0 where it is not positive."""
+    per_mm = 360.0 / (math.pi * geom.pulley_diameter)
+    return max((geom.s_max - q) * per_mm if geom.s_max - q > 0.0 else 0.0 for q in target)
 
 
 class TestTendonToServo:
-    """The servo rule on one row: servo_angles of one tendon set, bounded by
-    beyond_servo_range."""
+    """The servo rule on one row: servo_winding of one tendon set, bounded
+    by beyond_servo_range."""
 
     def test_home_needs_no_actuation(self):
-        angles, slack, beyond = one_row(HOME)
-        assert angles == [0.0, 0.0, 0.0, 0.0]
-        assert slack == beyond == [False, False, False, False]
+        assert one_row(HOME) == (0.0, False)
 
     def test_full_compression(self):
         # 50 mm of shortening on every 70 mm pulley
-        angles, _, beyond = one_row((20.0, 20.0, 20.0, 20.0))
+        winding, beyond = one_row((20.0, 20.0, 20.0, 20.0))
         expected = 50.0 / (math.pi * 70.0) * 360.0
         assert expected == pytest.approx(81.85, abs=0.01)
-        assert angles == pytest.approx([expected] * 4)
-        assert not any(beyond)
+        assert winding == pytest.approx(expected)
+        assert not beyond
 
     def test_quarter_bend_inner_tendon(self):
         q1 = 51.15044407846124
-        angles, _, _ = one_row((q1, 70.0, 70.0, 70.0))
-        assert angles[0] == pytest.approx((70.0 - q1) / (math.pi * 70.0) * 360.0)
-        assert angles[0] == pytest.approx(30.857142857142858, abs=1e-9)
+        winding, _ = one_row((q1, 70.0, 70.0, 70.0))
+        assert winding == pytest.approx((70.0 - q1) / (math.pi * 70.0) * 360.0)
+        assert winding == pytest.approx(30.857142857142858, abs=1e-9)
 
     def test_slack_tendon_clamps_to_zero(self):
-        angles, slack, _ = one_row((70.0, 70.0, 80.0, 70.0))
-        assert angles[2] == 0.0
-        assert slack[2] is True
-        assert slack[0] is False
+        """A tendon longer than the home pays out freely: alone it winds
+        0 degrees, and beside a shortened one it leaves that winding as is."""
+        assert one_row((70.0, 70.0, 80.0, 70.0)) == (0.0, False)
+        assert one_row((60.0, 70.0, 80.0, 70.0)) == one_row((60.0, 70.0, 70.0, 70.0))
 
     def test_out_of_range(self):
-        # 40 and 50 mm of shortening on tendons 2 and 3, both beyond 10 deg.
+        # 40 and 50 mm of shortening on tendons 2 and 3, both beyond 10 deg;
+        # the winding is that of the most-shortened tendon.
         small = replace(GEOM, servo_range=10.0)
-        angles, _, beyond = one_row((70.0, 30.0, 20.0, 70.0), geom=small)
-        assert angles[1:3] == pytest.approx([65.48, 81.85], abs=0.01)
-        assert beyond == [False, True, True, False]
+        assert one_row((70.0, 30.0, 70.0, 70.0), small) == (pytest.approx(65.48, abs=0.01), True)
+        assert one_row((70.0, 30.0, 20.0, 70.0), small) == (pytest.approx(81.85, abs=0.01), True)
 
     @given(q=st.floats(1.0, 70.0), shorter=st.floats(0.0, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_shortening(self, q, shorter):
-        a = one_row((q, 70.0, 70.0, 70.0))[0][0]
-        b = one_row((max(q - shorter, 0.5), 70.0, 70.0, 70.0))[0][0]
+        a = one_row((q, 70.0, 70.0, 70.0))[0]
+        b = one_row((max(q - shorter, 0.5), 70.0, 70.0, 70.0))[0]
         assert b >= a
 
 
 class TestServoAngles:
-    @given(
-        targets=st.lists(tendon_sets, min_size=1, max_size=8),
-        home=tendon_sets,
-        servo_range=st.floats(0.0, 360.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_tendon_to_servo_is_one_row(self, targets, home, servo_range):
-        """One batched call gives, row for row, the angles and slack flags of
-        a one-row call, and both follow the pulley formula
-        (home - q) * 360 / (pi * D) of the shortening, 0 where slack."""
-        geom = replace(GEOM, servo_range=servo_range)
-        angles, slack = servo_angles(targets, home, geom)
-        assert angles.shape == slack.shape == (len(targets), 4)
-        for target, row_angles, row_slack in zip(targets, angles, slack):
-            assert one_row(target, home, geom)[:2] == (row_angles.tolist(), row_slack.tolist())
-            shortening = [h - q for h, q in zip(home, target)]
-            oracle = [max(v, 0.0) * 360 / (math.pi * geom.pulley_diameter) for v in shortening]
-            assert row_angles.tolist() == pytest.approx(oracle, rel=1e-12)
-            assert row_slack.tolist() == [v < 0.0 for v in shortening]
+    """servo_winding over a batch of tendon sets."""
 
-    def test_broadcasts_home(self):
+    @given(
+        targets=st.lists(st.one_of(tendon_sets, st.just(HOME)), min_size=1, max_size=8),
+        s_max=st.floats(20.5, 120.0),
+        pulley_diameter=pulleys,
+    )
+    @example(targets=[HOME, (70.0, 69.0, 71.0, 20.0), (71.0, 80.0, 70.0, 120.0)], s_max=70.0,
+             pulley_diameter=5e-324)
+    @example(targets=[(70.0, 70.0 - 1e-3, 70.0, 70.0 + 1e-3)], s_max=70.0, pulley_diameter=1e-306)
+    @settings(max_examples=300, deadline=None)
+    def test_tendon_to_servo_is_one_row(self, targets, s_max, pulley_diameter):
+        """One batched call gives, row for row and under ==, the winding of
+        a one-row call and of reference_winding, over random sets, sets at
+        or beside the home with slack tendons, and pulleys whose winding
+        overflows; nothing warns."""
+        geom = replace(GEOM, s_max=s_max, pulley_diameter=pulley_diameter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            winding = servo_winding(targets, geom)
+        assert winding.shape == (len(targets),)
+        assert winding.tolist() == [reference_winding(target, geom) for target in targets]
+        assert winding.tolist() == [one_row(target, geom)[0] for target in targets]
+
+    def test_broadcasts_over_leading_axes(self):
         q = np.array([[[70.0, 60.0, 80.0, 70.0]], [[20.0, 20.0, 20.0, 20.0]]])
-        angles, slack = servo_angles(q, 70.0, GEOM)
-        assert angles.shape == slack.shape == (2, 1, 4)
-        assert angles[0, 0].tolist() == [0.0, pulley_angle(10.0, GEOM), 0.0, 0.0]
-        assert slack[0, 0].tolist() == [False, False, True, False]
-        assert not slack[1].any()
+        winding = servo_winding(q, GEOM)
+        assert winding.shape == (2, 1)
+        assert winding.ravel().tolist() == [one_row((60.0, 70.0, 70.0, 70.0))[0], one_row(q[1, 0])[0]]
 
     @pytest.mark.parametrize("diameter", [5e-324, 1e-310, 1e-307, 1e-306])
     def test_tiny_pulley_gives_zero_or_out_of_range(self, diameter):
-        """Zero and slack shortenings wind 0 degrees, positive ones land out
-        of range, and an overflowing product is inf; nothing warns."""
+        """Sets at the home, slack ones included, wind 0 degrees, shortened
+        ones land out of range, and an overflowing product is inf; nothing
+        warns."""
         geom = replace(GEOM, pulley_diameter=diameter)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            angles, slack = servo_angles([[70.0, 69.0, 71.0, 20.0]], 70.0, geom)
-            beyond = beyond_servo_range(angles, geom)
-        assert angles[0, [0, 2, 3]].tolist() == [0.0, 0.0, math.inf]
-        assert slack.tolist() == [[False, False, True, False]]
-        assert beyond.tolist() == [[False, True, False, True]]
+            winding = servo_winding(
+                [[70.0, 70.0, 71.0, 70.0], [70.0, 69.0, 71.0, 70.0], [70.0, 69.0, 71.0, 20.0]], geom)
+            beyond = beyond_servo_range(winding, geom)
+        assert winding[[0, 2]].tolist() == [0.0, math.inf]
+        assert beyond.tolist() == [False, True, True]
 
 
 class TestMaxPayout:
@@ -176,10 +188,8 @@ class TestSharedRules:
     @given(tendon_sets, st.floats(0.0, 360.0))
     @settings(max_examples=300, deadline=None)
     def test_batched_bound_agrees_with_tendon_to_servo(self, target, servo_range):
-        """One row is beyond the servo range exactly when its largest
-        shortening is."""
+        """A tendon set is beyond the servo range exactly when one of its
+        tendons, with the others at the home, is."""
         geom = replace(GEOM, servo_range=servo_range)
-        shortening = max(h - q for h, q in zip(HOME, target))
-        assert any(one_row(target, geom=geom)[2]) == bool(
-            beyond_servo_range(pulley_angle(shortening, geom), geom)
-        )
+        alone = [HOME[:i] + (q,) + HOME[i + 1 :] for i, q in enumerate(target)]
+        assert one_row(target, geom)[1] == any(one_row(q, geom)[1] for q in alone)

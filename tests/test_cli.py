@@ -272,6 +272,8 @@ FUZZ_COMMANDS = {
 }
 GEOMETRY_FIELDS = [f.name for f in dataclasses.fields(coilkin.RobotGeometry)]
 NON_FINITE_TEXT = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
+# The number rule's message on an ik target coordinate, before its value.
+TARGET_RULE = "target coordinates must be a number (finite real numbers only, not a bool or a string)"
 
 
 class TestGeometryFuzz:
@@ -661,7 +663,8 @@ class TestIkArgv:
     @example(x=0.0, y=0.0, z=50.0)
     @settings(max_examples=200, deadline=None)
     def test_any_target_exits_0_or_3(self, x, y, z):
-        """ik prints finite JSON, or one error line that names no NaN."""
+        """ik prints finite JSON, or one error line that names no NaN but a
+        NaN coordinate of the target itself."""
         # "--" lets argparse read a negative number such as -1e1 as a value.
         stdout, stderr, code, _ = run_main(["ik", "--", repr(x), repr(y), repr(z)])
         assert code in (0, 3), stderr
@@ -673,13 +676,18 @@ class TestIkArgv:
         else:
             assert stdout == ""
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
-            assert "nan" not in stderr.lower()
+            # The number rule names the first coordinate that is not finite.
+            first = next((v for v in (x, y, z) if not math.isfinite(v)), 0.0)
+            if math.isnan(first):
+                assert stderr == f"error: {TARGET_RULE}, got nan\n"
+            else:
+                assert "nan" not in stderr.lower()
 
     @pytest.mark.parametrize(
         "target,reason",
         [
-            (("nan", "0", "50"), "target coordinates must be finite"),
-            (("inf", "0", "50"), "target coordinates must be finite"),
+            (("nan", "0", "50"), f"{TARGET_RULE}, got nan"),
+            (("inf", "0", "50"), f"{TARGET_RULE}, got inf"),
             (("1e308", "1e308", "1e308"), "target out of reach"),
             (("70", "0", "70"), "required backbone length 109.95574287564276 outside [20.0, 70.0]"),
         ],
@@ -1023,7 +1031,7 @@ class TestCommandMemory:
 
     def test_pressure_scan_bytes_per_node(self, tmp_path):
         """With --pressure-synth: one (N, 16) noise draw on top of the scan."""
-        assert self.scan_peak_per_node(tmp_path, "--pressure-synth") < 320
+        assert self.scan_peak_per_node(tmp_path, "--pressure-synth") < 260
 
     def test_workspace_bytes_per_sample(self, tmp_path):
         """The default 72 x 19 x 11 grid: 15,048 samples."""

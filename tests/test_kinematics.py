@@ -161,6 +161,19 @@ class TestIk:
         assert state.r == pytest.approx(QUARTER, rel=1e-12)
         assert state.s == pytest.approx(70.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "target", [("12", 0, 60), (True, 0, 60), ("x", 0, 60), (12.0, None, 60.0), (12.0, 0.0), 12.0]
+    )
+    def test_target_passes_the_number_rule(self, target):
+        # A numeric string or a bool is not a coordinate, and no failure
+        # escapes as a bare ValueError or TypeError.
+        with pytest.raises(UnreachableTargetError, match="target coordinates must be"):
+            ik(target, GEOM)
+
+    def test_numpy_scalar_target(self):
+        target = (np.float32(15.0), np.int64(0), np.float64(60.0))
+        assert ik(target, GEOM) == ik((15.0, 0.0, 60.0), GEOM)
+
     def test_mirror_quarter_bend(self):
         # A quarter bend toward -X at s = 70 lands on (-r, 0, r), r = 140/pi.
         state = ik((-44.56338406573069, 0.0, QUARTER), GEOM)
@@ -467,6 +480,19 @@ class TestArcStateDomain:
         if math.isfinite(state.r) and (s == 0.0 or min(abs(s), abs(state.r)) >= normal):
             assert state.r * theta == pytest.approx(s, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "fields", [("1", 0, "50"), (True, 0, 50), (0.0, np.array(0.1), 50.0), (0.0, 0.1, None)]
+    )
+    def test_fields_pass_the_number_rule(self, fields):
+        # A numeric string, a bool or a 0-d array is not a number.
+        with pytest.raises(InvalidStateError, match=r"arc state (alpha|theta|s) must be a number"):
+            ArcState(*fields)
+
+    def test_numbers_are_stored_as_floats(self):
+        state = ArcState(1, np.float32(0.5), np.int64(50))
+        assert (state.alpha, state.theta, state.s) == (1.0, 0.5, 50.0)
+        assert all(type(v) is float for v in (state.alpha, state.theta, state.s))
+
     def test_is_frozen_with_three_fields(self):
         state = ArcState(0.5, 0.25, 40.0)
         assert [f.name for f in fields(ArcState)] == ["alpha", "theta", "s"]
@@ -552,7 +578,7 @@ class TestIkKernel:
         assert ulps_apart(alpha, expected.alpha) <= 4
         assert ulps_apart(theta, expected.theta) <= 4
         assert ulps_apart(s, expected.s) <= 4
-        assert ik((x, y, z), GEOM) == ArcState(alpha, theta, s)
+        assert ik((x, y, z), GEOM) == ArcState(float(alpha), float(theta), float(s))
 
     def test_boundary_examples_land_on_both_sides(self):
         statuses = [int(ik_kernel(QUARTER, 0.0, z, GEOM.s_min, GEOM.s_max)[3]) for z in BEND_LIMIT_Z]

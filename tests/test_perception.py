@@ -79,29 +79,25 @@ SPECIAL_FLOATS = [math.nan, from_bits(0xFFF8000000000000), from_bits(0x7FF800000
                   1e-5, 0.0001, 0.1, 1 / 3, 2.0**60]
 INT64 = np.iinfo(np.int64)
 SPECIAL_INTS = [INT64.min, INT64.max, 0, -1, 1, 10, -10]
-TEXT_CELLS = ["", "ok", "servo-out-of-range", "é", "日本", "a b"]
 # Row counts around the deduplication threshold and the chunk size.
 ROW_COUNTS = [0, 1, 2, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 # The arrays of a call of fewer than DEDUPE_MIN_SIZE values: floats, 1-D, in
-# rows of 3 or of none, integers, flags and text.
+# rows of 3 or of none, integers and flags.
 SMALL_CALLS = st.lists(st.one_of(
     st.lists(FLOATS, max_size=60).map(lambda v: np.array(v, float)),
     st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=20).map(lambda v: np.array(v, float).reshape(-1, 3)),
     st.integers(0, 3).map(lambda n: np.zeros((n, 0))),
     st.lists(st.integers(INT64.min, INT64.max), max_size=60).map(lambda v: np.array(v, np.int64)),
     st.lists(st.booleans(), max_size=60).map(lambda v: np.array(v, bool)),
-    st.lists(st.sampled_from(TEXT_CELLS), max_size=60).map(lambda v: np.array(v, dtype=object)),
 ), max_size=4)
 
 
 def random_column(rng, kind, n):
     """A column of n rows: normal draws or random integers with special
-    values mixed in, booleans or text cells."""
+    values mixed in, or booleans."""
     if kind == "bool":
         return rng.random(n) < 0.5
-    if kind == "text":
-        return np.array(TEXT_CELLS, dtype=object)[rng.integers(0, len(TEXT_CELLS), n)]
     shape = (n, 3) if kind.endswith("2d") else (n,)
     if kind.startswith("float"):
         values = rng.normal(scale=10.0 ** rng.integers(-8, 20), size=shape)
@@ -203,8 +199,8 @@ class TestColumnText:
     def test_small_and_large_calls_agree(self, parts, padding, nan, seed):
         """The arrays of a small call, padded with DEDUPE_MIN_SIZE more
         values into a large call, keep their text: both ways are repr of
-        each float (or `nan`), str of each integer, 1/0 and the text, in a
-        table as wide as the longest text."""
+        each float (or `nan`), str of each integer and 1/0, in a table as
+        wide as the longest text."""
         small = text_column(*parts, nan=nan)
         assert sum(np.size(part) for part in parts) < DEDUPE_MIN_SIZE
         large = text_column(*parts, random_column(np.random.default_rng(seed), padding, DEDUPE_MIN_SIZE), nan=nan)
@@ -213,24 +209,18 @@ class TestColumnText:
         assert_tight(small[0])
         assert_tight(large[0])
 
-    def test_text_with_nul_raises(self):
-        with pytest.raises(ValueError, match="NUL"):
-            text_column(np.array(["ok", "a\0b"]))
-        with pytest.raises(ValueError, match="NUL"):
-            write_rows(io.BytesIO(), [np.arange(2), np.array(["a\0", ""], dtype=object)])
-
     @given(n=st.sampled_from(ROW_COUNTS),
-           kinds=st.lists(st.sampled_from(["float", "float2d", "int", "int2d", "bool", "text", "encoded"]),
+           kinds=st.lists(st.sampled_from(["float", "float2d", "int", "int2d", "bool", "encoded"]),
                           min_size=1, max_size=4),
            sep=st.sampled_from([",", " "]), nan=st.sampled_from(["", "nan"]), seed=st.integers(0, 2**32 - 1))
-    @example(n=CHUNK_ROWS + 1, kinds=["encoded", "float2d", "int", "bool", "text"], sep=",", nan="",
+    @example(n=CHUNK_ROWS + 1, kinds=["encoded", "float2d", "int", "bool"], sep=",", nan="",
              seed=0)
     @settings(max_examples=40, deadline=None)
     def test_write_rows_is_a_per_row_join(self, n, kinds, sep, nan, seed):
         """write_rows writes sep.join of each row's cells, formatted value by
-        value: repr of floats (nan for NaN), str of integers, 1/0 of
-        booleans and text as it is, for 1-D and 2-D array columns and for
-        columns that text_column encoded. A float column whose NaN text is
+        value: repr of floats (nan for NaN), str of integers and 1/0 of
+        booleans, for 1-D and 2-D array columns and for columns that
+        text_column encoded. A float column whose NaN text is
         not nan is encoded with text_column first, as MissionLog.write does."""
         rng = np.random.default_rng(seed)
         encoded, cells = [], []

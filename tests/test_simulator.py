@@ -35,7 +35,7 @@ from coilkin import (
     probe_columns,
     reconstruct,
     ring_path,
-    servo_angles,
+    servo_winding,
     surface_scan,
 )
 import coilkin.columns
@@ -517,7 +517,7 @@ class TestRingPath:
         # The default ring path needs 40.93 degrees of winding at azimuth 0.
         with pytest.raises(ServoRangeError, match=r"azimuth 0 deg needs 40\.93 deg"):
             explore_tube(make_offset_tube(55.0, GEOM), replace(GEOM, servo_range=10.0))
-        assert servo_angles(ring_path(GEOM).q, GEOM.s_max, GEOM)[0].max() == pytest.approx(40.93, abs=5e-3)
+        assert servo_winding(ring_path(GEOM).q, GEOM).max() == pytest.approx(40.93, abs=5e-3)
 
     @given(
         servo_range=st.floats(0.0, 120.0),
@@ -547,10 +547,10 @@ class TestRingPath:
             with pytest.raises(type(exc)):
                 explore_tube(Tube(174.0), geom, cfg=cfg)
             return
-        angles, _ = servo_angles(path.q, geom.s_max, geom)
-        beyond = beyond_servo_range(angles.max(axis=-1), geom)
+        winding = servo_winding(path.q, geom)
+        beyond = beyond_servo_range(winding, geom)
         if not beyond.any():
-            assert angles.max() <= servo_range + 1e-9
+            assert winding.max() <= servo_range + 1e-9
             explore_tube(Tube(174.0), geom, cfg=cfg)
             return
         azimuth = math.degrees(path.alpha[path.row[beyond.argmax()]])
@@ -937,3 +937,19 @@ class TestPressureSynth:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
             pressure_detections(np.ones(4, bool), -1, GEOM.contact_threshold)
+
+    @pytest.mark.parametrize("seed", ["a", True, 1.0, np.int64(-2)])
+    def test_seed_must_be_none_or_an_int(self, seed):
+        # A bool is not a seed: True used to run as seed 1.
+        with pytest.raises(ConfigError, match="pressure seed must be None or an int >= 0"):
+            pressure_detections(np.ones(4, bool), seed, GEOM.contact_threshold)
+
+    def test_numpy_int_seed_is_an_int(self):
+        contact = np.arange(32) % 3 == 0
+        np.testing.assert_array_equal(pressure_detections(contact, np.uint8(11), 1.0),
+                                      pressure_detections(contact, 11, 1.0))
+
+    @pytest.mark.parametrize("threshold", ["x", "1.5", True, None, math.nan, math.inf])
+    def test_threshold_passes_the_number_rule(self, threshold):
+        with pytest.raises(ConfigError, match="pressure threshold_hpa must be a number"):
+            pressure_detections(np.ones(4, bool), 0, threshold)

@@ -1,9 +1,10 @@
 """Checks on the source files themselves: no unused imports, no private
-module-level name that the package never reads, and the README's library
-example runs."""
+module-level name that the package never reads, the README's library
+example runs and every name its Layout table gives exists."""
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -102,3 +103,40 @@ def test_readme_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md", "exec"), {})
     assert out.getvalue()
+
+
+def layout_names(readme: str) -> list:
+    """(module, name) of every backticked Python name in the contents column
+    of the README's Layout table, file names and the `coilkin` command
+    name left out."""
+    table = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for module, contents in re.findall(r"^\| `(coilkin\.\w+)` \| (.*) \|$", table, re.M):
+        for name in re.findall(r"`([^`]+)`", contents):
+            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", name) and name != "coilkin" \
+                    and not name.endswith((".csv", ".ply", ".py", ".json")):
+                names.append((module, name))
+    return names
+
+
+def test_readme_layout_names_resolve():
+    """Every name the README's Layout table gives for a module is an
+    attribute (or an attribute chain, such as HeightField.height_at) of it."""
+    names = layout_names((ROOT / "README.md").read_text())
+    assert len(names) > 20
+    missing = []
+    for module, name in names:
+        obj = importlib.import_module(module)
+        try:
+            for part in name.split("."):
+                obj = getattr(obj, part)
+        except AttributeError:
+            missing.append((module, name))
+    assert missing == []
+
+
+def test_layout_name_check_skips_files_and_the_command():
+    readme = ("## Layout\n\n| module | contents |\n| --- | --- |\n"
+              "| `coilkin.ply` | `write_points`, behind `workspace.ply`; a `(table, codes)` pair |\n"
+              "| `coilkin.cli` | `coilkin` front end, `servo_angles` |\n\n## Next\n| `coilkin.x` | `y` |\n")
+    assert layout_names(readme) == [("coilkin.ply", "write_points"), ("coilkin.cli", "servo_angles")]

@@ -13,7 +13,7 @@ from coilkin import (
     fk,
     ik,
     sample_workspace,
-    servo_angles,
+    servo_winding,
     workspace_extents,
 )
 import coilkin.columns
@@ -166,8 +166,7 @@ def test_matches_per_sample_loop():
             kin = fk(smp.state, geom)
             assert smp.u == pytest.approx(kin.u, abs=1e-12)
             assert smp.e == pytest.approx(kin.e, abs=1e-12)
-            angles, _ = servo_angles(kin.q, geom.s_max, geom)
-            reason = REASON_SERVO if beyond_servo_range(angles, geom).any() else REASON_OK
+            reason = REASON_SERVO if beyond_servo_range(servo_winding(kin.q, geom), geom) else REASON_OK
             assert (smp.feasible, smp.reason) == (reason == REASON_OK, reason)
         try:
             expected = reference_extents(samples)
