@@ -278,42 +278,44 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with a command name, only that command's subparser.
-
-    A one-command parser accepts exactly what the full parser accepts for
-    that command and prints the same help, usage and errors: its metavar
-    keeps the full command list in the top-level usage line, which the
-    "unrecognized arguments" error prints. The full parser derives that
-    list from its choices; a metavar there would change its own errors.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: one subparser per command of COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="coilkin",
         description="Constant-curvature backbone kinematics and contact missions. "
         "Angles are degrees here, millimeters everywhere.",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        if command is None or name == command:
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command. When argv starts with a command name only that
-    command's parser is built; any other argv (help, no arguments, an
-    unknown command, an option first) gets the full parser."""
+    """Run one command.
+
+    When argv starts with a command name, only a parser with that command's
+    arguments is built, as the full parser builds its subparser: the same
+    prog, so the same help, usage and errors. Left-over arguments get the
+    full parser's "unrecognized arguments" error, which prints the
+    top-level usage line. Any other argv (help, no arguments, an unknown
+    command, an option first) goes to the full parser.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments, handler = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"coilkin {argv[0]}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = build_parser().parse_args(argv)
+        handler = args.func
     try:
-        return args.func(args)
+        return handler(args)
     except CoilkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -104,24 +104,52 @@ def arc_kernel(alpha, theta, s, d: float, l: float) -> ArcKinematics:
     sqrt(s^2 + (d theta)^2 - 2 s d theta c_i), or chord = |a_i|*sin(h)/h.
     Nothing divides by theta: theta = 0 gives U = (0, 0, s) and q_i = s.
     """
-    alpha, theta, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, theta, s)))
-    ca, sa = np.cos(alpha), np.sin(alpha)
+    # A trailing axis of one: every temporary is an array (a 0-d input
+    # would give numpy scalars, which take no out=), and the four tendons
+    # broadcast against it as one (..., 4) pass.
+    alpha, theta, s = (v[..., None] for v in
+                       np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, theta, s))))
+    rows = alpha.shape[:-1]
     half = 0.5 * theta
     sinc_half = np.sinc(half / math.pi)
-    k = s * sinc_half
-    lean = k * np.sin(half)
-    u = np.stack([lean * ca, lean * sa, k * np.cos(half)], axis=-1)
-    u += 0.0  # turns the -0.0 of a straight backbone at cos(alpha) < 0 into 0.0
-    tangent = np.stack([ca * np.sin(theta), sa * np.sin(theta), np.cos(theta)], axis=-1)
+    # The tendons first, in place: while the three (..., 4) buffers live,
+    # no (..., 3) output exists yet. cos_off then serves as a, sin_off as
+    # the arc, and the chord overwrites a, which becomes q.
+    sin_off = alpha - ANCHOR_ANGLES
+    cos_off = np.cos(sin_off)
+    np.sin(sin_off, out=sin_off)
     dt = d * theta
-    q = np.empty(u.shape[:-1] + (4,))
-    # One tendon at a time keeps the temporaries at the size of one input.
-    for i, phi in enumerate(ANCHOR_ANGLES):
-        cos_off = np.cos(alpha - phi)
-        a = s - dt * cos_off
-        arc = np.hypot(a, dt * np.sin(alpha - phi))
-        q[..., i] = np.where(_takes_arc(cos_off), arc, np.abs(a) * sinc_half)
-    return ArcKinematics(u, tangent, u + l * tangent, q)
+    takes_arc = _takes_arc(cos_off)
+    a = np.multiply(dt, cos_off, out=cos_off)
+    np.subtract(s, a, out=a)
+    np.multiply(dt, sin_off, out=sin_off)
+    del dt
+    np.hypot(a, sin_off, out=sin_off)
+    q = np.abs(a, out=a)
+    q *= sinc_half
+    np.copyto(q, sin_off, where=takes_arc)
+    del sin_off, takes_arc
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    k = s * sinc_half
+    del sinc_half
+    lean = k * np.sin(half)
+    u = np.empty(rows + (3,))
+    np.multiply(lean, ca, out=u[..., 0:1])
+    np.multiply(lean, sa, out=u[..., 1:2])
+    del lean
+    np.cos(half, out=half)
+    np.multiply(k, half, out=u[..., 2:3])
+    del k, half
+    u += 0.0  # turns the -0.0 of a straight backbone at cos(alpha) < 0 into 0.0
+    tangent = np.empty(rows + (3,))
+    sin_theta = np.sin(theta)
+    np.multiply(ca, sin_theta, out=tangent[..., 0:1])
+    np.multiply(sa, sin_theta, out=tangent[..., 1:2])
+    del ca, sa, sin_theta
+    np.cos(theta, out=tangent[..., 2:3])
+    e = np.multiply(l, tangent)
+    e += u
+    return ArcKinematics(u, tangent, e, q)
 
 
 def fk(state: ArcState, geom: RobotGeometry) -> ArcKinematics:

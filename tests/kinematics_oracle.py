@@ -3,7 +3,9 @@
 fk_transform builds the Frame D -> Frame U transform from the arc radius
 r = s/theta, the textbook route that arc_kernel avoids; attachment_points
 carries the four lower tendon anchors through it. ik_reference is the
-inverse map one target at a time in `math`, the reference for ik_kernel.
+inverse map one target at a time in `math`, the reference for ik_kernel;
+arc_kernel_reference is arc_kernel with one tendon at a time, which the
+in-place kernel must match bit for bit.
 The tests import this module directly (pytest puts tests/ on sys.path,
 which has no __init__.py).
 """
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from coilkin import ArcState, DegenerateTargetError, InvalidStateError, UnreachableTargetError
-from coilkin.kinematics import HALF_PI, ORIGIN_EPS, PLANAR_EPS
+from coilkin.kinematics import ANCHOR_ANGLES, HALF_PI, ORIGIN_EPS, PLANAR_EPS, TIE_EPS, ArcKinematics
 
 
 def rot_z(angle: float) -> np.ndarray:
@@ -121,3 +123,26 @@ def ik_reference(target_u, geom) -> ArcState:
             f"required backbone length {s} outside [{geom.s_min}, {geom.s_max}]"
         )
     return ArcState(math.atan2(y, x), theta, min(max(s, geom.s_min), geom.s_max))
+
+
+def arc_kernel_reference(alpha, theta, s, d: float, l: float) -> ArcKinematics:
+    """arc_kernel's closed form computed the plain way: np.stack for U and
+    the tangent, and one tendon at a time. The same float operations on
+    every element, so arc_kernel must match it bit for bit."""
+    alpha, theta, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, theta, s)))
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    half = 0.5 * theta
+    sinc_half = np.sinc(half / math.pi)
+    k = s * sinc_half
+    lean = k * np.sin(half)
+    u = np.stack([lean * ca, lean * sa, k * np.cos(half)], axis=-1)
+    u += 0.0
+    tangent = np.stack([ca * np.sin(theta), sa * np.sin(theta), np.cos(theta)], axis=-1)
+    dt = d * theta
+    q = np.empty(u.shape[:-1] + (4,))
+    for i, phi in enumerate(ANCHOR_ANGLES):
+        cos_off = np.cos(alpha - phi)
+        a = s - dt * cos_off
+        arc = np.hypot(a, dt * np.sin(alpha - phi))
+        q[..., i] = np.where(cos_off > TIE_EPS, arc, np.abs(a) * sinc_half)
+    return ArcKinematics(u, tangent, u + l * tangent, q)

@@ -23,7 +23,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import coilkin
-from coilkin.cli import build_parser, main
+from coilkin.cli import COMMANDS, build_parser, main
 
 QUARTER = 44.563384065730695
 # The child process imports the coilkin these tests import, whether it came
@@ -460,8 +460,9 @@ def parser_tails(command):
 
 
 class TestCommandParser:
-    """main builds only the subparser that argv[0] names; help, usage and
-    errors stay those of the full parser."""
+    """main builds only a parser with the arguments of the command that
+    argv[0] names; help, usage, errors and parsed values stay those of the
+    full parser."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -481,25 +482,39 @@ class TestCommandParser:
         [(c, t) for c in VALID_TAILS for t in parser_tails(c)],
         ids=[f"{c}-{i}" for c in VALID_TAILS for i in range(len(parser_tails(c)))],
     )
-    def test_one_command_parser_matches_full(self, command, tail):
+    def test_one_command_parser_matches_full(self, monkeypatch, command, tail):
         argv = [command, *tail]
-        expected = run_main(argv, build_parser())
-        assert run_main(argv, build_parser(command)) == expected
+        stdout, stderr, code, parsed = run_main(argv, build_parser())
+        if parsed is not None:  # parsed: main would run the handler, which returns 0 here
+            assert parsed.pop("command") == command
+            code = 0
+        seen = []
+        help_text, add_arguments, _ = COMMANDS[command]
+        monkeypatch.setitem(COMMANDS, command, (help_text, add_arguments, lambda args: seen.append(vars(args)) or 0))
+        assert run_main(argv)[:3] == (stdout, stderr, code)
+        assert (seen or [None]) == [parsed]
 
     def test_builds_only_named_subparser(self, monkeypatch, tmp_path):
         built = []
-        add_parser = argparse._SubParsersAction.add_parser
+        init = argparse.ArgumentParser.__init__
 
-        def counted(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-        assert run_main(["explore", "--no-obstacle", "--out", str(tmp_path)])[2] == 0
-        assert built == ["explore"]
-        built.clear()
-        assert run_main(["--help"])[2] == 0
-        assert built == ["fk", "ik", "tendons", "workspace", "scan", "explore"]
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        full = ["coilkin"] + [f"coilkin {name}" for name in COMMANDS]
+        explore = ["explore", "--no-obstacle", "--out", str(tmp_path)]
+        for argv, code, parsers in [
+            (explore, 0, ["coilkin explore"]),
+            (explore + ["extra"], 2, ["coilkin explore"] + full),
+            (["--help"], 0, full),
+            ([], 2, full),
+            (["bogus"], 2, full),
+        ]:
+            built.clear()
+            assert run_main(argv)[2] == code, argv
+            assert built == parsers, argv
 
 
 FUZZ_NUMBERS = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-5", "5e-324", "wide"]
@@ -628,7 +643,7 @@ class TestArgvFuzz:
             if command in ("fk", "ik", "tendons"):
                 json.loads(stdout, parse_constant=reject_constant)
             if command in ("fk", "tendons"):
-                assert run_main(argv, build_parser(command))[3]["theta"] >= 0.0, argv
+                assert run_main(argv, build_parser())[3]["theta"] >= 0.0, argv
 
     @given(
         command=st.sampled_from(["fk", "tendons"]),

@@ -9,6 +9,7 @@ r-based frame chain itself lives in kinematics_oracle, beside this file.
 
 import math
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -27,7 +28,9 @@ from coilkin import (
     ik_kernel,
 )
 from coilkin.kinematics import HALF_PI, PLANAR_EPS, TIE_EPS, arc_kernel
+from coilkin.workspace import DEFAULT_GRID
 from kinematics_oracle import (
+    arc_kernel_reference,
     attachment_points,
     fk_transform,
     ik_reference,
@@ -372,6 +375,36 @@ class TestTieRule:
         assert nudged == pytest.approx(at_zero, abs=1e-9)
 
 
+# Kernel inputs at the edges that the tie rule and the straight backbone
+# meet: alpha at k*pi/2 and one ulp either side, theta at 0, below the
+# 1e-12 that ArcState collapses and at pi/2, s at both bounds.
+TIE_ALPHAS = [a for k in range(5) for a in
+              (math.nextafter(k * HALF_PI, -math.inf), k * HALF_PI, math.nextafter(k * HALF_PI, math.inf))]
+kernel_alpha = st.one_of(st.sampled_from(TIE_ALPHAS), st.floats(0.0, 2.0 * math.pi))
+kernel_theta = st.one_of(st.sampled_from([0.0, 5e-324, 1e-13, math.nextafter(1e-12, 0.0), HALF_PI]),
+                         st.floats(0.0, HALF_PI))
+kernel_s = st.one_of(st.sampled_from([GEOM.s_min, GEOM.s_max]), st.floats(GEOM.s_min, GEOM.s_max))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(alpha, theta, s) as 0-d values, as (n,) rows, or as an (a, 1)
+    column against a (1, b) row with s of either shape or 0-d."""
+    def array(values, size, shape):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+    layout = draw(st.sampled_from(["0-d", "rows", "grid"]))
+    if layout == "0-d":
+        return tuple(draw(values) for values in (kernel_alpha, kernel_theta, kernel_s))
+    if layout == "rows":
+        n = draw(st.integers(0, 12))
+        return tuple(array(values, n, (n,)) for values in (kernel_alpha, kernel_theta, kernel_s))
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    s_shape = draw(st.sampled_from([(), (a, 1), (1, b)]))
+    return (array(kernel_alpha, a, (a, 1)), array(kernel_theta, b, (1, b)),
+            array(kernel_s, math.prod(s_shape), s_shape))
+
+
 class TestArcKernel:
     def test_straight_is_exact(self):
         kin = arc_kernel([0.0, 1.0, 2.5, 4.0], 0.0, 37.5, GEOM.d, GEOM.l)
@@ -424,6 +457,33 @@ class TestArcKernel:
                 else math.dist(pl, ph)
             )
             assert kin.q[i] == pytest.approx(expected, abs=1e-9)
+
+    @given(inputs=kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_per_tendon_loop(self, inputs):
+        kin = arc_kernel(*inputs, GEOM.d, GEOM.l)
+        for name, got, want in zip(kin._fields, kin, arc_kernel_reference(*inputs, GEOM.d, GEOM.l)):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+
+    def test_peak_bytes_per_row(self):
+        """The default 72 x 19 x 11 workspace grid: 15,048 rows. The four
+        outputs alone hold 104 bytes a row, and the in-place kernel peaks
+        there; stacked outputs and a temporary per tendon would not fit."""
+        n_alpha, n_theta, n_s = DEFAULT_GRID
+        alpha, theta, s = (a.ravel() for a in np.meshgrid(
+            np.arange(n_alpha) * (2.0 * math.pi / n_alpha),
+            np.linspace(0.0, HALF_PI, n_theta),
+            np.linspace(GEOM.s_min, GEOM.s_max, n_s),
+            indexing="ij",
+        ))
+        arc_kernel(alpha, theta, s, GEOM.d, GEOM.l)
+        tracemalloc.start()
+        try:
+            arc_kernel(alpha, theta, s, GEOM.d, GEOM.l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / alpha.size < 170
 
     @pytest.mark.parametrize(
         "alpha,theta,s",
