@@ -73,57 +73,42 @@ def _write_manifest(out, command, args, outputs):
     })
 
 
-def _print_record(record):
-    print(json.dumps(record, sort_keys=True))
+def cmd_fk(args, geom) -> str:
+    kin = fk(ArcState(math.radians(args.alpha), math.radians(args.theta), args.s), geom)
+    record = dict(zip(("xU", "yU", "zU", "xE", "yE", "zE"), kin.u.tolist() + kin.e.tolist()))
+    return json.dumps(record, sort_keys=True)
 
 
-def cmd_fk(args) -> int:
-    geom = _geometry(args)
-    state = ArcState(math.radians(args.alpha), math.radians(args.theta), args.s)
-    kin = fk(state, geom)
-    _print_record(dict(zip(("xU", "yU", "zU", "xE", "yE", "zE"), kin.u.tolist() + kin.e.tolist())))
-    return 0
-
-
-def cmd_ik(args) -> int:
-    geom = _geometry(args)
+def cmd_ik(args, geom) -> str:
     state = ik((args.x, args.y, args.z), geom)
-    _print_record(
-        {
-            "alpha_deg": math.degrees(state.alpha),
-            "theta_deg": math.degrees(state.theta),
-            "r_mm": state.r if math.isfinite(state.r) else None,
-            "s_mm": state.s,
-        }
-    )
-    return 0
+    return json.dumps({
+        "alpha_deg": math.degrees(state.alpha),
+        "theta_deg": math.degrees(state.theta),
+        "r_mm": state.r if math.isfinite(state.r) else None,
+        "s_mm": state.s,
+    }, sort_keys=True)
 
 
-def cmd_tendons(args) -> int:
-    geom = _geometry(args)
+def cmd_tendons(args, geom) -> str:
     state = ArcState(math.radians(args.alpha), math.radians(args.theta), args.s)
-    _print_record(dict(zip(("q1", "q2", "q3", "q4"), fk(state, geom).q.tolist())))
-    return 0
+    return json.dumps(dict(zip(("q1", "q2", "q3", "q4"), fk(state, geom).q.tolist())), sort_keys=True)
 
 
-def cmd_workspace(args) -> int:
-    geom = _geometry(args)
+def cmd_workspace(args, geom) -> str:
     ws = sample_workspace(geom, (args.n_alpha, args.n_theta, args.n_s))
     extents = workspace_extents(ws)  # before any output, so that an empty workspace writes nothing
     out = _out_dir(args)
     write_files(ws, os.path.join(out, "workspace.csv"), os.path.join(out, "workspace.ply"))
     _write_manifest(out, "workspace", args, ["workspace.csv", "workspace.ply"])
-    print(
+    return (
         f"samples={len(ws)} feasible={ws.feasible.sum()} "
         f"z_min={extents['z_min']:.3f} z_max={extents['z_max']:.3f} "
         f"radial_max={extents['radial_max']:.3f} "
         f"max_payout={max_payout(geom):.3f}"
     )
-    return 0
 
 
-def cmd_scan(args) -> int:
-    geom = _geometry(args)
+def cmd_scan(args, geom) -> str:
     scene = load_scene(args.scene)
     cfg = ScanConfig(
         width=args.width,
@@ -155,8 +140,7 @@ def cmd_scan(args) -> int:
             fh.write(features)
         outputs += ["heightmap.csv", "heightmap.ply", "features.csv"]
     _write_manifest(out, "scan", args, outputs)
-    print(f"nodes={len(cloud.contact)} contacts={cloud.contact_count}")
-    return 0
+    return f"nodes={len(cloud.contact)} contacts={cloud.contact_count}"
 
 
 def _write_pressure(path, contact, detected):
@@ -176,18 +160,16 @@ def make_offset_tube(offset_mm: float, geom: RobotGeometry, cfg: ExploreConfig =
     return Tube(inner_radius_mm, Cube(center, OBSTACLE_EDGE))
 
 
-def cmd_explore(args) -> int:
-    geom = _geometry(args)
-    cfg = ExploreConfig()
+def cmd_explore(args, geom) -> str:
     if args.scene:
         scene = load_scene(args.scene)
     elif args.no_obstacle:
         scene = Tube(args.tube_radius)
     elif args.obstacle_offset is not None:
-        scene = make_offset_tube(args.obstacle_offset, geom, cfg, args.tube_radius)
+        scene = make_offset_tube(args.obstacle_offset, geom, inner_radius_mm=args.tube_radius)
     else:
         raise ConfigError("explore needs --scene, --obstacle-offset or --no-obstacle")
-    result = explore_tube(scene, geom, (0.0, 0.0, 0.0), cfg)
+    result = explore_tube(scene, geom)
     out = _out_dir(args)
     result.log.write(os.path.join(out, "events.csv"))
     contacts = int(result.contact.sum())
@@ -199,8 +181,7 @@ def cmd_explore(args) -> int:
     }
     _write_json(os.path.join(out, "report.json"), report)
     _write_manifest(out, "explore", args, ["events.csv", "report.json"])
-    print(f"stop_depth={result.stop_depth_mm:g} contacts={contacts}")
-    return 0
+    return f"stop_depth={result.stop_depth_mm:g} contacts={contacts}"
 
 
 def _add_geometry_arg(parser):
@@ -267,7 +248,8 @@ def _explore_args(p):
 
 
 # name -> (help, function adding the command's arguments, handler), in the
-# order that help and usage list the commands.
+# order that help and usage list the commands. handler(args, geom) computes,
+# writes its files and returns the command's one stdout line.
 COMMANDS = {
     "fk": ("spring-top and tip position of a configuration", _fk_args, cmd_fk),
     "ik": ("arc state reaching a spring-top target", _ik_args, cmd_ik),
@@ -301,7 +283,9 @@ def main(argv=None) -> int:
     prog, so the same help, usage and errors. Left-over arguments get the
     full parser's "unrecognized arguments" error, which prints the
     top-level usage line. Any other argv (help, no arguments, an unknown
-    command, an option first) goes to the full parser.
+    command, an option first) goes to the full parser. main resolves the
+    geometry, prints the line the handler returns and returns 0; a
+    CoilkinError or OSError prints only to stderr and returns its exit code.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
@@ -315,13 +299,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         handler = args.func
     try:
-        return handler(args)
+        print(handler(args, _geometry(args)))
     except CoilkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .columns import text_column, write_rows
-from .errors import EmptyCloudError
+from .errors import ConfigError, EmptyCloudError, finite_number, finite_numbers
 from .ply import write_points
 from .simulator import ContactCloud
 
@@ -15,18 +15,25 @@ FEATURE_NY = 15
 FEATURE_LEN = FEATURE_NX * FEATURE_NY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeightMap:
     """Grid of surface heights (mm) cropped to the contacted bounding box.
 
     heights[i, j] is the cell at (origin[0] + i*cell_mm,
     origin[1] + j*cell_mm); NaN marks cells probed without contact. The
-    origin places the bounding-box centroid at (0, 0).
+    origin places the bounding-box centroid at (0, 0). origin and cell_mm
+    pass errors.finite_number and are stored as floats; cell_mm is > 0.
     """
 
     heights: np.ndarray
     origin: tuple
     cell_mm: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin", finite_numbers(self.origin, 2, "height map origin", ConfigError))
+        object.__setattr__(self, "cell_mm", finite_number(self.cell_mm, "height map cell_mm", ConfigError))
+        if self.cell_mm <= 0.0:
+            raise ConfigError(f"height map cell_mm must be > 0, got {self.cell_mm}")
 
     @property
     def contact_mask(self) -> np.ndarray:
@@ -123,7 +130,7 @@ def to_feature(hmap: HeightMap, provenance: str = "") -> FeatureVector:
     return FeatureVector(tuple(float(v) for v in down.ravel()), provenance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Per-sample position errors with their Mean/SD summary.
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SceneError, finite_number, finite_numbers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeightField:
     """Non-negative height grid over the floor plane; outside cells read 0.
 

@@ -485,12 +485,18 @@ class TestCommandParser:
     def test_one_command_parser_matches_full(self, monkeypatch, command, tail):
         argv = [command, *tail]
         stdout, stderr, code, parsed = run_main(argv, build_parser())
-        if parsed is not None:  # parsed: main would run the handler, which returns 0 here
+        if parsed is not None:  # parsed: main runs the handler, prints its empty line and returns 0
             assert parsed.pop("command") == command
-            code = 0
+            stdout, code = "\n", 0
         seen = []
         help_text, add_arguments, _ = COMMANDS[command]
-        monkeypatch.setitem(COMMANDS, command, (help_text, add_arguments, lambda args: seen.append(vars(args)) or 0))
+
+        def record(args, geom):
+            seen.append(vars(args))
+            return ""
+
+        monkeypatch.setattr("coilkin.cli._geometry", lambda args: None)
+        monkeypatch.setitem(COMMANDS, command, (help_text, add_arguments, record))
         assert run_main(argv)[:3] == (stdout, stderr, code)
         assert (seen or [None]) == [parsed]
 
@@ -638,6 +644,8 @@ class TestArgvFuzz:
         event(f"exit {code}")
         assert code in (0, 2, 3, 4), (argv, stderr)
         assert "Traceback" not in stderr, argv
+        if code != 0:
+            assert stdout == "", argv
         if code == 0 and argv[0] == command:
             assert not NON_FINITE_TEXT.search(stdout), argv
             if command in ("fk", "ik", "tendons"):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coilkin import (
+    ConfigError,
     ContactCloud,
     EmptyCloudError,
     FeatureVector,
@@ -312,6 +313,24 @@ class TestReconstruct:
         assert f"element vertex {int(mask.sum())}" in ply
         assert len(ply) == ply.index("end_header") + 1 + int(mask.sum())
 
+    def test_header_of_numpy_numbers_is_float_text(self, tmp_path):
+        # The origin and cell size follow the number rule: numpy scalars are
+        # stored as Python floats, whose repr is plain under numpy 2 too.
+        hmap = HeightMap(np.zeros((2, 2)), (np.float64(-5.0), np.float32(0.5)), np.float64(10))
+        hmap.write_csv(tmp_path / "map.csv")
+        header = (tmp_path / "map.csv").read_text().splitlines()[0]
+        assert header == "# origin_x=-5.0 origin_y=0.5 cell_mm=10.0"
+        assert [type(v) for v in (*hmap.origin, hmap.cell_mm)] == [float] * 3
+
+    @pytest.mark.parametrize(
+        "origin,cell_mm",
+        [((0.0,), 10.0), ((0.0, "1"), 10.0), ((True, 0.0), 10.0), ((0.0, math.nan), 10.0),
+         ((0.0, 0.0), math.inf), ((0.0, 0.0), 0.0), ((0.0, 0.0), -1.0)],
+    )
+    def test_bad_origin_or_cell_raises_config_error(self, origin, cell_mm):
+        with pytest.raises(ConfigError, match="height map"):
+            HeightMap(np.zeros((1, 1)), origin, cell_mm)
+
 
 def overlap_weights_loop(n_in, n_out):
     """_overlap_weights as a loop over bins and the cells each one covers."""
@@ -468,3 +487,20 @@ class TestErrorStats:
         assert lines[1].startswith("Mean (mm),")
         assert lines[2].startswith("SD (mm),")
         assert [float(v) for v in lines[1].split(",")[1:]] == pytest.approx([5.0, 3.0, 0.0, 4.0])
+
+
+class TestArrayRecords:
+    """Records that hold arrays compare by identity and hash: a generated
+    field-by-field __eq__ could only raise on a multi-cell array."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: HeightField((0.0, 0.0), 10.0, [[1.0, 2.0]]),
+        lambda: HeightMap(np.array([[1.0, 2.0]]), (0.0, 0.0), 10.0),
+        lambda: error_stats([((0.0, 0.0, 50.0), (3.0, 0.0, 46.0))] * 2),
+    ], ids=["HeightField", "HeightMap", "ErrorReport"])
+    def test_equal_contents_compare_false_and_hash(self, build):
+        a, b = build(), build()
+        assert (a == b) is False
+        assert a == a
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
