@@ -1,9 +1,9 @@
 """Command-line front door: kinematics queries, workspace export and missions.
 
 Angles are degrees at this boundary and radians inside. Every run command
-writes its outputs plus a manifest.json under --out (overridden by the
-COILKIN_OUT environment variable). Exit codes: 0 success, 2 bad arguments
-or configuration, 3 unreachable or infeasible request, 4 I/O failure.
+writes its outputs plus a manifest.json under --out. Exit codes: 0 success,
+2 bad arguments or configuration, 3 unreachable or infeasible request, 4 I/O
+failure.
 """
 
 import argparse
@@ -52,9 +52,8 @@ def _geometry(args) -> RobotGeometry:
 
 
 def _out_dir(args) -> str:
-    out = os.environ.get("COILKIN_OUT") or args.out
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write_json(path, doc):
@@ -172,12 +171,12 @@ def cmd_explore(args, geom) -> str:
     result = explore_tube(scene, geom)
     out = _out_dir(args)
     result.log.write(os.path.join(out, "events.csv"))
-    contacts = int(result.contact.sum())
+    contacts = int(result.log.contact.sum())
     report = {
         "stop_depth_mm": result.stop_depth_mm,
         "any_contact": result.any_contact,
         "contacts": contacts,
-        "probes": len(result.contact),
+        "probes": result.log.contact.size,
     }
     _write_json(os.path.join(out, "report.json"), report)
     _write_manifest(out, "explore", args, ["events.csv", "report.json"])

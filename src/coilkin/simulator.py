@@ -119,13 +119,12 @@ class ContactCloud:
     """Probe results over a scan grid as columns, one row per node in visit
     order, in world (arm-frame) coordinates, and the mission's log.
 
-    arm is (N, 3); extension_mm, contact and contact_z are (N,), with
-    contact_z NaN where the probe found no surface. Every probe is
+    arm is (N, 3), contact and contact_z (N,), contact_z NaN where the probe
+    found no surface; log.s (N, 1) holds the extensions. Every probe is
     vertical (alpha 0), so a contact point is (arm x, arm y, contact_z).
     """
 
     arm: np.ndarray
-    extension_mm: np.ndarray
     contact: np.ndarray
     contact_z: np.ndarray
     step_mm: float
@@ -237,7 +236,7 @@ def surface_scan(scene: HeightField, geom: RobotGeometry, cfg: ScanConfig = Scan
     points = np.where(contact[:, None], np.column_stack([arms[:, :2], contact_z]), np.nan)
     # Each node logs its move, made with the backbone retracted, then its probe.
     log = MissionLog(arms, geom.s_min, 0.0, ext[:, None], contact[:, None], points[:, None])
-    return ContactCloud(arms, ext, contact, contact_z, cfg.step_mm, cfg.origin, log)
+    return ContactCloud(arms, contact, contact_z, cfg.step_mm, cfg.origin, log)
 
 
 @dataclass(frozen=True)
@@ -333,16 +332,13 @@ def ring_path(geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig()) -> Ring
 
 @dataclass(frozen=True, eq=False)
 class ExploreResult:
-    """A mission's outcome; the probe columns hold one row per azimuth of
-    every ring scanned, ring by ring: alpha, extension_mm and contact are
-    (N,), contact_point (N, 3) is NaN without contact."""
+    """A mission's outcome and its log, whose probe columns hold one row
+    per ring scanned and one column per azimuth: log.alpha is (n,), log.s
+    (the extension) and log.contact (rings, n), log.point (rings, n, 3),
+    NaN without contact."""
 
     stop_depth_mm: float
     any_contact: bool
-    alpha: np.ndarray
-    extension_mm: np.ndarray
-    contact: np.ndarray
-    contact_point: np.ndarray
     log: MissionLog
 
 
@@ -362,7 +358,7 @@ def explore_tube(
     touching waypoint; the arm then returns to its start and the mission
     stops with that depth. Without contact the arm performs max_steps
     descents. The log holds, per ring, the compressed descent and one row
-    per azimuth, then the return.
+    per azimuth, then the return. An overflowing arm z raises ConfigError.
     """
     if not isinstance(scene, Tube):
         raise SceneError("tube exploration needs a tube scene")
@@ -370,6 +366,8 @@ def explore_tube(
     path = ring_path(geom, cfg)
     check_node_count(cfg.max_steps * len(path.t), "explore depth pass")
     depths = list(itertools.accumulate(itertools.repeat(cfg.descent_step, cfg.max_steps)))
+    if not math.isfinite(origin[2] - depths[-1]):
+        raise ConfigError(f"explore descent of {depths[-1]:g} mm from z {origin[2]:g} overflows")
     arms = np.empty((cfg.max_steps, 3))
     arms[:, :2] = origin[:2]
     arms[:, 2] = origin[2] - np.array(depths)
@@ -394,10 +392,7 @@ def explore_tube(
     # the return to the start follows. Every arm move is made compressed.
     moves = np.vstack([arms[:rings], origin])[: rings + any_contact]
     log = MissionLog(moves, cfg.compressed_s, path.alpha, ext, contact, points)
-    return ExploreResult(
-        depths[rings - 1], any_contact, np.tile(path.alpha, rings),
-        ext.ravel(), contact.ravel(), points.reshape(-1, 3), log,
-    )
+    return ExploreResult(depths[rings - 1], any_contact, log)
 
 
 # The synthetic bristle pressure sensor of pressure_detections.

@@ -156,7 +156,7 @@ def test_c5_exploration_stop_depths():
         results == {35.0: (40.0, True), 55.0: (60.0, True), 75.0: (80.0, True), 95.0: (100.0, True)}
         and control.stop_depth_mm == 100.0
         and not control.any_contact
-        and not control.contact.any()
+        and not control.log.contact.any()
         and slowest < 1.0
     )
     report(

@@ -39,7 +39,6 @@ def limit_memory():
 
 def run_cli(*args, env_extra=None, cwd=None, timeout=None, preexec_fn=None):
     env = dict(os.environ)
-    env.pop("COILKIN_OUT", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
@@ -924,6 +923,22 @@ class TestExploreCommand:
         proc = run_cli("explore", "--out", tmp_path / "run")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("radius", [40.0, 174.0])
+    @pytest.mark.parametrize("offset", [10.0, 35.0, 95.0, 130.0])
+    def test_report_counts_match_events(self, tmp_path, offset, radius):
+        """report.json's contacts count the events.csv probe rows with
+        contact 1, and probes is 8 azimuths per 20 mm ring descended."""
+        out = tmp_path / "run"
+        argv = ["explore", "--obstacle-offset", str(offset), "--tube-radius", str(radius), "--out", str(out)]
+        stdout, err, code, _ = run_main(argv)
+        assert code == 0, err
+        report = json.loads((out / "report.json").read_text())
+        with open(out / "events.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert report["contacts"] == sum(row["contact"] == "1" for row in rows)
+        assert report["probes"] == report["stop_depth_mm"] / 20 * 8
+        assert stdout == f"stop_depth={report['stop_depth_mm']:g} contacts={report['contacts']}\n"
+
     def test_unwritable_out_exits_4(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -983,7 +998,8 @@ class TestServoRange:
 
 
 class TestReproducibility:
-    def test_env_var_overrides_out(self, tmp_path):
+    def test_env_var_is_ignored(self, tmp_path):
+        """COILKIN_OUT redirects nothing: the outputs land under --out only."""
         flag_dir = tmp_path / "flagged"
         env_dir = tmp_path / "enved"
         proc = run_cli(
@@ -991,8 +1007,8 @@ class TestReproducibility:
             env_extra={"COILKIN_OUT": str(env_dir)},
         )
         assert proc.returncode == 0
-        assert env_dir.exists()
-        assert not flag_dir.exists()
+        assert sorted(p.name for p in flag_dir.iterdir()) == ["events.csv", "manifest.json", "report.json"]
+        assert not env_dir.exists()
 
     def test_two_runs_byte_identical(self, tmp_path):
         scene = tmp_path / "scene.json"

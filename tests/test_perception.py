@@ -46,7 +46,7 @@ def synthetic_cloud(height_grid, step=10.0, contact_mask=None):
     contact_z = np.where(hit, grid[i, j], np.nan)
     points = np.where(hit[:, None], np.column_stack([arm[:, :2], contact_z]), np.nan)
     log = MissionLog(arm, 20.0, 0.0, extension[:, None], hit[:, None], points[:, None])
-    return ContactCloud(arm, extension, hit, contact_z, step, (0.0, 0.0), log)
+    return ContactCloud(arm, hit, contact_z, step, (0.0, 0.0), log)
 
 
 def stamped_scene(pattern, at_i, at_j, size=21):

@@ -402,7 +402,7 @@ def test_array_scan_matches_node_loop(
     cloud = surface_scan(scene, GEOM, cfg)
     arm, extension, contact, contact_z = zip(*expected)
     assert cloud.arm.tolist() == [list(a) for a in arm]
-    assert cloud.extension_mm.tolist() == list(extension)
+    assert cloud.log.s.ravel().tolist() == list(extension)
     assert cloud.contact.tolist() == list(contact)
     np.testing.assert_array_equal(cloud.contact_z, [np.nan if z is None else z for z in contact_z])
     # Line lists, not one string: a failing 3,362-row example then reports
@@ -423,44 +423,53 @@ def one_ring(scene):
     return explore_tube(scene, GEOM, (0.0, 0.0, ONE_RING.descent_step), ONE_RING)
 
 
+def probe_rows(result):
+    """A mission's probe columns as rows, one per azimuth of every ring
+    scanned, ring by ring: alpha, extension and contact (N,), point (N, 3)."""
+    log = result.log
+    return np.tile(log.alpha, len(log.s)), log.s.ravel(), log.contact.ravel(), log.point.reshape(-1, 3)
+
+
 class TestRadialScan:
     """One ring of radial probes: a mission of one ring."""
 
     def test_clear_tube_no_contacts(self):
         result = one_ring(Tube(174.0))
-        assert len(result.alpha) == 8
+        alpha, extension, contact, point = probe_rows(result)
+        assert len(alpha) == 8
         assert not result.any_contact
-        assert not result.contact.any()
-        assert np.isnan(result.contact_point).all()
+        assert not contact.any()
+        assert np.isnan(point).all()
         # tip never gets near the wall: extension targets reach ~65 mm radially
-        assert result.extension_mm == pytest.approx([62.46955909735036] * 8)
+        assert extension == pytest.approx([62.46955909735036] * 8)
 
     def test_cube_seen_only_on_facing_azimuth(self):
         # cube straddles the +x scan path, in depth range of the sweep
         result = one_ring(Tube(174.0, Cube((45.0, 0.0, -176.0), 40.0)))
         assert result.any_contact
-        by_alpha = dict(zip(np.round(np.degrees(result.alpha)).tolist(), result.contact.tolist()))
+        alpha, _, contact, _ = probe_rows(result)
+        by_alpha = dict(zip(np.round(np.degrees(alpha)).tolist(), contact.tolist()))
         assert by_alpha[0]
         assert not by_alpha[180]
         assert not by_alpha[90]
         assert not by_alpha[45]
 
     def test_contact_stops_extension_early(self):
-        result = one_ring(Tube(174.0, Cube((45.0, 0.0, -176.0), 40.0)))
-        k = np.flatnonzero(result.contact)[0]
-        assert result.extension_mm[k] < 62.4  # stopped mid-extension
-        assert np.isfinite(result.contact_point[k]).all()
+        _, extension, contact, point = probe_rows(one_ring(Tube(174.0, Cube((45.0, 0.0, -176.0), 40.0))))
+        k = np.flatnonzero(contact)[0]
+        assert extension[k] < 62.4  # stopped mid-extension
+        assert np.isfinite(point[k]).all()
 
     def test_narrow_tube_wall_contact(self):
         result = one_ring(Tube(40.0))
         assert result.any_contact
-        assert result.contact.all()  # every azimuth reaches the wall
+        assert probe_rows(result)[2].all()  # every azimuth reaches the wall
 
     def test_wall_touch_is_closed(self):
         """A tip at exactly the wall radius touches; one ulp further out does not."""
         reach = np.hypot(*ring_path(GEOM, ONE_RING).tip[:, :2].T).max()
-        result = one_ring(Tube(float(reach)))
-        assert len(result.contact) == 8 and result.contact.all()
+        contact = probe_rows(one_ring(Tube(float(reach))))[2]
+        assert len(contact) == 8 and contact.all()
         assert not one_ring(Tube(float(np.nextafter(reach, np.inf)))).any_contact
 
 
@@ -621,11 +630,13 @@ def test_batched_ring_matches_waypoint_loop(radius, offset):
         probes, log, depth = reference_mission(scene, GEOM, start, cfg)
         assert result.stop_depth_mm == depth
         assert result.any_contact == any(p[2] for p in probes)
+        assert result.any_contact == bool(result.log.contact.any())
         alpha, ext, contact, points = zip(*probes)
-        assert result.alpha.tolist() == list(alpha)
-        assert result.extension_mm.tolist() == list(ext)
-        assert result.contact.tolist() == list(contact)
-        assert_points(result.contact_point, points)
+        got_alpha, got_ext, got_contact, got_points = probe_rows(result)
+        assert got_alpha.tolist() == list(alpha)
+        assert got_ext.tolist() == list(ext)
+        assert got_contact.tolist() == list(contact)
+        assert_points(got_points, points)
         rows = result.log.rows
         assert rows[:, LOG_ARM].tolist() == [list(r[0]) for r in log]
         assert rows[:, LOG_ARM.stop:LOG_CONTACT + 1].tolist() == [[r[1], r[2], float(r[3])] for r in log]
@@ -654,7 +665,7 @@ def test_one_path_per_mission(monkeypatch, scene, rings, n_directions):
     monkeypatch.setattr(coilkin.simulator, "arc_kernel", kernel)
     monkeypatch.setattr(coilkin.simulator, "ik_kernel", counted("ik_kernel", coilkin.simulator.ik_kernel))
     result = explore_tube(scene, GEOM, cfg=ExploreConfig(n_directions=n_directions))
-    assert len(result.alpha) == rings * n_directions
+    assert len(probe_rows(result)[0]) == rings * n_directions
     assert calls == {"ik_kernel": 1, "arc_kernel": 2}
 
 
@@ -673,10 +684,11 @@ class TestExploreTube:
         result = explore_tube(Tube(174.0), GEOM)
         assert result.stop_depth_mm == 100.0
         assert not result.any_contact
-        assert not result.contact.any()
-        assert len(result.alpha) == len(result.extension_mm) == len(result.contact) == 5 * 8
-        assert result.contact_point.shape == (5 * 8, 3)
-        assert np.isnan(result.contact_point).all()
+        alpha, extension, contact, point = probe_rows(result)
+        assert not contact.any()
+        assert len(alpha) == len(extension) == len(contact) == 5 * 8
+        assert point.shape == (5 * 8, 3)
+        assert np.isnan(point).all()
 
     def test_obstacle_below_reach(self):
         result = explore_tube(make_offset_tube(120.0, GEOM), GEOM)
@@ -700,6 +712,15 @@ class TestExploreTube:
     def test_compressed_length_within_bounds(self):
         with pytest.raises(InvalidStateError, match="backbone length 10.0 outside"):
             explore_tube(Tube(174.0), GEOM, cfg=ExploreConfig(compressed_s=10.0))
+
+    @pytest.mark.parametrize("start_z,step", [(0.0, 1e308), (-1.7e308, 1e307)])
+    def test_overflowing_depth_raises(self, start_z, step):
+        """A descent whose deepest arm z overflows to -inf is rejected; the
+        same start with the default step stays finite and runs."""
+        with pytest.raises(ConfigError, match="overflows"):
+            explore_tube(Tube(174.0), GEOM, (0.0, 0.0, start_z), ExploreConfig(descent_step=step))
+        result = explore_tube(Tube(174.0), GEOM, (0.0, 0.0, start_z))
+        assert np.isfinite(result.log.move_arm).all() and result.stop_depth_mm == 100.0
 
     def test_depth_pass_is_capped(self, monkeypatch):
         # Checked before the (depth, waypoint) tips array is built; a lowered
