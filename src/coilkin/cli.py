@@ -117,12 +117,14 @@ def cmd_scan(args, geom) -> str:
         quantum=args.quantum,
     )
     cloud = surface_scan(scene, geom, cfg)
+    contact = cloud.log.contact.ravel()
+    contacts = int(contact.sum())
     # Everything that can fail on the input comes before any output: a bad
     # seed, and the features row, whose provenance is the scene file name
     # as UTF-8, with the bytes of a name that is not UTF-8 escaped.
     if args.pressure_synth:
-        detected = pressure_detections(cloud.contact, args.seed, geom.contact_threshold)
-    if cloud.contact_count > 0:
+        detected = pressure_detections(contact, args.seed, geom.contact_threshold)
+    if contacts > 0:
         hmap = reconstruct(cloud)
         name = os.fsencode(os.path.basename(args.scene)).decode("utf-8", "backslashreplace")
         features = (to_feature(hmap, provenance=name).to_csv_row() + "\n").encode()
@@ -131,15 +133,15 @@ def cmd_scan(args, geom) -> str:
     cloud.log.write(os.path.join(out, "events.csv"))
     if args.pressure_synth:
         outputs.append("pressure.csv")
-        _write_pressure(os.path.join(out, "pressure.csv"), cloud.contact, detected)
-    if cloud.contact_count > 0:
+        _write_pressure(os.path.join(out, "pressure.csv"), contact, detected)
+    if contacts > 0:
         hmap.write_csv(os.path.join(out, "heightmap.csv"))
         hmap.write_ply(os.path.join(out, "heightmap.ply"))
         with open(os.path.join(out, "features.csv"), "wb") as fh:
             fh.write(features)
         outputs += ["heightmap.csv", "heightmap.ply", "features.csv"]
     _write_manifest(out, "scan", args, outputs)
-    return f"nodes={len(cloud.contact)} contacts={cloud.contact_count}"
+    return f"nodes={len(contact)} contacts={contacts}"
 
 
 def _write_pressure(path, contact, detected):
@@ -160,14 +162,14 @@ def make_offset_tube(offset_mm: float, geom: RobotGeometry, cfg: ExploreConfig =
 
 
 def cmd_explore(args, geom) -> str:
-    if args.scene:
+    if (args.scene is not None) + (args.obstacle_offset is not None) + args.no_obstacle != 1:
+        raise ConfigError("explore needs exactly one of --scene, --obstacle-offset or --no-obstacle")
+    if args.scene is not None:
         scene = load_scene(args.scene)
     elif args.no_obstacle:
         scene = Tube(args.tube_radius)
-    elif args.obstacle_offset is not None:
-        scene = make_offset_tube(args.obstacle_offset, geom, inner_radius_mm=args.tube_radius)
     else:
-        raise ConfigError("explore needs --scene, --obstacle-offset or --no-obstacle")
+        scene = make_offset_tube(args.obstacle_offset, geom, inner_radius_mm=args.tube_radius)
     result = explore_tube(scene, geom)
     out = _out_dir(args)
     result.log.write(os.path.join(out, "events.csv"))
@@ -225,11 +227,11 @@ def _workspace_args(p):
 
 def _scan_args(p):
     p.add_argument("--scene", required=True, help="height-field scene JSON")
-    p.add_argument("--width", type=float, default=200.0)
-    p.add_argument("--height", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=10.0)
+    p.add_argument("--width", type=float, default=ScanConfig.width)
+    p.add_argument("--height", type=float, default=ScanConfig.height)
+    p.add_argument("--step", type=float, default=ScanConfig.step_mm)
     p.add_argument("--arm-z", type=float, default=None, help="arm height, mm (default: floor reach)")
-    p.add_argument("--quantum", type=float, default=0.5, help="probe extension step, mm")
+    p.add_argument("--quantum", type=float, default=ScanConfig.quantum, help="probe extension step, mm")
     p.add_argument("--pressure-synth", action="store_true", help="emit synthetic pressure checks")
     p.add_argument("--seed", type=int, default=None, help="seed of the pressure synthesizer (default 0)")
     _add_geometry_arg(p)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import text_column, write_rows
+from .columns import check_node_count, text_column, write_rows
 from .errors import ConfigError, EmptyCloudError, finite_number, finite_numbers
 from .ply import write_points
 from .simulator import ContactCloud
@@ -79,21 +79,24 @@ class FeatureVector:
 
 
 def reconstruct(cloud: ContactCloud) -> HeightMap:
-    """Height map from a grid scan's contact events.
+    """Height map from a grid scan's contact points, log.point where log.contact.
 
-    Drops non-contact events, crops to the contacted bounding box
-    (preserving grid adjacency, with NaN inside the box where nothing was
-    touched), zeroes the lowest contact height and recenters x-y on the
-    box centroid.
+    Crops to the contacted bounding box (preserving grid adjacency, with NaN
+    inside the box where nothing was touched), zeroes the lowest contact
+    height and recenters x-y on the box centroid. A box of more than
+    columns.MAX_NODES cells raises ConfigError.
     """
-    if not cloud.contact.any():
+    points = cloud.log.point[cloud.log.contact]  # (C, 3)
+    if not len(points):
         raise EmptyCloudError("no contact events in cloud")
-    arm = cloud.arm[cloud.contact]
-    i = np.round((arm[:, 0] - cloud.origin[0]) / cloud.step_mm).astype(np.intp)
-    j = np.round((arm[:, 1] - cloud.origin[1]) / cloud.step_mm).astype(np.intp)
-    i0, i1, j0, j1 = (int(v) for v in (i.min(), i.max(), j.min(), j.max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN box size fails the cap too
+        i = np.round((points[:, 0] - cloud.origin[0]) / cloud.step_mm)
+        j = np.round((points[:, 1] - cloud.origin[1]) / cloud.step_mm)
+        i0, i1, j0, j1 = i.min(), i.max(), j.min(), j.max()
+        check_node_count((i1 - i0 + 1.0) * (j1 - j0 + 1.0), "height map")
+    i0, i1, j0, j1 = (int(v) for v in (i0, i1, j0, j1))
     heights = np.full((i1 - i0 + 1, j1 - j0 + 1), np.nan)
-    heights[i - i0, j - j0] = cloud.contact_z[cloud.contact]
+    heights[i.astype(np.intp) - i0, j.astype(np.intp) - j0] = points[:, 2]
     heights -= np.nanmin(heights)
     origin = (-(i1 - i0) * cloud.step_mm / 2.0, -(j1 - j0) * cloud.step_mm / 2.0)
     return HeightMap(heights, origin, cloud.step_mm)

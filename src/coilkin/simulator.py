@@ -116,24 +116,23 @@ class MissionLog:
 
 @dataclass(frozen=True, eq=False)
 class ContactCloud:
-    """Probe results over a scan grid as columns, one row per node in visit
-    order, in world (arm-frame) coordinates, and the mission's log.
-
-    arm is (N, 3), contact and contact_z (N,), contact_z NaN where the probe
-    found no surface; log.s (N, 1) holds the extensions. Every probe is
-    vertical (alpha 0), so a contact point is (arm x, arm y, contact_z).
+    """A grid scan's grid and its log, one probe per node in visit order, in
+    world (arm-frame) coordinates: log.move_arm is (N, 3), log.s and
+    log.contact (N, 1), log.point (N, 1, 3), NaN without contact. Every
+    probe is vertical (alpha 0), so a contact point is (arm x, arm y,
+    contact height). step_mm and origin pass errors.finite_number and are
+    stored as floats; step_mm is > 0.
     """
 
-    arm: np.ndarray
-    contact: np.ndarray
-    contact_z: np.ndarray
     step_mm: float
     origin: tuple
     log: MissionLog
 
-    @property
-    def contact_count(self) -> int:
-        return int(self.contact.sum())
+    def __post_init__(self):
+        object.__setattr__(self, "step_mm", finite_number(self.step_mm, "cloud step_mm", ConfigError))
+        object.__setattr__(self, "origin", finite_numbers(self.origin, 2, "cloud origin", ConfigError))
+        if self.step_mm <= 0.0:
+            raise ConfigError(f"cloud step_mm must be > 0, got {self.step_mm}")
 
 
 def probe_columns(scene: HeightField, arms, geom: RobotGeometry, quantum: float = 0.5):
@@ -236,7 +235,7 @@ def surface_scan(scene: HeightField, geom: RobotGeometry, cfg: ScanConfig = Scan
     points = np.where(contact[:, None], np.column_stack([arms[:, :2], contact_z]), np.nan)
     # Each node logs its move, made with the backbone retracted, then its probe.
     log = MissionLog(arms, geom.s_min, 0.0, ext[:, None], contact[:, None], points[:, None])
-    return ContactCloud(arms, contact, contact_z, cfg.step_mm, cfg.origin, log)
+    return ContactCloud(cfg.step_mm, cfg.origin, log)
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,7 @@ def test_c6_surface_scan_fidelity():
         started = time.perf_counter()
         cloud = surface_scan(scene, GEOM)  # floor exactly reachable
         slowest = max(slowest, time.perf_counter() - started)
-        assert len(cloud.contact) == 441
+        assert len(cloud.log.contact[:, 0]) == 441
         hmap = reconstruct(cloud)
         bad = 0
         total = 0

@@ -431,6 +431,7 @@ def run_main(argv, parser=None):
 
 
 USAGE_GOLDEN = Path(__file__).parent / "golden" / "usage.json"
+GOLDEN_SCENES = Path(__file__).parent / "golden" / "scenes"
 VALID_TAILS = {
     "fk": ["--alpha", "30", "--theta", "40", "--s", "50"],
     "ik": ["0", "0", "45"],
@@ -895,6 +896,24 @@ class TestScanCommand:
         proc = run_cli("scan", "--scene", scene, "--out", tmp_path / "run")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("extra", [(), ("--pressure-synth",), ("--arm-z", "300", "--pressure-synth")])
+    @pytest.mark.parametrize("scene", sorted(GOLDEN_SCENES.glob("*.json")), ids=lambda path: path.stem)
+    def test_counts_match_events(self, tmp_path, scene, extra):
+        """nodes counts the events.csv probe rows, contacts those with
+        contact 1, and pressure.csv's contact column is theirs."""
+        out = tmp_path / "run"
+        stdout, err, code, _ = run_main(["scan", "--scene", str(scene), "--out", str(out), *extra])
+        assert code == 0, err
+        with open(out / "events.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        probes = rows[1::2]  # each node logs its move, then its probe
+        assert len(rows) == 2 * len(probes)
+        contact = [row["contact"] for row in probes]
+        assert stdout == f"nodes={len(probes)} contacts={contact.count('1')}\n"
+        if "--pressure-synth" in extra:
+            with open(out / "pressure.csv", newline="") as fh:
+                assert [row["contact"] for row in csv.DictReader(fh)] == contact
+
 
 class TestExploreCommand:
     def test_offset_55_stops_at_60(self, tmp_path):
@@ -922,6 +941,24 @@ class TestExploreCommand:
     def test_missing_scene_spec_exits_2(self, tmp_path):
         proc = run_cli("explore", "--out", tmp_path / "run")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("sources", [
+        ("--no-obstacle", "--obstacle-offset", "35"),
+        ("--scene", "TUBE", "--no-obstacle"),
+        ("--scene", "TUBE", "--obstacle-offset", "35"),
+        ("--scene", "TUBE", "--obstacle-offset", "35", "--no-obstacle"),
+    ])
+    def test_conflicting_scene_sources_exit_2(self, tmp_path, sources):
+        """explore takes exactly one of --scene, --obstacle-offset and
+        --no-obstacle, and writes nothing otherwise."""
+        scene = tmp_path / "tube.json"
+        scene.write_text(json.dumps({"type": "tube", "inner_radius_mm": 174}))
+        out = tmp_path / "run"
+        argv = ["explore", *(str(scene) if a == "TUBE" else a for a in sources), "--out", str(out)]
+        stdout, stderr, code, _ = run_main(argv)
+        assert (stdout, code) == ("", 2)
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("radius", [40.0, 174.0])
     @pytest.mark.parametrize("offset", [10.0, 35.0, 95.0, 130.0])

@@ -46,7 +46,7 @@ def synthetic_cloud(height_grid, step=10.0, contact_mask=None):
     contact_z = np.where(hit, grid[i, j], np.nan)
     points = np.where(hit[:, None], np.column_stack([arm[:, :2], contact_z]), np.nan)
     log = MissionLog(arm, 20.0, 0.0, extension[:, None], hit[:, None], points[:, None])
-    return ContactCloud(arm, hit, contact_z, step, (0.0, 0.0), log)
+    return ContactCloud(step, (0.0, 0.0), log)
 
 
 def stamped_scene(pattern, at_i, at_j, size=21):
@@ -330,6 +330,38 @@ class TestReconstruct:
     def test_bad_origin_or_cell_raises_config_error(self, origin, cell_mm):
         with pytest.raises(ConfigError, match="height map"):
             HeightMap(np.zeros((1, 1)), origin, cell_mm)
+
+    @pytest.mark.parametrize(
+        "step_mm,origin",
+        [(0.0, (0.0, 0.0)), (-1.0, (0.0, 0.0)), (math.nan, (0.0, 0.0)), (math.inf, (0.0, 0.0)),
+         ("10", (0.0, 0.0)), (True, (0.0, 0.0)), (10.0, (0.0, math.nan)), (10.0, (0.0,)), (10.0, (0.0, "1"))],
+    )
+    def test_bad_cloud_grid_raises_config_error(self, step_mm, origin):
+        log = synthetic_cloud(np.zeros((3, 3))).log
+        with pytest.raises(ConfigError, match="cloud"):
+            ContactCloud(step_mm, origin, log)
+
+    def test_cloud_grid_numbers_are_stored_as_floats(self):
+        cloud = ContactCloud(np.int64(10), (np.float32(0.5), 0), synthetic_cloud(np.zeros((3, 3))).log)
+        assert (cloud.step_mm, cloud.origin) == (10.0, (0.5, 0.0))
+        assert [type(v) for v in (cloud.step_mm, *cloud.origin)] == [float] * 3
+
+    @pytest.mark.parametrize("step_mm", [1e-300, 1e-3])
+    def test_box_above_node_cap_raises(self, step_mm):
+        # A 20 mm scan of 3 x 3 nodes read at a finer step than it was made
+        # at: 2e301 or 20,001 cells a side, rejected before any allocation.
+        cloud = ContactCloud(step_mm, (0.0, 0.0), synthetic_cloud(np.zeros((3, 3))).log)
+        with pytest.raises(ConfigError, match="cap"):
+            reconstruct(cloud)
+
+    @pytest.mark.parametrize("x,step_mm", [(3e7, 10.0), (math.inf, 10.0), (math.nan, 10.0), (1e10, 1e-300)])
+    def test_far_contact_point_above_node_cap_raises(self, x, step_mm):
+        # Node (1, 1) moved to x: a box of 3,000,001 x 3 cells, or of an
+        # inf or NaN size, or one whose x index overflows; none warns.
+        cloud = synthetic_cloud(np.zeros((3, 3)), step=step_mm)
+        cloud.log.point[4, 0, 0] = x
+        with pytest.raises(ConfigError, match="cap"):
+            reconstruct(cloud)
 
 
 def overlap_weights_loop(n_in, n_out):

@@ -147,21 +147,21 @@ class TestProbeVertical:
 class TestSurfaceScan:
     def test_empty_scene_control(self):
         cloud = surface_scan(FLAT, GEOM, ScanConfig(arm_z=200.0))
-        assert len(cloud.contact) == 441
-        assert cloud.contact_count == 0
+        assert len(cloud.log.contact[:, 0]) == 441
+        assert int(cloud.log.contact.sum()) == 0
 
     def test_plateau_heights_within_quantum(self):
         scene = plateau_scene(40.0)
         cloud = surface_scan(scene, GEOM)  # floor exactly reachable
-        assert cloud.contact_count == 441
-        for (x, y, _), measured in zip(cloud.arm.tolist(), cloud.contact_z.tolist()):
+        assert int(cloud.log.contact.sum()) == 441
+        for (x, y, _), measured in zip(cloud.log.move_arm.tolist(), cloud.log.point[:, 0, 2].tolist()):
             truth = scene.height_at(x, y)
             assert truth - 0.5 <= measured <= truth + 1e-9
 
     def test_zig_zag_order(self):
         cloud = surface_scan(FLAT, GEOM, ScanConfig(width=20.0, height=20.0, step_mm=10.0))
-        xs = cloud.arm[:, 0].tolist()
-        ys = cloud.arm[:, 1].tolist()
+        xs = cloud.log.move_arm[:, 0].tolist()
+        ys = cloud.log.move_arm[:, 1].tolist()
         assert xs == [0.0, 10.0, 20.0, 20.0, 10.0, 0.0, 0.0, 10.0, 20.0]
         assert ys == [0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 20.0, 20.0, 20.0]
 
@@ -181,17 +181,17 @@ class TestSurfaceScan:
         # Arm at 191 mm: cells of height >= 15 are reachable, the floor is not.
         scene = plateau_scene(30.0, 4, 9, 4, 9)
         cloud = surface_scan(scene, GEOM, ScanConfig(arm_z=191.0))
-        for (x, y, _), contact in zip(cloud.arm.tolist(), cloud.contact.tolist()):
+        for (x, y, _), contact in zip(cloud.log.move_arm.tolist(), cloud.log.contact[:, 0].tolist()):
             reachable = scene.height_at(x, y) >= 191.0 - GEOM.probe_offset - GEOM.s_max
             assert contact == reachable
-        assert cloud.contact_count == 25
+        assert int(cloud.log.contact.sum()) == 25
 
     def test_box_scene_single_component(self):
         scene = plateau_scene(25.0, 8, 14, 9, 12)  # board-eraser proportions
         cloud = surface_scan(scene, GEOM)
         tall = {
             (round(x), round(y))
-            for (x, y, _), z in zip(cloud.arm.tolist(), cloud.contact_z.tolist())
+            for (x, y, _), z in zip(cloud.log.move_arm.tolist(), cloud.log.point[:, 0, 2].tolist())
             if z > 12.5  # NaN, no contact, compares False
         }
         # flood fill oracle: the thresholded map must be one connected blob
@@ -244,7 +244,7 @@ class TestScanConfig:
 
     def test_zero_extent_is_one_node(self):
         cloud = surface_scan(FLAT, GEOM, ScanConfig(width=0.0, height=0.0))
-        assert len(cloud.contact) == 1
+        assert len(cloud.log.contact[:, 0]) == 1
 
     @pytest.mark.parametrize("number", [int, np.float64, np.int64, np.float32])
     def test_numbers_are_stored_as_floats(self, number, tmp_path):
@@ -401,14 +401,14 @@ def test_array_scan_matches_node_loop(
         return
     cloud = surface_scan(scene, GEOM, cfg)
     arm, extension, contact, contact_z = zip(*expected)
-    assert cloud.arm.tolist() == [list(a) for a in arm]
+    assert cloud.log.move_arm.tolist() == [list(a) for a in arm]
     assert cloud.log.s.ravel().tolist() == list(extension)
-    assert cloud.contact.tolist() == list(contact)
-    np.testing.assert_array_equal(cloud.contact_z, [np.nan if z is None else z for z in contact_z])
+    assert cloud.log.contact[:, 0].tolist() == list(contact)
+    np.testing.assert_array_equal(cloud.log.point[:, 0, 2], [np.nan if z is None else z for z in contact_z])
     # Line lists, not one string: a failing 3,362-row example then reports
     # its first differing line at once instead of diffing the whole text.
     assert log_text(cloud.log, log_dir).splitlines(keepends=True) == expected_csv.splitlines(keepends=True)
-    if cloud.contact_count:
+    if cloud.log.contact.any():
         np.testing.assert_array_equal(reconstruct(cloud).heights, reference_heights(expected, cfg))
     else:
         with pytest.raises(EmptyCloudError):
