@@ -1,6 +1,9 @@
 """Columns: the node cap of every grid, and as text the number format and
-the row writer of every CSV and PLY table."""
+the row writer of every CSV and PLY table. Floats are written as repr
+writes them; a large table gets repr's bytes from a vectorized
+shortest-decimal kernel instead of a repr call per value."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -9,18 +12,21 @@ from .errors import ConfigError
 
 # The node cap of every grid a call builds (scan nodes, workspace samples,
 # explore depth x waypoint tips). Under tracemalloc a whole 1 mm scan
-# command (40,401 nodes) peaks at about 146 bytes per node, 235 with
+# command (40,401 nodes) peaks at about 138 bytes per node, 227 with
 # pressure synthesis, and a workspace command on the default grid at about
-# 260 per sample, writers included (tests/test_cli.py bounds them at 180,
+# 261 per sample, writers included (tests/test_cli.py bounds them at 180,
 # 260 and 275), so 512 bytes a node fits 1 GiB.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
 # A text_column call of this many values or more formats each distinct
-# magnitude once, after a sort per float column, and writes integers as
-# digits by numpy; a smaller call sorts all its floats at once and formats
-# value by value. Explore logs (at most 230 values a call) are faster the
-# small way at every size measured up to 2,076 values, integer blocks the
-# large way from about 150; a 1 mm scan's smallest call holds 930 values.
+# magnitude once, after a sort per float column, by the kernel of
+# _repr_bytes, and writes integers as digits by numpy; a smaller call sorts
+# all its floats at once and formats value by value with repr and str.
+# Explore logs (at most 230 values a call) are faster the small way at every
+# size measured up to 2,076 values, integer blocks the large way from about
+# 150; a 1 mm scan's smallest call holds 930 values. The kernel costs about
+# 0.16 ms a call before its first value, so repr is faster below about 400
+# distinct values.
 DEDUPE_MIN_SIZE = 512
 # Rows assembled per write, which bounds the text held in memory.
 CHUNK_ROWS = 2048
@@ -70,20 +76,175 @@ def _digits(values) -> np.ndarray:
     return table.view(f"S{width}")[:, 0]
 
 
+# repr's text of a float by integer arithmetic on uint64 arrays. Its digits
+# are the shortest decimal that reads back as the float, found by Schubfach
+# (Giulietti, "The Schubfach way to render doubles", 2020) as Java's
+# DoubleToDecimal finds them, without Java's two-digit minimum: repr writes
+# 5e-324 where Java writes 4.9E-324. Its tables cover the decimal exponents
+# k in [_K_MIN, 292] of every finite float.
+_K_MIN = -324
+
+
+def _flog2_pow10(e):
+    """floor(e * log2(10)) for |e| <= 1233 (Java's MathUtils.flog2pow10)."""
+    return (e * 217706) >> 16
+
+
+@functools.cache
+def _shortest_tables():
+    """The read-only tables of _repr_bytes, built on first use.
+
+    - g[:, k - _K_MIN] is g = floor(beta) + 1 for 10**-k = beta * 2**r,
+      2**125 <= beta < 2**126, as five uint64: its high 63 bits g1, their
+      32-bit halves, and the 32-bit halves of its low 63 bits;
+    - quads[n] is the text of n < 10,000 as four ASCII digits in a uint32;
+    - exponents[e - _K_MIN] is repr's exponent text e+XX of 10**e,
+      NUL-padded to 5 bytes.
+    """
+    g = []
+    for k in range(_K_MIN, 293):
+        r = _flog2_pow10(-k) - 125
+        g.append((10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1)
+    g = np.array([[x >> 63, x >> 95, x >> 63 & 0xFFFFFFFF, x >> 32 & 0x7FFFFFFF, x & 0xFFFFFFFF] for x in g],
+                 np.uint64).T.copy()
+    n = np.arange(10000)
+    quads = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")).astype(np.uint8)
+    exponents = np.array([b"e%+03d" % e for e in range(_K_MIN, 309)], "S5")
+    tables = g, quads.view(np.uint32)[:, 0], exponents.view(np.uint8).reshape(-1, 5)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _mul_high(ah, al, bh, bl):
+    """The high 64 bits of the products (ah * 2**32 + al) * (bh * 2**32 + bl)
+    of uint64 arrays given as 32-bit halves (Warren, Hacker's Delight, mulhu)."""
+    t = ah * bl + (al * bl >> 32)
+    return ah * bh + (t >> 32) + ((t & 0xFFFFFFFF) + al * bh >> 32)
+
+
+def _round_to_odd(g, cp):
+    """Java's rop(g1, g0, cp) for cp < 2**63 and the five words of g that
+    _shortest_tables holds: g * cp / 2**127 rounded down, then to odd where
+    it drops bits that are not all zero."""
+    g1, g1h, g1l, g0h, g0l = g
+    ch, cl = cp >> 32, cp & 0xFFFFFFFF
+    z = (g1 * cp >> 1) + _mul_high(g0h, g0l, ch, cl)
+    return _mul_high(g1h, g1l, ch, cl) + (z >> 63) | ((z << 1) != 0)
+
+
+def _shortest_decimal(x):
+    """(digits, k) for a 1-D array x of finite floats >= 0: the shortest
+    decimal digits * 10**k that reads back as each float, the one nearest to
+    it among those, as repr finds it. digits (uint64) has at most 17 digits,
+    trailing zeros included, and k is int64; 0.0 gives (0, 0)."""
+    bits = x.view(np.uint64)
+    fraction = bits & (1 << 52) - 1
+    biased = (bits >> 52).astype(np.int64)
+    # x = c * 2**q.
+    q = np.maximum(biased, 1) - 1075
+    c = fraction | (biased > 0).astype(np.uint64) << 52
+    # A power of two above the least normal has its lower neighbour half as
+    # far as its upper one, which moves its lower bound and its k.
+    irregular = (fraction == 0) & (biased > 1)
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + _flog2_pow10(-k) + 2).astype(np.uint64)
+    # x and the bounds of its rounding interval, times 4 * 10**-k, rounded to
+    # odd; an even c's interval includes its bounds.
+    cb = c << 2
+    vb, vbl, vbr = _round_to_odd(_shortest_tables()[0][:, k - _K_MIN],
+                                 np.stack([cb, cb - 2 + irregular, cb + 2]) << h)
+    vbl += c & 1
+    vbr -= c & 1
+    # sp10 or sp10 + 10 where just one of them lies in the interval, else s
+    # or s + 1 where just one does, else the nearer of s and s + 1 to x, the
+    # even one on a tie.
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin, wpin = vbl <= sp10 << 2, (sp10 << 2) + 40 <= vbr
+    uin, win = vbl <= s << 2, (s << 2) + 4 <= vbr
+    digits = np.where(upin != wpin, np.where(upin, sp10, sp10 + 10),
+                      s + np.where(uin != win, win, (vb & 3) + (s & 1) > 2))
+    zero = c == 0
+    digits[zero] = 0
+    k[zero] = 0
+    return digits, k
+
+
+def _repr_bytes(x) -> np.ndarray:
+    """np.array([repr(v) for v in x.tolist()], "S") for a 1-D float array
+    x of magnitudes (sign bits clear), without a repr call: the same bytes,
+    as wide as the longest text.
+
+    _shortest_decimal gives the digits, without their trailing zeros, and
+    the place of the decimal point, `point` digits after the first digit.
+    repr writes them in fixed notation when -4 < point <= 16 (the digits
+    before the point or 0, a point, the digits after it or 0), else as
+    d[.ddd]e+XX with the exponent point - 1 in at least two digits; NaN and
+    inf are nan and inf.
+    """
+    _, quads, exponents = _shortest_tables()
+    special = ~np.isfinite(x)
+    digits, k = _shortest_decimal(np.where(special, 0.0, x))
+    n = x.size
+    # Each row: four '0's, the digits right-aligned in 20 columns from five
+    # four-digit words, then 24 more '0's.
+    rows = np.full((n, 48), ord("0"), np.uint8)
+    words = rows[:, 4:24].view(np.uint32)
+    for i in range(4, 0, -1):
+        digits, rest = np.divmod(digits, 10000)
+        words[:, i] = quads[rest]
+    words[:, 0] = quads[digits]
+    nonzero = rows[:, 4:24] != ord("0")
+    last = 23 - nonzero[:, ::-1].argmax(axis=1)
+    nonzero[:, -1] = True
+    first = 4 + nonzero.argmax(axis=1)
+    point = 24 - first + k
+    fixed = (point > -4) & (point <= 16)
+    # Each text is the row from `start` on, with a point inserted at column
+    # `dot`, cut at column `end`. Fixed notation starts at the first digit,
+    # or at the 0 before the point. Exponent notation writes its exponent
+    # over the zeros after the last digit; a single digit gets its point at
+    # column 23, past the end.
+    several = last > first
+    start = np.where(fixed, first + np.minimum(point, 1) - 1, first)
+    dot = np.where(fixed, np.maximum(point, 1), np.where(several, 1, 23))
+    end = np.where(fixed, dot + 1 + np.maximum(last + 1 - first - point, 1),
+                   last - first + 1 + several + 4 + (np.abs(point - 1) >= 100))
+    scientific = np.flatnonzero(~fixed)
+    rows.reshape(-1)[(scientific * 48 + last[scientific] + 1)[:, None] + np.arange(5)] = \
+        exponents[point[scientific] - 1 - _K_MIN]
+    # shifted[:, j + 1] is rows[:, start + j], gathered from the windows of
+    # 25 bytes that start at each of the first 24 columns of each row:
+    # columns before the point are those of shifted[:, 1:], those after it
+    # of shifted[:, :-1].
+    windows = np.ndarray((n, 24, 25), np.uint8, rows, 0, (48, 1, 1))
+    shifted = windows[np.arange(n), start - 1]
+    column = np.arange(24, dtype=np.uint8)
+    text = shifted[:, :-1] + (shifted[:, 1:] - shifted[:, :-1]) * (column < dot.astype(np.uint8)[:, None])
+    text.reshape(-1)[np.arange(n) * 24 + dot] = ord(".")
+    text[special, :3] = np.frombuffer(b"infnan", np.uint8).reshape(2, 3)[np.isnan(x[special]).astype(np.intp)]
+    end[special] = 3
+    text *= column < end.astype(np.uint8)[:, None]
+    width = int(end.max(initial=1))
+    return np.ascontiguousarray(text[:, :width]).view(f"S{width}")[:, 0]
+
+
 def _float_texts(entries, nan) -> np.ndarray:
     """The table of a 1-D float array `entries`: repr(v) of each, or `nan`
     for NaN, NUL-padded to the longest text.
 
-    Each magnitude is formatted once: repr(-x) is "-" + repr(x) for every x
-    but NaN, so a negative entry is a minus sign before the text of its
-    magnitude, and one np.isnan mask writes `nan`.
+    Each distinct magnitude is formatted once, by _repr_bytes: repr(-x) is
+    "-" + repr(x) for every x but NaN, so a negative entry is a minus sign
+    before the text of its magnitude, and one np.isnan mask writes `nan`.
     """
     bits = entries.view(np.int64)
     negative, isnan = bits < 0, np.isnan(entries)
     magnitudes, codes = _distinct(bits & np.iinfo(np.int64).max)
     magnitudes = magnitudes.view(float)
-    # CHUNK_ROWS values at a time, which bounds the Python objects held.
-    texts = np.concatenate([np.array(list(map(repr, magnitudes[i : i + CHUNK_ROWS].tolist())), "S")
+    # CHUNK_ROWS values at a time, which bounds the kernel's scratch memory;
+    # each chunk's table is as wide as its own longest text.
+    texts = np.concatenate([_repr_bytes(magnitudes[i : i + CHUNK_ROWS])
                             for i in range(0, magnitudes.size, CHUNK_ROWS)])
     del magnitudes
     # The width of the table. Every text but NaN's is at least as long as
@@ -131,13 +292,14 @@ def text_column(*arrays, nan="nan"):
     booleans as 1 and 0. A caller with a fixed set of texts passes its own
     (table, codes) pair to write_rows instead. The distinct float bit
     patterns are found by sorting, so a column with few distinct values
-    (grid coordinates, quantized heights) costs a sort rather than a repr
-    per value, and bit patterns keep -0.0 apart from 0.0. The call's size,
-    all its values counted, decides the rest once. A call of fewer than
-    DEDUPE_MIN_SIZE values sorts all its floats at once, passes each
-    distinct value to repr and each integer to str. A larger call sorts its
-    floats one column (last axis) at a time, which bounds the scratch
-    memory, passes each distinct magnitude to repr, a negative value's text
+    (grid coordinates, quantized heights) is formatted once per distinct
+    value rather than once per value, and bit patterns keep -0.0 apart from
+    0.0. The call's size, all its values counted, decides the rest once. A
+    call of fewer than DEDUPE_MIN_SIZE values sorts all its floats at once,
+    passes each distinct value to repr and each integer to str. A larger
+    call sorts its floats one column (last axis) at a time, which bounds the
+    scratch memory, formats each distinct magnitude once with _repr_bytes,
+    a vectorized kernel that gives repr's bytes, a negative value's text
     being "-" and its magnitude's, and writes integers as digits by numpy.
     The table is as wide as its longest text.
     """

@@ -124,6 +124,26 @@ def reference_text(column, nan) -> list:
     return [[cell(v) for v in (row if isinstance(row, list) else [row])] for row in column.tolist()]
 
 
+def assert_kernel_is_repr(magnitudes):
+    """columns._repr_bytes gives, for floats without a sign bit, the bytes of
+    repr of each, in a table as wide as the longest text."""
+    x = np.asarray(magnitudes, float)
+    assert not np.signbit(x).any()
+    for first in range(0, x.size, 1 << 16):
+        chunk = x[first : first + (1 << 16)]
+        expected = np.array([repr(v) for v in chunk.tolist()], "S")
+        got = columns._repr_bytes(chunk)
+        wrong = np.flatnonzero(got != expected)
+        assert not wrong.size, [(chunk[i].item(), got[i], expected[i]) for i in wrong[:5]]
+        assert got.dtype == expected.dtype
+
+
+def with_neighbours(values):
+    """Each float and the floats just below and just above it."""
+    x = np.asarray(values, float)
+    return np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)])
+
+
 class TestColumnText:
     @pytest.mark.parametrize("size", [1, 9, 127, 128, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, 640])
     def test_text_column_is_repr_per_value(self, size):
@@ -159,21 +179,25 @@ class TestColumnText:
         assert text_column(short, nan=nan)[0].itemsize == max(len(nan), longest - 1)
 
     def test_repr_once_per_magnitude(self, monkeypatch):
-        """The spring tops of the default workspace grid need one repr per
-        distinct magnitude, 17,537 for 25,747 distinct bit patterns; a call
-        of fewer than DEDUPE_MIN_SIZE values takes one repr per distinct
-        value."""
-        calls = []
+        """The spring tops of the default workspace grid format each
+        distinct magnitude once, 17,537 for 25,747 distinct bit patterns,
+        by the kernel and without repr; a call of fewer than DEDUPE_MIN_SIZE
+        values takes one repr per distinct value."""
+        calls, sizes = [], []
         monkeypatch.setattr(columns, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+        kernel = columns._repr_bytes
+        monkeypatch.setattr(columns, "_repr_bytes", lambda x: sizes.append(x.size) or kernel(x))
         u = sample_workspace(GEOM).u
         table, codes = text_column(u)
-        assert len(calls) == np.unique(np.abs(u)).size == 17537
+        assert sum(sizes) == np.unique(np.abs(u)).size == 17537
+        assert calls == []
         assert texts(table, codes) == [repr(v) for v in u.ravel().tolist()]
         assert_tight(table)
-        calls.clear()
+        sizes.clear()
         small = np.array([1.5, -1.5, 0.25, -0.25, 3.0, 1.5])
         assert texts(*text_column(small)) == [repr(v) for v in small.tolist()]
         assert len(calls) == 5
+        assert sizes == []
 
     def test_arrays_share_one_table(self):
         """Each array gets codes of its own shape into one table, and the
@@ -236,6 +260,48 @@ class TestColumnText:
         write_rows(fh, encoded, sep=sep)
         expected = "".join(sep.join(sum(row, [])) + "\n" for row in zip(*cells))
         assert fh.getvalue().decode().splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=200))
+    @example([5e-324, 8e-323, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.inf, math.nan])
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_is_repr(self, values):
+        """repr's bytes for the magnitudes of any floats, NaN and inf among
+        them."""
+        assert_kernel_is_repr(np.abs(values))
+
+    def test_kernel_is_repr_at_the_edges(self):
+        """Every power of two and 10**k with their neighbours, the least
+        subnormals, integers around 2**53 and repr's switches between fixed
+        and exponent notation (at 1e-4 and 1e16)."""
+        assert_kernel_is_repr(np.concatenate([
+            with_neighbours(2.0 ** np.arange(-1074, 1024)),
+            with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+            np.arange(1, 1001).view(float),
+            with_neighbours(2.0**53 + np.arange(-1000, 1001)),
+            with_neighbours(np.outer([1e-5, 1e-4, 1e16, 1e17], [1.0, 1.5, 9.999999999999999]).ravel()),
+            [0.0, math.inf, math.nan, from_bits(0x7FF8000000000123)],
+        ]))
+        assert_kernel_is_repr(np.zeros(0))
+
+    def test_kernel_is_repr_on_random_bit_patterns(self):
+        """A million bit patterns, every exponent equally likely and NaN and
+        inf among them."""
+        assert_kernel_is_repr(np.random.default_rng(1).integers(0, 1 << 63, 10**6).view(float))
+
+    @pytest.mark.parametrize("nan", ["nan", ""])
+    def test_large_call_over_every_exponent(self, nan):
+        """A large call whose columns hold random bit patterns of both signs
+        and the special floats: each text is reference_text's."""
+        rng = np.random.default_rng(7)
+        rows = rng.integers(INT64.min, INT64.max, size=(3 * DEDUPE_MIN_SIZE, 3), endpoint=True).view(float)
+        pick = rng.random(rows.shape) < 0.1
+        rows[pick] = rng.choice(SPECIAL_FLOATS, size=int(pick.sum()))
+        column = rng.integers(INT64.min, INT64.max, size=DEDUPE_MIN_SIZE, endpoint=True).view(float)
+        column[:2] = [0.0, -0.0]
+        table, row_codes, column_codes = text_column(rows, column, nan=nan)
+        assert texts(table, row_codes) == sum(reference_text(rows, nan), [])
+        assert texts(table, column_codes) == sum(reference_text(column, nan), [])
+        assert_tight(table)
 
     def test_ply_text_across_chunks(self, tmp_path):
         pts = np.random.default_rng(0).normal(size=(2 * CHUNK_ROWS + 5, 3))
