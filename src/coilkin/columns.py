@@ -14,13 +14,14 @@ from .errors import ConfigError
 # explore depth x waypoint tips). Under tracemalloc a whole 1 mm scan
 # command (40,401 nodes) peaks at about 138 bytes per node, 227 with
 # pressure synthesis, and a workspace command on the default grid at about
-# 261 per sample, writers included (tests/test_cli.py bounds them at 180,
+# 260 per sample, writers included (tests/test_cli.py bounds them at 180,
 # 260 and 275), so 512 bytes a node fits 1 GiB.
 MEMORY_BUDGET_BYTES = 1 << 30
 MAX_NODES = MEMORY_BUDGET_BYTES // 512
 # A text_column call of this many values or more formats each distinct
-# magnitude once, after a sort per float column, by the kernel of
-# _repr_bytes, and writes integers as digits by numpy; a smaller call sorts
+# magnitude once, after a sort per float column (of its runs of equal
+# neighbours where most values repeat), by the kernel of _repr_bytes, and
+# writes integers four digits at a time by _digits; a smaller call sorts
 # all its floats at once and formats value by value with repr and str.
 # Explore logs (at most 230 values a call) are faster the small way at every
 # size measured up to 2,076 values, integer blocks the large way from about
@@ -41,9 +42,9 @@ def check_node_count(count, what: str):
         raise ConfigError(f"{what} exceeds the cap of {MAX_NODES} nodes")
 
 
-def _distinct(bits):
-    """np.unique(bits, return_inverse=True) for a 1-D int64 array, with int32
-    codes and about half the scratch memory."""
+def _sorted_distinct(bits):
+    """np.unique(bits, return_inverse=True) for a 1-D int64 array by one
+    argsort, with int32 codes and about half the scratch memory."""
     order = np.argsort(bits)
     ordered = bits[order]
     first = np.empty(bits.size, bool)
@@ -57,23 +58,79 @@ def _distinct(bits):
     return distinct, codes
 
 
+def _distinct(bits):
+    """np.unique(bits, return_inverse=True) for a 1-D int64 array, with int32
+    codes. Where most values repeat the value before them (a grid's row
+    coordinate, a quantized height), each run of equal neighbours is sorted
+    as its first value, whose code np.repeat spreads over the run. Other
+    columns (a zig-zag row's column coordinate, whose runs are the row
+    ends) are sorted whole by _sorted_distinct, as the run starts and the
+    spreading would cost more time and scratch memory than they save."""
+    first = np.empty(bits.size, bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) >= bits.size:
+        del first
+        return _sorted_distinct(bits)
+    distinct, codes = _sorted_distinct(bits[first])
+    return distinct, np.repeat(codes, np.diff(np.flatnonzero(first), append=bits.size))
+
+
+@functools.cache
+def _quads():
+    """The four-digit words of _decimal_words, built on first use: the text
+    of n < 10,000 as four ASCII bytes in a uint32 at n, and for n < 1,000
+    also at 10,000 + n with NUL for its leading zeros (0 all NUL)."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    padded = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        padded[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+    trimmed = padded[0].copy()
+    for place in range(4):
+        # n < 10**(3 - place) has no digit at `place`.
+        trimmed[(0,) * place + (Ellipsis, place)] = 0
+    quads = np.concatenate([padded.reshape(-1, 4), trimmed.reshape(-1, 4)]).view(np.uint32).reshape(-1)
+    quads.flags.writeable = False
+    return quads
+
+
+def _decimal_words(m, words, padded):
+    """Write each uint64 of m in decimal into its row of the uint32 array
+    words (n, k), four ASCII digits a word, the lowest places in the last
+    word. With `padded` every place is a digit; without it the places
+    before the first digit are NUL, and 0 has no digit. A word is one take
+    from _quads at the value of its four places, or, without `padded`,
+    where its places and all higher ones are worth less than 1,000, at the
+    entry without leading zeros."""
+    quads = _quads()
+    for j in range(words.shape[1] - 1, -1, -1):
+        higher = m // 10000
+        index = higher * 10000
+        np.subtract(m, index, out=index)
+        if not padded:
+            np.add(index, 10000, out=index, where=m < 1000)
+        words[:, j] = quads.take(index.view(np.intp))
+        m = higher
+
+
 def _digits(values) -> np.ndarray:
     """The decimal text of each integer, as wide as the longest: a negative
     value's minus sign in the first column, the digits right-aligned behind
-    NULs."""
-    negative = values < 0
-    magnitude = np.abs(values).astype(np.uint64)  # abs(int64 min) wraps to 2**63
-    # The longest text is that of the largest magnitude of either sign.
-    width = max(len(str(int(magnitude.max(initial=0, where=~negative)))),
-                len(str(-int(magnitude.max(initial=0, where=negative)))))
-    table = np.zeros((magnitude.size, width), np.uint8)
-    table[negative, 0] = ord("-")
-    for place in range(width - 1, -1, -1):
-        # A place before the first digit stays NUL; 0 has the one digit 0.
-        np.copyto(table[:, place], magnitude % 10 + ord("0"), casting="unsafe",
-                  where=(magnitude > 0) | (place == width - 1))
-        magnitude //= 10
-    return table.view(f"S{width}")[:, 0]
+    NULs, written four at a time by _decimal_words."""
+    if not values.size:
+        return np.zeros(0, "S1")
+    # The longest text is that of the least value or of the greatest.
+    width = max(len(str(int(values.min()))), len(str(int(values.max()))))
+    magnitude = np.empty(values.size, np.uint64)
+    np.abs(values, out=magnitude, casting="unsafe")  # abs(int64 min) wraps to 2**63
+    words = np.empty((values.size, -(-width // 4)), np.uint32)
+    _decimal_words(magnitude, words, padded=False)
+    # Each text is its row from column `skip` on: the row's first columns
+    # stand for places that no value has.
+    rows, skip = words.view(np.uint8), -width % 4
+    rows[:, -1] |= ord("0")  # the one digit of 0
+    rows[values < 0, skip] = ord("-")
+    return np.ndarray(values.shape, f"S{width}", rows, skip, rows.strides[:1]).copy()
 
 
 # repr's text of a float by integer arithmetic on uint64 arrays. Its digits
@@ -96,24 +153,29 @@ def _shortest_tables():
 
     - g[:, k - _K_MIN] is g = floor(beta) + 1 for 10**-k = beta * 2**r,
       2**125 <= beta < 2**126, as five uint64: its high 63 bits g1, their
-      32-bit halves, and the 32-bit halves of its low 63 bits;
-    - quads[n] is the text of n < 10,000 as four ASCII digits in a uint32;
+      32-bit halves, and the 32-bit halves of its low 63 bits. With
+      r = flog2(10**-k) - 125, beta is 10**-k * 2**125 >> flog2(10**-k)
+      for k <= 0 and 2**(125 - flog2(10**-k)) // 10**k for k > 0, from a
+      running power of ten: one big-integer multiply and at most one
+      division per k;
     - exponents[e - _K_MIN] is repr's exponent text e+XX of 10**e,
       NUL-padded to 5 bytes.
     """
-    g = []
-    for k in range(_K_MIN, 293):
-        r = _flog2_pow10(-k) - 125
-        g.append((10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1)
+    g, power = [], 1
+    for k in range(0, _K_MIN - 1, -1):
+        g.append((power << 125 >> _flog2_pow10(-k)) + 1)
+        power *= 10
+    g.reverse()
+    power = 1
+    for k in range(1, 293):
+        power *= 10
+        g.append((1 << 125 - _flog2_pow10(-k)) // power + 1)
     g = np.array([[x >> 63, x >> 95, x >> 63 & 0xFFFFFFFF, x >> 32 & 0x7FFFFFFF, x & 0xFFFFFFFF] for x in g],
                  np.uint64).T.copy()
-    n = np.arange(10000)
-    quads = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")).astype(np.uint8)
-    exponents = np.array([b"e%+03d" % e for e in range(_K_MIN, 309)], "S5")
-    tables = g, quads.view(np.uint32)[:, 0], exponents.view(np.uint8).reshape(-1, 5)
-    for table in tables:
+    exponents = np.array([b"e%+03d" % e for e in range(_K_MIN, 309)], "S5").view(np.uint8).reshape(-1, 5)
+    for table in (g, exponents):
         table.flags.writeable = False
-    return tables
+    return g, exponents
 
 
 def _mul_high(ah, al, bh, bl):
@@ -183,18 +245,14 @@ def _repr_bytes(x) -> np.ndarray:
     d[.ddd]e+XX with the exponent point - 1 in at least two digits; NaN and
     inf are nan and inf.
     """
-    _, quads, exponents = _shortest_tables()
+    exponents = _shortest_tables()[1]
     special = ~np.isfinite(x)
     digits, k = _shortest_decimal(np.where(special, 0.0, x))
     n = x.size
     # Each row: four '0's, the digits right-aligned in 20 columns from five
     # four-digit words, then 24 more '0's.
     rows = np.full((n, 48), ord("0"), np.uint8)
-    words = rows[:, 4:24].view(np.uint32)
-    for i in range(4, 0, -1):
-        digits, rest = np.divmod(digits, 10000)
-        words[:, i] = quads[rest]
-    words[:, 0] = quads[digits]
+    _decimal_words(digits, rows[:, 4:24].view(np.uint32), padded=True)
     nonzero = rows[:, 4:24] != ord("0")
     last = 23 - nonzero[:, ::-1].argmax(axis=1)
     nonzero[:, -1] = True
@@ -240,7 +298,8 @@ def _float_texts(entries, nan) -> np.ndarray:
     """
     bits = entries.view(np.int64)
     negative, isnan = bits < 0, np.isnan(entries)
-    magnitudes, codes = _distinct(bits & np.iinfo(np.int64).max)
+    # Sorted distinct bit patterns seldom hold a magnitude twice in a row.
+    magnitudes, codes = _sorted_distinct(bits & np.iinfo(np.int64).max)
     magnitudes = magnitudes.view(float)
     # CHUNK_ROWS values at a time, which bounds the kernel's scratch memory;
     # each chunk's table is as wide as its own longest text.
@@ -273,7 +332,7 @@ def _float_texts(entries, nan) -> np.ndarray:
 
 def _text_codes(values, large):
     """(table, codes) of an array of integers or booleans; integers are
-    written as digits by numpy in a large call, by str in a small one."""
+    written by _digits in a large call, by str in a small one."""
     if values.dtype.kind == "b":
         return _FLAGS, values.astype(np.int32)
     flat = values.ravel()
@@ -298,9 +357,11 @@ def text_column(*arrays, nan="nan"):
     call of fewer than DEDUPE_MIN_SIZE values sorts all its floats at once,
     passes each distinct value to repr and each integer to str. A larger
     call sorts its floats one column (last axis) at a time, which bounds the
-    scratch memory, formats each distinct magnitude once with _repr_bytes,
-    a vectorized kernel that gives repr's bytes, a negative value's text
-    being "-" and its magnitude's, and writes integers as digits by numpy.
+    scratch memory, and where most values of a column repeat the value
+    before them it sorts only the first value of each run (_distinct). It
+    formats each distinct magnitude once with _repr_bytes, a vectorized
+    kernel that gives repr's bytes, a negative value's text being "-" and
+    its magnitude's, and writes integers four digits at a time (_digits).
     The table is as wide as its longest text.
     """
     arrays = list(map(np.asarray, arrays))
@@ -333,7 +394,7 @@ def text_column(*arrays, nan="nan"):
             tables.append(_float_texts(distinct, nan))
     elif floats:
         bits = np.concatenate([arrays[i] for i in floats], axis=None, dtype=float).view(np.int64)
-        distinct, pooled = _distinct(bits)
+        distinct, pooled = _sorted_distinct(bits)
         pooled += size
         for i in floats:
             codes[i], pooled = pooled[: arrays[i].size].reshape(arrays[i].shape), pooled[arrays[i].size :]

@@ -773,15 +773,15 @@ class TestWorkspaceCommand:
 
     def test_kernel_tables_wait_for_a_large_call(self):
         """Importing the command line builds none of the float kernel's
-        tables, so fk, ik and tendons never pay for them; the first large
-        text_column call builds them."""
+        tables nor the four-digit words, so fk, ik and tendons never pay for
+        them; the first large text_column call builds them."""
         code = ("import coilkin.cli, numpy\nfrom coilkin import columns\n"
-                "print(columns._shortest_tables.cache_info().currsize)\n"
+                "print(columns._shortest_tables.cache_info().currsize, columns._quads.cache_info().currsize)\n"
                 "columns.text_column(numpy.arange(columns.DEDUPE_MIN_SIZE) / 7)\n"
-                "print(columns._shortest_tables.cache_info().currsize)\n")
+                "print(columns._shortest_tables.cache_info().currsize, columns._quads.cache_info().currsize)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.stdout.split() == ["0", "1"], proc.stderr
+        assert proc.stdout.split() == ["0", "0", "1", "1"], proc.stderr
 
 
 class TestScanCommand:

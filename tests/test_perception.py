@@ -83,6 +83,24 @@ SPECIAL_INTS = [INT64.min, INT64.max, 0, -1, 1, 10, -10]
 # Row counts around the deduplication threshold and the chunk size.
 ROW_COUNTS = [0, 1, 2, DEDUPE_MIN_SIZE - 1, DEDUPE_MIN_SIZE, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# Bit patterns for _distinct: those of the special floats (both zeros, NaN
+# with and without its sign bit or a payload), a few small integers, so
+# that runs of different values repeat, and any int64.
+BITS = st.one_of(st.sampled_from(np.array(SPECIAL_FLOATS).view(np.int64).tolist()), st.integers(-3, 3),
+                 st.integers(INT64.min, INT64.max))
+# Columns of bit patterns: runs of random lengths, one value throughout, two
+# values in turn, and 0 to 2 values.
+BIT_COLUMNS = st.one_of(
+    st.lists(st.tuples(BITS, st.integers(1, 40)), max_size=30).map(
+        lambda runs: np.repeat(np.array([v for v, _ in runs], np.int64), [n for _, n in runs])),
+    st.tuples(BITS, st.integers(0, 300)).map(lambda v: np.full(v[1], v[0], np.int64)),
+    st.tuples(BITS, BITS, st.integers(0, 300)).filter(lambda v: v[0] != v[1]).map(
+        lambda v: np.resize(np.array(v[:2], np.int64), v[2])),
+    st.lists(BITS, max_size=2).map(lambda v: np.array(v, np.int64)),
+)
+# Integers whose text is easy to get wrong: the int64 extremes and each
+# power of ten with its neighbours, of both signs.
+EDGE_INTS = [INT64.min, INT64.max, *(sign * 10**k + d for k in range(19) for d in (-1, 0, 1) for sign in (1, -1))]
 # The arrays of a call of fewer than DEDUPE_MIN_SIZE values: floats, 1-D, in
 # rows of 3 or of none, integers and flags.
 SMALL_CALLS = st.lists(st.one_of(
@@ -302,6 +320,53 @@ class TestColumnText:
         assert texts(table, row_codes) == sum(reference_text(rows, nan), [])
         assert texts(table, column_codes) == sum(reference_text(column, nan), [])
         assert_tight(table)
+
+    @given(BIT_COLUMNS)
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_is_unique(self, bits):
+        """_distinct is np.unique with return_inverse, with int32 codes,
+        whether it sorts runs of equal neighbours or the whole column."""
+        distinct, codes = columns._distinct(bits)
+        expected, inverse = np.unique(bits, return_inverse=True)
+        assert codes.dtype == np.int32
+        assert distinct.tolist() == expected.tolist()
+        assert codes.tolist() == inverse.ravel().tolist()
+
+    @given(size=st.sampled_from([1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]),
+           values=st.lists(st.one_of(st.sampled_from(EDGE_INTS), st.integers(INT64.min, INT64.max)),
+                           min_size=1, max_size=30))
+    @example(size=1, values=[INT64.min])
+    @example(size=1, values=[0])
+    @example(size=CHUNK_ROWS, values=[-999, 999])
+    @example(size=CHUNK_ROWS, values=[-1000, 9999, 5])
+    @settings(max_examples=100, deadline=None)
+    def test_digits_is_str(self, size, values):
+        """_digits writes str of each integer, its digits right-aligned
+        behind NULs and a negative value's sign in the first column, in a
+        table as wide as the longest text; a negative value can make it one
+        byte wider than the longest digits."""
+        column = np.resize(np.array(values, np.int64), size)
+        table = columns._digits(column)
+        width = max(len(str(v)) for v in column.tolist())
+        assert table.dtype == f"S{width}"
+        assert table.tolist() == [(b"-" if v < 0 else b"") + str(abs(v)).encode().rjust(width - (v < 0), b"\0")
+                                  for v in column.tolist()]
+
+    def test_kernel_tables_are_their_formulas(self):
+        """The tables built from running powers of ten hold, word for word,
+        what their definitions give: g = floor(10**-k / 2**r) + 1 by one
+        big-integer division per k, the four-digit words with leading zeros
+        and, below 1,000, without them, and the exponent texts."""
+        g, exponents = columns._shortest_tables()
+        for k in range(columns._K_MIN, 293):
+            r = columns._flog2_pow10(-k) - 125
+            x = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+            assert g[:, k - columns._K_MIN].tolist() == [x >> 63, x >> 95, x >> 63 & 0xFFFFFFFF,
+                                                          x >> 32 & 0x7FFFFFFF, x & 0xFFFFFFFF]
+        assert g.dtype == np.uint64 and g.shape == (5, 293 - columns._K_MIN)
+        assert columns._quads().tobytes() == b"".join([*(b"%04d" % n for n in range(10000)), b"\0" * 4,
+                                                        *((b"%d" % n).rjust(4, b"\0") for n in range(1, 1000))])
+        assert exponents.tobytes() == b"".join((b"e%+03d" % e).ljust(5, b"\0") for e in range(columns._K_MIN, 309))
 
     def test_ply_text_across_chunks(self, tmp_path):
         pts = np.random.default_rng(0).normal(size=(2 * CHUNK_ROWS + 5, 3))
