@@ -40,7 +40,6 @@ from .simulator import (
     RingPath,
     ScanConfig,
     explore_tube,
-    pressure_detections,
     probe_columns,
     ring_path,
     surface_scan,

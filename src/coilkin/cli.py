@@ -13,32 +13,19 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .actuation import max_payout
-from .columns import write_rows
 from .errors import CoilkinError, ConfigError
 from .geometry import RobotGeometry
 from .kinematics import ArcState, fk, ik
 from .perception import reconstruct, to_feature
 from .scenes import Cube, Tube, load_scene
-from .simulator import (
-    PRESSURE_SAMPLES,
-    ExploreConfig,
-    ScanConfig,
-    explore_tube,
-    pressure_detections,
-    surface_scan,
-)
+from .simulator import ExploreConfig, ScanConfig, explore_tube, surface_scan
 from .workspace import DEFAULT_GRID, sample_workspace, workspace_extents, write_files
 
 # Radial offset of the canonical exploration obstacle: far enough off-axis
 # that descent never touches it, well inside the ring-scan sweep.
 OBSTACLE_RADIAL = 45.0
 OBSTACLE_EDGE = 40.0
-# The detected_sample text of pressure.csv, at code detected + 1: empty
-# where nothing was detected (-1), else the sample index.
-_DETECTED_TEXT = np.array([b""] + [b"%d" % k for k in range(PRESSURE_SAMPLES)])
 
 
 def _geometry(args) -> RobotGeometry:
@@ -67,7 +54,6 @@ def _write_manifest(out, command, args, outputs):
         "command": command,
         "geometry": args.geometry or "defaults",
         "scene": getattr(args, "scene", None),
-        "seed": getattr(args, "seed", None),
         "outputs": sorted(outputs),
     })
 
@@ -117,13 +103,10 @@ def cmd_scan(args, geom) -> str:
         quantum=args.quantum,
     )
     cloud = surface_scan(scene, geom, cfg)
-    contact = cloud.log.contact.ravel()
-    contacts = int(contact.sum())
-    # Everything that can fail on the input comes before any output: a bad
-    # seed, and the features row, whose provenance is the scene file name
-    # as UTF-8, with the bytes of a name that is not UTF-8 escaped.
-    if args.pressure_synth:
-        detected = pressure_detections(contact, args.seed, geom.contact_threshold)
+    contacts = int(cloud.log.contact.sum())
+    # Everything that can fail on the input comes before any output: the
+    # features row, whose provenance is the scene file name as UTF-8, with
+    # the bytes of a name that is not UTF-8 escaped.
     if contacts > 0:
         hmap = reconstruct(cloud)
         name = os.fsencode(os.path.basename(args.scene)).decode("utf-8", "backslashreplace")
@@ -131,9 +114,6 @@ def cmd_scan(args, geom) -> str:
     out = _out_dir(args)
     outputs = ["events.csv"]
     cloud.log.write(os.path.join(out, "events.csv"))
-    if args.pressure_synth:
-        outputs.append("pressure.csv")
-        _write_pressure(os.path.join(out, "pressure.csv"), contact, detected)
     if contacts > 0:
         hmap.write_csv(os.path.join(out, "heightmap.csv"))
         hmap.write_ply(os.path.join(out, "heightmap.ply"))
@@ -141,15 +121,7 @@ def cmd_scan(args, geom) -> str:
             fh.write(features)
         outputs += ["heightmap.csv", "heightmap.ply", "features.csv"]
     _write_manifest(out, "scan", args, outputs)
-    return f"nodes={len(contact)} contacts={contacts}"
-
-
-def _write_pressure(path, contact, detected):
-    """Per probe its contact flag and the sample at which its synthetic
-    pressure trace crossed the threshold, empty where it never did."""
-    with open(path, "wb") as fh:
-        fh.write(b"event_index,contact,detected_sample\n")
-        write_rows(fh, [np.arange(len(detected)), contact, (_DETECTED_TEXT, detected + 1)])
+    return f"nodes={cloud.log.contact.size} contacts={contacts}"
 
 
 def make_offset_tube(offset_mm: float, geom: RobotGeometry, cfg: ExploreConfig = ExploreConfig(),
@@ -232,8 +204,6 @@ def _scan_args(p):
     p.add_argument("--step", type=float, default=ScanConfig.step_mm)
     p.add_argument("--arm-z", type=float, default=None, help="arm height, mm (default: floor reach)")
     p.add_argument("--quantum", type=float, default=ScanConfig.quantum, help="probe extension step, mm")
-    p.add_argument("--pressure-synth", action="store_true", help="emit synthetic pressure checks")
-    p.add_argument("--seed", type=int, default=None, help="seed of the pressure synthesizer (default 0)")
     _add_geometry_arg(p)
     _add_out_args(p)
 

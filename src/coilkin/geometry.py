@@ -14,9 +14,8 @@ class RobotGeometry:
     d is the tendon attachment radius around the backbone axis, s_min and
     s_max the compressed and fully extended backbone lengths, l the offset
     from the spring top to the tip mount. pulley_diameter (mm) and
-    servo_range (degrees) bound the tendon payout, bristle_length extends
-    the probe past the tip mount, and contact_threshold (hPa) is the
-    pressure step treated as contact. Every field passes
+    servo_range (degrees) bound the tendon payout, and bristle_length
+    extends the probe past the tip mount. Every field passes
     errors.finite_number and is stored as a float.
     """
 
@@ -27,7 +26,6 @@ class RobotGeometry:
     pulley_diameter: float = 70.0
     servo_range: float = 120.0
     bristle_length: float = 53.0
-    contact_threshold: float = 15.0
 
     def __post_init__(self):
         for name, value in list(vars(self).items()):
@@ -46,8 +44,6 @@ class RobotGeometry:
             raise ConfigError("servo_range must be >= 0")
         if self.bristle_length < 0.0:
             raise ConfigError("bristle_length must be >= 0")
-        if self.contact_threshold <= 0.0:
-            raise ConfigError("contact_threshold must be > 0")
         # Bounds every length formed: a tendon s + d*theta (theta <= pi/2), the tip s + l + bristle.
         if not math.isfinite(self.s_max + self.l + self.bristle_length + self.d * math.pi / 2.0):
             raise ConfigError("geometry too large: s_max + l + bristle_length + d*pi/2 overflows")

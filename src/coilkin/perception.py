@@ -173,10 +173,11 @@ class ErrorReport:
 
 
 def error_stats(pairs) -> ErrorReport:
-    """Euclidean and per-axis absolute errors for (desired, actual) pairs."""
+    """Euclidean and per-axis absolute errors for (desired, actual) pairs;
+    no pairs raise EmptyCloudError."""
     pairs = list(pairs)
     if not pairs:
-        raise ValueError("error_stats needs at least one pair")
+        raise EmptyCloudError("error_stats needs at least one pair")
     desired = np.asarray([p[0] for p in pairs], dtype=float)
     actual = np.asarray([p[1] for p in pairs], dtype=float)
     diff = actual - desired

@@ -393,33 +393,3 @@ def explore_tube(
     log = MissionLog(moves, cfg.compressed_s, path.alpha, ext, contact, points)
     return ExploreResult(depths[rings - 1], any_contact, log)
 
-
-# The synthetic bristle pressure sensor of pressure_detections.
-NOISE_SD_HPA = 1.0
-CONTACT_STEP_HPA = 40.0
-PRESSURE_SAMPLES = 16
-CONTACT_SAMPLE = 8
-
-
-def pressure_detections(contact, seed: int | None, threshold_hpa: float) -> np.ndarray:
-    """First sample of each probe's synthetic pressure trace that deviates
-    from the baseline by at least threshold_hpa, or -1 where none does.
-
-    Probe k's deviation trace is row k of one default_rng(seed).normal(0,
-    NOISE_SD_HPA, (N, PRESSURE_SAMPLES)) draw, seed None read as 0, plus
-    CONTACT_STEP_HPA from CONTACT_SAMPLE on where contact[k]. The draw fills
-    rows in order from one stream, so row k depends only on (seed, k), not
-    on N. Mission contact decisions stay geometric. A seed that is neither
-    None nor an int >= 0 (a numpy int is one, a bool is not), or a
-    threshold_hpa that fails errors.finite_number, raises ConfigError.
-    """
-    whole = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if seed is not None and not (whole and seed >= 0):
-        raise ConfigError(f"pressure seed must be None or an int >= 0, got {seed!r}")
-    threshold_hpa = finite_number(threshold_hpa, "pressure threshold_hpa", ConfigError)
-    contact = np.asarray(contact, dtype=bool)
-    p = np.random.default_rng(seed or 0).normal(0.0, NOISE_SD_HPA, (contact.size, PRESSURE_SAMPLES))
-    step = p[:, CONTACT_SAMPLE:]
-    np.add(step, CONTACT_STEP_HPA, out=step, where=contact[:, None])
-    crossed = np.abs(p, out=p) >= threshold_hpa
-    return np.where(crossed.any(axis=1), crossed.argmax(axis=1), -1)

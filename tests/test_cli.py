@@ -437,7 +437,7 @@ VALID_TAILS = {
     "ik": ["0", "0", "45"],
     "tendons": ["--alpha", "45", "--theta", "80", "--s", "40", "--d", "12"],
     "workspace": ["--n-alpha", "4", "--servo-range", "90", "--out", "o"],
-    "scan": ["--scene", "s.json", "--arm-z", "150", "--pressure-synth", "--seed", "3"],
+    "scan": ["--scene", "s.json", "--arm-z", "150"],
     "explore": ["--obstacle-offset", "55", "--tube-radius", "90", "--no-obstacle"],
 }
 BAD_TYPE_TAILS = {
@@ -850,26 +850,6 @@ class TestScanCommand:
         assert "contacts=0" in proc.stdout
         assert not (out / "heightmap.csv").exists()
 
-    def test_pressure_synth_output(self, tmp_path):
-        scene = tmp_path / "scene.json"
-        write_plateau_scene(scene)
-        out = tmp_path / "run"
-        proc = run_cli(
-            "scan", "--scene", scene, "--out", out, "--seed", 9, "--pressure-synth",
-            "--width", 40, "--height", 40,
-        )
-        assert proc.returncode == 0
-        lines = (out / "pressure.csv").read_text().splitlines()
-        assert lines[0] == "event_index,contact,detected_sample"
-        assert len(lines) == 1 + 25
-
-    def test_negative_seed_exits_2(self, tmp_path):
-        scene = tmp_path / "scene.json"
-        write_plateau_scene(scene)
-        out = tmp_path / "run"
-        proc = run_cli("scan", "--scene", scene, "--out", out, "--seed", -1, "--pressure-synth")
-        assert_rejected_as_input(proc, out)
-
     @pytest.mark.parametrize("threshold", [0, -1])
     def test_non_positive_contact_threshold_exits_2(self, tmp_path, threshold):
         scene = tmp_path / "scene.json"
@@ -877,14 +857,24 @@ class TestScanCommand:
         geom = tmp_path / "geometry.json"
         geom.write_text(json.dumps({"contact_threshold": threshold}))
         out = tmp_path / "run"
-        proc = run_cli("scan", "--scene", scene, "--geometry", geom, "--out", out, "--pressure-synth")
+        proc = run_cli("scan", "--scene", scene, "--geometry", geom, "--out", out)
         assert_rejected_as_input(proc, out)
+        assert "unknown geometry fields: ['contact_threshold']" in proc.stderr
 
-    @pytest.mark.parametrize("command", [("workspace",), ("explore", "--no-obstacle")])
-    def test_seed_only_on_scan(self, tmp_path, command):
-        proc = run_cli(*command, "--seed", 1, "--out", tmp_path / "run")
+    @pytest.mark.parametrize("flag", [("--seed", "1"), ("--pressure-synth",)], ids=["seed", "pressure-synth"])
+    @pytest.mark.parametrize("command", ["scan", "workspace", "explore"])
+    def test_removed_flags_rejected(self, tmp_path, command, flag):
+        """Contact is decided geometrically, so no command takes a
+        pressure-sensor flag."""
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        tail = {"scan": ("--scene", scene), "workspace": (), "explore": ("--no-obstacle",)}[command]
+        out = tmp_path / "run"
+        proc = run_cli(command, *tail, *flag, "--out", out)
         assert proc.returncode == 2
-        assert "unrecognized arguments: --seed" in proc.stderr
+        assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra,contacts",
@@ -908,11 +898,11 @@ class TestScanCommand:
         proc = run_cli("scan", "--scene", scene, "--out", tmp_path / "run")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("extra", [(), ("--pressure-synth",), ("--arm-z", "300", "--pressure-synth")])
+    @pytest.mark.parametrize("extra", [(), ("--arm-z", "300"), ("--arm-z", "200", "--step", "7")])
     @pytest.mark.parametrize("scene", sorted(GOLDEN_SCENES.glob("*.json")), ids=lambda path: path.stem)
     def test_counts_match_events(self, tmp_path, scene, extra):
         """nodes counts the events.csv probe rows, contacts those with
-        contact 1, and pressure.csv's contact column is theirs."""
+        contact 1."""
         out = tmp_path / "run"
         stdout, err, code, _ = run_main(["scan", "--scene", str(scene), "--out", str(out), *extra])
         assert code == 0, err
@@ -922,9 +912,6 @@ class TestScanCommand:
         assert len(rows) == 2 * len(probes)
         contact = [row["contact"] for row in probes]
         assert stdout == f"nodes={len(probes)} contacts={contact.count('1')}\n"
-        if "--pressure-synth" in extra:
-            with open(out / "pressure.csv", newline="") as fh:
-                assert [row["contact"] for row in csv.DictReader(fh)] == contact
 
 
 class TestExploreCommand:
@@ -1047,6 +1034,21 @@ class TestServoRange:
 
 
 class TestReproducibility:
+    @pytest.mark.parametrize("command", [
+        ["workspace", "--n-alpha", "4", "--n-theta", "3", "--n-s", "2"],
+        ["scan", "--scene", "SCENE", "--width", "40", "--height", "40"],
+        ["explore", "--no-obstacle"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_keys(self, tmp_path, command):
+        """A manifest records the command, its inputs and its outputs, and nothing else."""
+        scene = tmp_path / "scene.json"
+        write_plateau_scene(scene)
+        out = tmp_path / "run"
+        argv = [str(scene) if a == "SCENE" else a for a in command] + ["--out", str(out)]
+        assert run_main(argv)[2] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "geometry", "outputs", "scene"]
+
     def test_env_var_is_ignored(self, tmp_path):
         """COILKIN_OUT redirects nothing: the outputs land under --out only."""
         flag_dir = tmp_path / "flagged"
@@ -1065,7 +1067,7 @@ class TestReproducibility:
         outputs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            proc = run_cli("scan", "--scene", scene, "--seed", 5, "--out", out)
+            proc = run_cli("scan", "--scene", scene, "--out", out)
             assert proc.returncode == 0
             outputs.append(
                 {
@@ -1103,7 +1105,7 @@ class TestCommandMemory:
     assumes."""
 
     @staticmethod
-    def scan_peak_per_node(tmp_path, *extra) -> float:
+    def scan_peak_per_node(tmp_path) -> float:
         """Traced bytes per node of a 1 mm scan of a 200 mm plateau scene:
         40,401 nodes."""
         grid = np.zeros((201, 201))
@@ -1111,15 +1113,11 @@ class TestCommandMemory:
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps({"type": "height_field", "origin": [0, 0], "cell_mm": 1.0,
                                      "heights": grid.tolist()}))
-        argv = ["scan", "--scene", str(scene), "--step", "1", *extra, "--out", str(tmp_path / "run")]
+        argv = ["scan", "--scene", str(scene), "--step", "1", "--out", str(tmp_path / "run")]
         return traced_peak(argv) / grid.size
 
     def test_scan_bytes_per_node(self, tmp_path):
         assert self.scan_peak_per_node(tmp_path) < 180
-
-    def test_pressure_scan_bytes_per_node(self, tmp_path):
-        """With --pressure-synth: one (N, 16) noise draw on top of the scan."""
-        assert self.scan_peak_per_node(tmp_path, "--pressure-synth") < 260
 
     def test_workspace_bytes_per_sample(self, tmp_path):
         """The default 72 x 19 x 11 grid: 15,048 samples."""

@@ -18,7 +18,6 @@ def test_defaults():
     assert g.pulley_diameter == 70.0
     assert g.servo_range == 120.0
     assert g.bristle_length == 53.0
-    assert g.contact_threshold == 15.0
     assert g.probe_offset == 106.0
 
 
@@ -57,10 +56,6 @@ def test_invariant_violations():
         RobotGeometry(servo_range=-1.0)
     with pytest.raises(ConfigError):
         RobotGeometry(bristle_length=-1.0)
-    with pytest.raises(ConfigError):
-        RobotGeometry(contact_threshold=0.0)
-    with pytest.raises(ConfigError):
-        RobotGeometry(contact_threshold=-1.0)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(RobotGeometry)])

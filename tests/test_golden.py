@@ -16,10 +16,8 @@ servo range leaves some samples infeasible, the C5 tube explorations, and
 the scalar commands: `fk` and `tendons` at a generic state and at the
 alpha 0, theta 90 tie state, `ik` at a generic target and at pure
 compression. A scalar case writes no file, so only its stdout is kept and
-its command gets no `--out`.
-The `scan_plateau_pressure` case pins the seeded `pressure.csv` of
-`scan --pressure-synth`. To re-capture after an intended output change,
-run from the repo root
+its command gets no `--out`. To re-capture after an intended output
+change, run from the repo root
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
@@ -52,10 +50,6 @@ CASES = {
         f"scan_{name}": (["scan", "--scene", str(SCENES / f"{name}.json")], SCAN_FILES)
         for name in SCENE_NAMES
     },
-    "scan_plateau_pressure": (
-        ["scan", "--scene", str(SCENES / "plateau.json"), "--pressure-synth", "--seed", "7"],
-        ("pressure.csv",),
-    ),
     **{
         f"explore_{offset}": (["explore", "--obstacle-offset", str(offset)], EXPLORE_FILES)
         for offset in (35, 55, 75, 95)

@@ -600,8 +600,9 @@ class TestToFeature:
 
 class TestErrorStats:
     def test_no_pairs_rejected(self):
-        with pytest.raises(ValueError, match="at least one pair"):
+        with pytest.raises(EmptyCloudError, match="at least one pair") as info:
             error_stats([])
+        assert info.value.exit_code == 3
 
     def test_identical_pairs_are_zero(self):
         report = error_stats([((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))] * 4)

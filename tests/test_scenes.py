@@ -184,7 +184,7 @@ def test_origin_and_center_need_lists_of_numbers():
 # its float fields; a tuple field is a list of numbers, one case per item.
 RECORDS = [
     (RobotGeometry, ConfigError, {"d": 12, "s_min": 20, "s_max": 70, "l": 53, "pulley_diameter": 70,
-                                  "servo_range": 120, "bristle_length": 53, "contact_threshold": 15}),
+                                  "servo_range": 120, "bristle_length": 53}),
     (HeightField, SceneError, {"origin": (0, 5), "cell_mm": 10, "heights": [[1.0]]}),
     (Cube, SceneError, {"center": (45, 0, -206), "edge_mm": 40}),
     (Tube, SceneError, {"inner_radius_mm": 174}),

@@ -31,7 +31,6 @@ from coilkin import (
     explore_tube,
     fk,
     ik,
-    pressure_detections,
     probe_columns,
     reconstruct,
     ring_path,
@@ -42,7 +41,7 @@ import coilkin.columns
 import coilkin.kinematics
 import coilkin.simulator
 from coilkin.actuation import beyond_servo_range
-from coilkin.cli import _write_pressure, make_offset_tube
+from coilkin.cli import make_offset_tube
 from coilkin.columns import CHUNK_ROWS, MAX_NODES
 from coilkin.simulator import LOG_ALPHA, LOG_ARM, LOG_CONTACT, LOG_HEADER, LOG_POINT, LOG_S
 
@@ -884,93 +883,3 @@ class TestMissionLog:
             tracemalloc.stop()
         assert peak / grid.size < 140
 
-
-def reference_pressure_csv(contact, seed, threshold_hpa):
-    """pressure.csv as a per-probe loop: one default_rng(seed) Generator
-    draws each probe's 16-sample deviation trace in turn, a 40 hPa step
-    from sample 8 on contact, and its first sample at least the threshold
-    off the baseline."""
-    rng = np.random.default_rng(seed or 0)
-    lines = ["event_index,contact,detected_sample"]
-    for idx, touched in enumerate(contact):
-        trace = rng.normal(0.0, 1.0, 16)
-        if touched:
-            trace[8:] += 40.0
-        hit = next((k for k, p in enumerate(trace) if abs(float(p)) >= threshold_hpa), "")
-        lines.append(f"{idx},{int(touched)},{hit}")
-    return "\n".join(lines) + "\n"
-
-
-PRESSURE_COLUMNS = {
-    "all_contact": np.ones(300, bool),
-    "no_contact": np.zeros(300, bool),
-    "mixed": np.random.default_rng(3).random(300) < 0.5,
-    "empty": np.zeros(0, bool),
-}
-
-
-class TestPressureSynth:
-    def test_no_contact_never_crosses_threshold(self):
-        hit = pressure_detections(np.zeros(64, bool), 7, GEOM.contact_threshold)
-        assert hit.tolist() == [-1] * 64
-
-    def test_contact_step_detected(self):
-        hit = pressure_detections(np.ones(64, bool), 7, GEOM.contact_threshold)
-        assert hit.tolist() == [8] * 64
-
-    def test_seed_reproducibility(self):
-        # At one noise SD the noise alone crosses, so the column depends on the seed.
-        contact = np.arange(32) % 3 == 0
-        a = pressure_detections(contact, 11, 1.0)
-        assert np.array_equal(a, pressure_detections(contact, 11, 1.0))
-        assert not np.array_equal(a, pressure_detections(contact, 12, 1.0))
-
-    @pytest.mark.parametrize("threshold", [GEOM.contact_threshold, 2.5])
-    @pytest.mark.parametrize("column", sorted(PRESSURE_COLUMNS))
-    @pytest.mark.parametrize("seed", [None, 0, 7])
-    def test_csv_matches_reference_loop(self, seed, column, threshold, tmp_path):
-        contact = PRESSURE_COLUMNS[column]
-        path = tmp_path / "pressure.csv"
-        _write_pressure(path, contact, pressure_detections(contact, seed, threshold))
-        assert path.read_bytes() == reference_pressure_csv(contact, seed, threshold).encode()
-
-    @given(
-        contact=st.lists(st.booleans(), max_size=80),
-        k=st.integers(0, 80),
-        seed=st.integers(0, 2**32),
-        threshold=st.floats(0.5, 5.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_one_stream_contract(self, contact, k, seed, threshold):
-        """A probe's trace depends only on (seed, k): the first K probes of
-        an N-probe call are a K-probe call, and a call repeats exactly. The
-        seeds do not overlap: at 1 hPa, where noise alone crosses, seed
-        s + 1's probes are not seed s's probes shifted by one, as they were
-        with one generator per probe seeded s + k."""
-        contact = np.array(contact, bool)
-        hit = pressure_detections(contact, seed, threshold)
-        np.testing.assert_array_equal(hit[:k], pressure_detections(contact[:k], seed, threshold))
-        np.testing.assert_array_equal(hit, pressure_detections(contact, seed, threshold))
-        quiet = np.zeros(64, bool)
-        shifted = pressure_detections(quiet, seed, 1.0)[1:]
-        assert not np.array_equal(shifted, pressure_detections(quiet, seed + 1, 1.0)[:-1])
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError):
-            pressure_detections(np.ones(4, bool), -1, GEOM.contact_threshold)
-
-    @pytest.mark.parametrize("seed", ["a", True, 1.0, np.int64(-2)])
-    def test_seed_must_be_none_or_an_int(self, seed):
-        # A bool is not a seed: True used to run as seed 1.
-        with pytest.raises(ConfigError, match="pressure seed must be None or an int >= 0"):
-            pressure_detections(np.ones(4, bool), seed, GEOM.contact_threshold)
-
-    def test_numpy_int_seed_is_an_int(self):
-        contact = np.arange(32) % 3 == 0
-        np.testing.assert_array_equal(pressure_detections(contact, np.uint8(11), 1.0),
-                                      pressure_detections(contact, 11, 1.0))
-
-    @pytest.mark.parametrize("threshold", ["x", "1.5", True, None, math.nan, math.inf])
-    def test_threshold_passes_the_number_rule(self, threshold):
-        with pytest.raises(ConfigError, match="pressure threshold_hpa must be a number"):
-            pressure_detections(np.ones(4, bool), 0, threshold)
